@@ -73,16 +73,10 @@ class InitData:
     nonce: bytes
 
 
-@dataclass(frozen=True)
-class LicenseBlob:
-    ciphertext: bytes
-
-
 @dataclass
 class BearerToken:
     value: str
     user: str
-    issued_at: int
     expires_at: int
 
 
@@ -239,7 +233,6 @@ class BenchmarkService:
         token = BearerToken(
             value=value,
             user=user,
-            issued_at=self.env.now(),
             expires_at=self.env.now() + self.bearer_ttl,
         )
         self._bearers[value] = token
@@ -330,11 +323,8 @@ class BenchmarkService:
             return error_response(403, "license denied")
         content_key, nonce = entry
         iv = self.env.rand_bytes(16)
-        blob = LicenseBlob(
-            ciphertext=_seal(self.device_key.data, key_id + content_key + nonce, iv)
-        )
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},
-            body=blob.ciphertext,
+            body=_seal(self.device_key.data, key_id + content_key + nonce, iv),
         )

@@ -148,10 +148,7 @@ def aes_ctr(key: bytes, nonce: bytes, data: bytes, byte_offset: int = 0) -> byte
     enc = Cipher(
         algorithms.AES(key), modes.CTR(counter.to_bytes(16, "big"))
     ).encryptor()
-    stream = enc.update(bytes(skip + len(data)))[skip:]
-    n = len(data)
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    return mixed.to_bytes(n, "big")
+    return enc.update(bytes(skip) + data)[skip:]
 
 
 SALT_MAGIC = b"Salted__"

@@ -82,10 +82,8 @@ class SaavnService:
         self._seal_key = seal_key
         self._seal_iv = seal_iv
         self.cdn = CdnNode(HOST_CDN, cdn_secret, "KSAAVN1", env.clock)
-        self._by_slug: dict[str, str] = {}
         for asset in catalog.assets.values():
             self.cdn.add_file_asset(asset.asset_id, asset)
-            self._by_slug[slugify(asset.title)] = asset.asset_id
 
     def mount(self, net) -> None:
         net.register(HOST_WWW, self._handle_www)

@@ -143,7 +143,7 @@ class WynkSession:
     created_at: int = 0
     bk: str = ""
     marks: set[str] = field(default_factory=set)
-    check_values: dict[str, str] | None = None
+    cip: str = ""  # the x-bsy-cip login must present; empty before a check
 
 
 class WynkService:
@@ -174,6 +174,7 @@ class WynkService:
         self._by_uid: dict[str, WynkSession] = {}
         self._by_dt: dict[str, WynkSession] = {}
         self._by_bk: dict[str, WynkSession] = {}
+        self._by_cip: dict[str, WynkSession] = {}
 
     def mount(self, net) -> None:
         net.register(HOST_ACCOUNT, self._handle_account)
@@ -306,32 +307,28 @@ class WynkService:
         sess = self._by_bk.get(bk)
         if sess is None:
             return error_response(403, "unknown handshake")
-        tk = req.headers.get("tk", "")
-        if not tk.isdigit() or abs(self.env.now() - int(tk)) > CLOCK_SKEW:
+        if not _fresh_stamp(req.headers.get("tk", ""), self.env.now()):
             return error_response(401, "stale tk")
-        sess.check_values = {
+        values = {
             f: format(self.env.rng.randrange(10000), "04d") for f in CHECK_FIELDS
         }
-        return json_response(sess.check_values)
+        # a re-check retires the old puzzle; a puzzle another handshake
+        # already holds (a 32-digit collision) stays with that handshake
+        if self._by_cip.get(sess.cip) is sess:
+            del self._by_cip[sess.cip]
+        sess.cip = encode_cip("".join(values.values()))
+        self._by_cip.setdefault(sess.cip, sess)
+        return json_response(values)
 
     def _handle_login(self, req: HttpRequest) -> HttpResponse:
         if req.method != "POST" or req.path != V2_LOGIN_PATH:
             return error_response(404, "no such endpoint")
-        cip = req.headers.get("x-bsy-cip", "")
-        sess = None
-        for candidate in self._by_bk.values():
-            if candidate.check_values is None:
-                continue
-            bs = "".join(candidate.check_values[f] for f in CHECK_FIELDS)
-            if encode_cip(bs) == cip:
-                sess = candidate
-                break
+        sess = self._by_cip.get(req.headers.get("x-bsy-cip", ""))
         if sess is None:
             return error_response(403, "cip mismatch")
         if not sess.primed:
             return error_response(403, "handshake not primed")
-        ptot = req.headers.get("x-bsy-ptot", "")
-        if not ptot.isdigit() or abs(self.env.now() - int(ptot)) > CLOCK_SKEW:
+        if not _fresh_stamp(req.headers.get("x-bsy-ptot", ""), self.env.now()):
             return error_response(401, "stale ptot")
         sess.dt = self.env.hex_token(32)
         sess.uid = self.env.hex_token(12)
@@ -387,6 +384,14 @@ class WynkService:
             totp(secret, TOTP_PARAMS, now - TOTP_PARAMS.window_seconds),
         )
         return digits in accepted
+
+
+def _fresh_stamp(stamp: str, now: int) -> bool:
+    """An ASCII-decimal epoch within CLOCK_SKEW of now. str.isdigit alone
+    would pass superscripts such as '²', which int() then rejects."""
+    if not (stamp.isascii() and stamp.isdigit()):
+        return False
+    return abs(now - int(stamp)) <= CLOCK_SKEW
 
 
 def _parse_mix(mix: str) -> tuple[str, str] | None:

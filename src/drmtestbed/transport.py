@@ -82,6 +82,9 @@ class Headers(dict):
     def setdefault(self, key, default=None):
         return super().setdefault(key.lower(), default)
 
+    def copy(self):
+        return Headers(self)
+
     def update(self, items=None, **kw):
         if items:
             pairs = items.items() if isinstance(items, dict) else items

@@ -80,6 +80,15 @@ def test_headers_from_pairs():
     assert h == {"a": "2"}
 
 
+def test_headers_copy_keeps_case_folding():
+    h = Headers({"TK": "1"})
+    dup = h.copy()
+    assert isinstance(dup, Headers)
+    assert dup.get("TK") == "1"
+    dup["tk"] = "2"
+    assert h["tk"] == "1"
+
+
 # ----------------------------------------------------- requests, responses
 
 

@@ -3,6 +3,7 @@ handshake, the number puzzle, and the sealed one-time code."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmtestbed.catalog import demo_catalog
+from drmtestbed.config import TestbedConfig
 from drmtestbed.clients import (
     ProtocolFailure,
     rip_wynk_v1,
@@ -18,7 +20,8 @@ from drmtestbed.clients import (
 )
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1, passphrase_seal, totp
 from drmtestbed.services import wynk
-from drmtestbed.transport import DeterministicEnv, Network
+from drmtestbed.testbed import Testbed
+from drmtestbed.transport import DeterministicEnv, Network, export_tap, read_tap
 from drmtestbed.webassets import MINIFIED_BANNER
 
 CDN_SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
@@ -345,6 +348,18 @@ def test_check_requires_fresh_tk(rig):
     assert _check(net, env, bk, tk=env.now() - wynk.CLOCK_SKEW).status == 200
 
 
+def test_check_rejects_non_ascii_digits_in_tk(rig):
+    _svc, net, env, _catalog = rig
+    bk = _prime(net, env)
+    half = len(bk) // 2
+    resp = net.post(
+        f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
+        body=json.dumps({"pid": bk[half:]}).encode(),
+        headers={"tk": "\u00b2", "bk": bk[:half]},
+    )
+    assert resp.status == 401
+
+
 def test_check_requires_pid(rig):
     _svc, net, env, _catalog = rig
     bk = _prime(net, env)
@@ -397,6 +412,56 @@ def test_login_requires_fresh_ptot(rig):
     bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
     assert _login(net, env, bs, ptot=env.now() - wynk.CLOCK_SKEW - 1).status == 401
     assert _login(net, env, bs).status == 200
+
+
+def test_login_rejects_non_ascii_digits_in_ptot(rig):
+    _svc, net, env, _catalog = rig
+    bk = _prime(net, env)
+    check = json.loads(_check(net, env, bk).body)
+    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    resp = net.post(
+        f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
+        body=b"{}",
+        headers={"x-bsy-ptot": "\u00b2", "x-bsy-cip": wynk.encode_cip(bs)},
+    )
+    assert resp.status == 401
+
+
+def test_recheck_retires_the_old_cip(rig):
+    _svc, net, env, _catalog = rig
+    bk = _prime(net, env)
+    first = json.loads(_check(net, env, bk).body)
+    second = json.loads(_check(net, env, bk).body)
+    assert _login(net, env, "".join(first[f] for f in wynk.CHECK_FIELDS)).status == 403
+    assert _login(net, env, "".join(second[f] for f in wynk.CHECK_FIELDS)).status == 200
+
+
+def test_login_finds_its_handshake_without_recomputing_cips(rig, monkeypatch):
+    svc, net, env, _catalog = rig
+    puzzles = []
+    for _ in range(300):
+        bk = _prime(net, env)
+        check = json.loads(_check(net, env, bk).body)
+        puzzles.append((bk, "".join(check[f] for f in wynk.CHECK_FIELDS)))
+    bk, bs = puzzles[149]
+    cip = wynk.encode_cip(bs)
+
+    calls = []
+    real = wynk.encode_cip
+
+    def counting(digits):
+        calls.append(digits)
+        return real(digits)
+
+    monkeypatch.setattr(wynk, "encode_cip", counting)
+    resp = net.post(
+        f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
+        body=b"{}",
+        headers={"x-bsy-ptot": str(env.now()), "x-bsy-cip": cip},
+    )
+    assert resp.status == 200
+    assert calls == []
+    assert svc._by_dt[json.loads(resp.body)["dt"]] is svc._by_bk[bk]
 
 
 def test_login_without_check_fails(rig):
@@ -533,3 +598,24 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
     url = svc.song_url("missing", "missing")
     with pytest.raises(ProtocolFailure):
         rip_wynk_v2(net, env, url, catalog.cp_mapping)
+
+
+# Digests of one reference-client run under a tap on a fresh default bed.
+# They pin the transcript bytes, so a change to the order or number of RNG
+# draws (which run-against-run determinism tests cannot see) fails here.
+PINNED_TAP_SHA256 = {
+    "wynk-v2": "66632266ac9fc86b4e0bfca83e6127af51f6b0e11bc8a99acd21ec1e337a2828",
+    "benchmark": "6352b50513909d78b8d22965f5cd417388f2c1ba1d740a77074da230ecfaca82",
+}
+
+
+@pytest.mark.parametrize("service", sorted(PINNED_TAP_SHA256))
+def test_export_tap_bytes_are_pinned(service):
+    tb = Testbed(TestbedConfig())
+    tap = tb.net.attach_tap()
+    try:
+        tb.run_client(service, tb.open_tracks()[0])
+    finally:
+        tb.net.detach_tap(tap)
+    data = export_tap(read_tap(tap)).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == PINNED_TAP_SHA256[service]
