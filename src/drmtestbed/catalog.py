@@ -84,7 +84,7 @@ def load_catalog(dirpath, cp_mapping: dict[str, str] | None = None) -> ServiceCa
     for path in sorted(root.glob("*.aud")):
         stem = path.name[:-4]
         asset_id, _, rate_text = stem.rpartition(".")
-        if not asset_id or not rate_text.isdigit():
+        if not (asset_id and rate_text.isascii() and rate_text.isdigit()):
             raise ValueError(f"bad catalog filename {path.name}")
         variants.setdefault(asset_id, {})[int(rate_text)] = path.read_bytes()
     assets = {}

@@ -116,7 +116,7 @@ class CdnNode:
         self._key_pair_id = key_pair_id
         self._clock = clock
         self._chunk_bytes = chunk_bytes
-        self._content: dict[str, tuple[bytes, str]] = {}  # path -> (body, ctype)
+        self._content: dict[str, tuple[bytes | memoryview, str]] = {}  # path -> (body, ctype)
         self._hls_keys: set[str] = set()
         self._file_keys: dict[str, list[int]] = {}
 
@@ -131,7 +131,7 @@ class CdnNode:
         for rate in rates:
             base = f"/hls/{key}/{rate}/"
             chunks, index = segment(
-                asset.variant(rate),
+                memoryview(asset.variant(rate)),
                 self._chunk_bytes,
                 bitrate=rate,
                 uri_prefix=self.url(base),
@@ -168,7 +168,7 @@ class CdnNode:
             self._put(f"/file/{key}/{rate}.aud", asset.variant(rate), "audio/aud")
         self._file_keys[key] = rates
 
-    def _put(self, path: str, body: bytes, ctype: str) -> None:
+    def _put(self, path: str, body: bytes | memoryview, ctype: str) -> None:
         self._content[path] = (body, ctype)
 
     # ---- grant issuance (service side) -------------------------------------

@@ -320,9 +320,4 @@ def play_benchmark(
         offset += len(nxt.body)
         if len(nxt.body) < bench.SEGMENT_BYTES:
             break
-    plain = []
-    position = 0
-    for part in ciphertext_parts:
-        plain.append(cdm.decrypt_segment(handle, part, position=position))
-        position += len(part)
-    return b"".join(plain)
+    return cdm.decrypt_segment(handle, b"".join(ciphertext_parts))

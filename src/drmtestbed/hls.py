@@ -77,12 +77,12 @@ class IndexManifest:
 
 
 def segment(
-    media: bytes,
+    media: bytes | memoryview,
     chunk_bytes: int,
     *,
     bitrate: int = 128,
     uri_prefix: str = "",
-) -> tuple[list[bytes], IndexManifest]:
+) -> tuple[list[bytes | memoryview], IndexManifest]:
     """Split media into fixed-size chunks (last one ragged) and build the
     matching index. assemble() over the chunks gives the media back."""
     if chunk_bytes < 1:
@@ -144,7 +144,7 @@ def parse_master(text: str) -> MasterManifest:
         if not tag.startswith(STREAM_INF):
             raise ManifestError("expected stream-inf tag", i + 1)
         raw = tag[len(STREAM_INF):]
-        if not raw.isdigit():
+        if not (raw.isascii() and raw.isdigit()):
             raise ManifestError(f"bad bandwidth {raw!r}", i + 1)
         uri = _want_uri(lines, i + 1)
         entries.append((int(raw), uri))

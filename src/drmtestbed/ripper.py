@@ -26,9 +26,9 @@ class RipResult:
     evidence: list[int] = field(default_factory=list)  # tap seqs used
 
 
-def _decode_text(body: bytes) -> str | None:
+def _decode_text(body: bytes | memoryview) -> str | None:
     try:
-        return body.decode("utf-8")
+        return str(body, "utf-8")
     except UnicodeDecodeError:
         return None
 
@@ -70,10 +70,10 @@ def _body_candidates(records):
     hits = [
         rec
         for rec in records
-        if rec.response.status == 200 and rec.response.body.startswith(AUDIO_MAGIC)
+        if rec.response.status == 200 and rec.response.body[:len(AUDIO_MAGIC)] == AUDIO_MAGIC
     ]
     hits.sort(key=lambda rec: (-len(rec.response.body), rec.seq))
-    return [(rec.response.body, [rec.seq]) for rec in hits]
+    return [(bytes(rec.response.body), [rec.seq]) for rec in hits]
 
 
 def tap_rip(

@@ -72,7 +72,12 @@ class GaanaService:
             self.cdn.add_hls_asset(
                 asset.asset_id, asset, sorted(QUALITY_RATES.values(), reverse=True)
             )
-            self._by_slug[slugify(asset.title)] = asset.asset_id
+            slug = slugify(asset.title)
+            if slug in self._by_slug:
+                raise ValueError(
+                    f"{self._by_slug[slug]} and {asset.asset_id} share the slug {slug!r}"
+                )
+            self._by_slug[slug] = asset.asset_id
 
     def mount(self, net) -> None:
         net.register(HOST_WWW, self._handle_www)

@@ -113,7 +113,7 @@ def encode_cip(digits: str) -> str:
     The flag only advances on the <=55 branch."""
     if len(digits) % 2:
         raise ValueError("digit string must have even length")
-    if digits and not digits.isdigit():
+    if digits and not (digits.isascii() and digits.isdigit()):
         raise ValueError("digit string must be decimal")
     out = []
     b = 0

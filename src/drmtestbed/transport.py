@@ -118,7 +118,7 @@ class HttpResponse:
     status: int
     headers: dict[str, str] = field(default_factory=dict)
     set_cookies: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+    body: bytes | memoryview = b""  # CDN media chunks: read-only catalog views
 
     def __post_init__(self):
         if self.status not in ALLOWED_STATUSES:

@@ -82,6 +82,23 @@ def test_login_refuses_bad_credentials(rig, body):
     assert bench.SESSION_COOKIE not in resp.set_cookies
 
 
+@pytest.mark.parametrize("payload", [
+    {"username": [], "password": "x"},
+    {"username": {}, "password": "x"},
+    {"username": "ada", "password": ["correct-horse-battery"]},
+    {"username": None, "password": None},
+    {"username": 7, "password": 7},
+])
+def test_login_rejects_non_string_credentials(rig, payload):
+    _svc, net, _env, _catalog = rig
+    resp = net.post(
+        f"https://{bench.HOST_API}{bench.LOGIN_PATH}", body=json.dumps(payload).encode()
+    )
+    assert resp.status == 400
+    assert json.loads(resp.body)["error"] == "username and password required"
+    assert bench.SESSION_COOKIE not in resp.set_cookies
+
+
 def test_token_requires_session(rig):
     _svc, net, _env, _catalog = rig
     assert net.post(f"https://{bench.HOST_API}{bench.TOKEN_PATH}").status == 401
@@ -165,6 +182,52 @@ def test_cdn_range_semantics(rig):
     assert net.get(uri, headers={"range": "bytes=10-5"}).status == 400
     assert net.get(uri, headers={"range": "bytes=-5"}).status == 400
     assert net.get(uri, headers={"range": "chunk=1-2"}).status == 400
+
+
+def _oracle_blob(svc, catalog, track, header):
+    # header + AES-CTR of the top variant, rebuilt from the license
+    # server's keyring and the catalog, independently of the CDN path
+    content_key, nonce = svc._license_keys[header[16:32]]
+    assert header[32:48] == nonce
+    media = catalog.asset(track).variant(catalog.asset(track).top_bitrate())
+    return header[:bench.HEADER_BYTES] + aes_ctr(content_key, nonce, media)
+
+
+def test_cdn_ranges_match_the_oracle(rig):
+    svc, net, _env, catalog = rig
+    uris = {track: _first_uri(net, track) for track in ("trk1", "trk2")}
+    oracles = {}
+    for track, uri in uris.items():
+        header = net.get(uri, headers={"range": "bytes=0-47"}).body
+        oracles[track] = _oracle_blob(svc, catalog, track, header)
+
+    def check(track, start=None, end=None):
+        blob = oracles[track]
+        if start is None:
+            resp = net.get(uris[track])
+            want, span = blob, f"bytes 0-{len(blob) - 1}/{len(blob)}"
+        else:
+            resp = net.get(uris[track], headers={"range": f"bytes={start}-{end}"})
+            want = blob[start:end + 1]
+            span = f"bytes {start}-{start + len(want) - 1}/{len(blob)}"
+        assert resp.status == 200
+        assert resp.body == want
+        assert resp.headers["content-range"] == span
+
+    for track in ("trk1", "trk2"):
+        n = len(oracles[track])
+        check(track)                               # unranged
+        check(track, 0, 4095)                      # header and the first media
+        check(track, 40, 100)                      # straddles the header end
+        check(track, 5000, 9095)                   # interior
+        check(track, n - 10, n + 50)               # ragged tail
+        check(track, n, n + 100)                   # past the end: empty
+        check(track, n + 500, n + 600)
+    # a player reads one stream front to back; interleaving two streams
+    # must still give each its own bytes
+    for offset in range(0, 6 * 4096, 4096):
+        for track in ("trk1", "trk2", "trk1"):
+            check(track, offset, offset + 4095)
 
 
 def test_cdn_blob_is_ciphertext_with_init_header(rig):

@@ -86,6 +86,12 @@ def test_load_errors(tmp_path):
         load_catalog(tmp_path)
 
 
+def test_load_rejects_non_ascii_rate_digits(tmp_path):
+    (tmp_path / "trk1.\u00b2.aud").write_bytes(AUDIO_MAGIC)
+    with pytest.raises(ValueError, match="bad catalog filename"):
+        load_catalog(tmp_path)
+
+
 def test_load_custom_cp_mapping(tmp_path):
     cat = demo_catalog(random.Random(1))
     save_catalog(cat, tmp_path)

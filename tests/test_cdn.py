@@ -155,6 +155,9 @@ def test_cdn_serves_granted_hls_tree(node):
         _get(cdn, f"/hls/a1/320/seg_{i:05d}.ts", query).body for i in range(3)
     )
     assert body == asset.variant(320)
+    # chunks are read-only views of the catalog variant, not copies of it
+    first = _get(cdn, "/hls/a1/320/seg_00000.ts", query).body
+    assert first.obj is asset.variant(320) and first.readonly
 
 
 def test_cdn_single_variant_masters(node):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from drmtestbed.catalog import demo_catalog
+from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_gaana
 from drmtestbed.crypto_kit import CryptoError, aes_cbc_decrypt, b64, b64_decode
+from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import gaana
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER
@@ -117,3 +118,23 @@ def test_rip_wrong_key_cannot_follow_the_page(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(CryptoError):
         rip_gaana(net, env, svc.song_url("trk1"), b"\x00" * 16, PAGE_IV)
+
+
+def test_titles_that_slugify_alike_are_rejected_at_build():
+    # the page is looked up by slug alone, so a clash would serve the
+    # later track's audio under the earlier track's URL
+    assets = {
+        asset_id: MediaAsset(
+            asset_id, title, {rate: AUDIO_MAGIC + bytes(64) for rate in (320, 128, 64)}
+        )
+        for asset_id, title in (("a1", "Rain Song"), ("a2", "rain-song"))
+    }
+    env = DeterministicEnv(seed=41, clock_start=1_700_000_000)
+    with pytest.raises(ValueError, match="a1 and a2 share the slug 'rain-song'"):
+        gaana.GaanaService(
+            ServiceCatalog(assets=assets),
+            env,
+            cdn_secret=CDN_SECRET,
+            page_key=PAGE_KEY,
+            page_iv=PAGE_IV,
+        )

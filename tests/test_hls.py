@@ -117,6 +117,7 @@ def test_parse_empty_index_needs_endlist():
     ("#EXTM3U\nnot-a-tag\n", 2),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=abc\nuri\n", 2),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=\nuri\n", 2),
+    ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=\u00b2\nuri\n", 2),  # isdigit() says yes
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=12\n", 3),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=12\n#comment\n", 3),
 ])

@@ -114,6 +114,8 @@ def test_mdnurl_rejects_tampered_tokens(rig):
     assert _mdnurl(net, "trk1", bumped_expiry).status == 403
     assert _mdnurl(net, "trk1", "").status == 403
     assert _mdnurl(net, "trk1", token[:27]).status == 403
+    # '²' passes str.isdigit() but is no ASCII expiry digit
+    assert _mdnurl(net, "trk1", token[:28] + "\u00b2").status == 403
 
 
 def test_token_is_bound_to_the_song(rig):

@@ -16,7 +16,7 @@ def _catalog() -> ServiceCatalog:
     return ServiceCatalog(assets={"trk": MediaAsset("trk", "Tracked", {320: MEDIA})})
 
 
-def _rec(seq: int, path: str, body: bytes, status: int = 200) -> TapRecord:
+def _rec(seq: int, path: str, body: bytes | memoryview, status: int = 200) -> TapRecord:
     return TapRecord(
         seq=seq,
         request=HttpRequest("GET", path),
@@ -24,7 +24,7 @@ def _rec(seq: int, path: str, body: bytes, status: int = 200) -> TapRecord:
     )
 
 
-def _tree(media: bytes, *, chunk: int = 500, start: int = 1, prefix: str = "a"):
+def _tree(media: bytes | memoryview, *, chunk: int = 500, start: int = 1, prefix: str = "a"):
     """Tap records for one full HLS fetch: index playlist then chunks."""
     chunks, idx = segment(media, chunk, uri_prefix=f"https://cdn.example/{prefix}/")
     recs = [_rec(start, f"/{prefix}/index.m3u8", render_index(idx).encode())]
@@ -60,6 +60,16 @@ class TestIndexCandidates:
         result = tap_rip(recs, _catalog(), "svc", "trk")
         # chunks still carry the magic, so bodies match instead
         assert result.matched_catalog is False
+
+    def test_chunk_views_rip_like_bytes(self):
+        # CDN nodes serve HLS chunks as memoryviews of the catalog variant
+        whole = tap_rip(_tree(memoryview(MEDIA)), _catalog(), "svc", "trk")
+        assert whole.matched_catalog and whole.recovered == MEDIA
+        recs = _tree(memoryview(MEDIA))
+        del recs[3]
+        partial = tap_rip(recs, _catalog(), "svc", "trk")
+        assert type(partial.recovered) is bytes
+        assert partial.recovered == MEDIA[:500]
 
     def test_last_response_per_path_wins(self):
         recs = _tree(MEDIA)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 
+from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
-from drmtestbed.testbed import RIP_SERVICES
+from drmtestbed.config import TestbedConfig
+from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
+from drmtestbed.testbed import RIP_SERVICES, Testbed
 
 
 class TestWiring:
@@ -79,3 +86,30 @@ class TestRunClient:
         user, password = bed.benchmark_credentials("free")
         assert bed.benchmark.users[user] == (password, "free")
         assert bed.benchmark_credentials("anonymous") == ("nobody", "wrong-password")
+
+
+def test_build_holds_about_one_catalog_of_memory(tmp_path):
+    # Services serve media from the catalog's own bytes: HLS chunks are
+    # views and the benchmark encrypts on demand, so beyond the loaded
+    # catalog a bed keeps only manifests, keys and bookkeeping. A chunk
+    # copy per HLS CDN plus a stored ciphertext per track would hold 3.5x.
+    rng = random.Random(7)
+    sizes = {320: 200_000, 128: 80_000, 64: 40_000, 32: 20_000}
+    assets = {}
+    for i in range(4):
+        variants = {rate: AUDIO_MAGIC + rng.randbytes(n) for rate, n in sizes.items()}
+        assets[f"trk{i}"] = MediaAsset(f"trk{i}", f"Track {i}", variants)
+    save_catalog(ServiceCatalog(assets=assets), tmp_path)
+    catalog_bytes = sum(path.stat().st_size for path in tmp_path.glob("*.aud"))
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bed = Testbed(TestbedConfig(catalog_dir=str(tmp_path)))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bed.catalog.track_ids() == ["trk0", "trk1", "trk2", "trk3"]
+    assert held <= 1.25 * catalog_bytes, held / catalog_bytes
