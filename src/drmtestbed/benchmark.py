@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .catalog import ServiceCatalog
-from .cdn import SignedGrant, issue_grant, verify_grant
+from .cdn import GrantGate, issue_grant
 from .crypto_kit import (
     CryptoError,
     SecretKey,
@@ -57,6 +57,7 @@ DEFAULT_USERS = {
 }
 
 _RANGE = re.compile(r"^bytes=(\d+)-(\d+)$")
+_CDN_PATH = re.compile(r"^/(edge[0-9]+)/enc/([^/]+)/stream\.bin$")
 
 
 class LicenseError(Exception):
@@ -155,6 +156,7 @@ class BenchmarkService:
         self.env = env
         self._cdn_secret = cdn_secret
         self._key_pair_id = "KBENCH1"
+        self._gate = GrantGate(cdn_secret, self._key_pair_id)
         self.device_key = SecretKey(device_key)
         self.users = dict(users or DEFAULT_USERS)
         self.bearer_ttl = bearer_ttl
@@ -266,8 +268,7 @@ class BenchmarkService:
             grant = issue_grant(
                 self._cdn_secret, self._key_pair_id, path, expires
             )
-            query = "&".join(f"{k}={v}" for k, v in grant.as_query().items())
-            uris.append(f"https://{HOST_CDN}{path}?{query}")
+            uris.append(f"https://{HOST_CDN}{path}?{grant.query_string()}")
         return json_response({"uris": uris, "license_url": LICENSE_URL})
 
     # ---- cdn host -----------------------------------------------------------
@@ -275,16 +276,13 @@ class BenchmarkService:
     def _handle_cdn(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":
             return error_response(400, "GET only")
-        m = re.match(r"^/(edge[0-9]+)/enc/([^/]+)/stream\.bin$", req.path)
+        m = _CDN_PATH.match(req.path)
         if m is None or m.group(1) not in EDGES:
             return error_response(404, "no such object")
         asset_id = m.group(2)
         if asset_id not in self._streams:
             return error_response(404, "no such object")
-        grant = SignedGrant.from_query(req.query)
-        if not verify_grant(
-            self._cdn_secret, self._key_pair_id, grant, req.path, self.env.now()
-        ):
+        if not self._gate.admits(req.query, req.path, self.env.now()):
             return error_response(403, "grant rejected")
         if self._hot is None or self._hot[0] != asset_id:
             header, content_key, nonce, media = self._streams[asset_id]

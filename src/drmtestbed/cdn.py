@@ -5,6 +5,10 @@ naming a resource prefix and an expiry epoch, an HMAC-SHA1 signature
 over the policy bytes, and a key-pair id. The CDN recomputes the
 signature over the *decoded* policy, so no amount of base64 massaging
 gets around it, and the path prefix binds a grant to one asset.
+
+Each CDN host checks a grant's key-pair id and signature, and parses its
+policy, once for a run of requests carrying that grant; expiry against
+the clock and the path prefix are checked on every request.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ class SignedGrant:
             KEY_PAIR_PARAM: self.key_pair_id,
         }
 
+    def query_string(self) -> str:
+        return "&".join(f"{k}={v}" for k, v in self.as_query().items())
+
     @classmethod
     def from_query(cls, query: dict[str, str]):
         try:
@@ -72,6 +79,36 @@ def issue_grant(
     )
 
 
+def _signed_terms(
+    secret: bytes, key_pair_id: str, grant: SignedGrant | None
+) -> tuple[str, int] | None:
+    """(resource prefix, expiry) of a grant whose key-pair id and
+    signature check out, else None."""
+    if grant is None or grant.key_pair_id != key_pair_id:
+        return None
+    try:
+        policy_doc = b64_decode(grant.policy)
+        given_sig = b64_decode(grant.signature)
+    except DecodeError:
+        return None
+    if not _hmac.compare_digest(given_sig, hmac_sha1(secret, policy_doc)):
+        return None
+    try:
+        policy = json.loads(policy_doc)
+        resource = policy["resource"]
+        expires = int(policy["expires"])
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not isinstance(resource, str):
+        return None
+    return resource, expires
+
+
+def _admits(terms: tuple[str, int], resource_path: str, now: int) -> bool:
+    resource, expires = terms
+    return now < expires and resource_path.startswith(resource)
+
+
 def verify_grant(
     secret: bytes,
     key_pair_id: str,
@@ -79,24 +116,35 @@ def verify_grant(
     resource_path: str,
     now: int,
 ) -> bool:
-    if grant is None or grant.key_pair_id != key_pair_id:
-        return False
-    try:
-        policy_doc = b64_decode(grant.policy)
-        given_sig = b64_decode(grant.signature)
-    except DecodeError:
-        return False
-    if not _hmac.compare_digest(given_sig, hmac_sha1(secret, policy_doc)):
-        return False
-    try:
-        policy = json.loads(policy_doc)
-        resource = policy["resource"]
-        expires = int(policy["expires"])
-    except (ValueError, KeyError, TypeError):
-        return False
-    if now >= expires:
-        return False
-    return isinstance(resource, str) and resource_path.startswith(resource)
+    terms = _signed_terms(secret, key_pair_id, grant)
+    return terms is not None and _admits(terms, resource_path, now)
+
+
+class GrantGate:
+    """Admits a request exactly when `verify_grant` would. The terms of
+    the last grant whose signature checked out are kept, so a player
+    fetching a stream chunk by chunk under one grant pays for the
+    signature once. One slot, because players read one stream front to
+    back and server state stays bounded; it never holds a decision, so
+    expiry and path are judged on every request."""
+
+    def __init__(self, secret: bytes, key_pair_id: str):
+        self._secret = secret
+        self._key_pair_id = key_pair_id
+        self._last: tuple[SignedGrant, tuple[str, int]] | None = None
+
+    def admits(self, query: dict[str, str], resource_path: str, now: int) -> bool:
+        grant = SignedGrant.from_query(query)
+        if grant is None:
+            return False
+        if self._last is not None and self._last[0] == grant:
+            terms = self._last[1]
+        else:
+            terms = _signed_terms(self._secret, self._key_pair_id, grant)
+            if terms is None:
+                return False
+            self._last = (grant, terms)
+        return _admits(terms, resource_path, now)
 
 
 class CdnNode:
@@ -114,6 +162,7 @@ class CdnNode:
         self.host = host
         self._secret = secret
         self._key_pair_id = key_pair_id
+        self._gate = GrantGate(secret, key_pair_id)
         self._clock = clock
         self._chunk_bytes = chunk_bytes
         self._content: dict[str, tuple[bytes | memoryview, str]] = {}  # path -> (body, ctype)
@@ -200,10 +249,7 @@ class CdnNode:
         entry = self._content.get(request.path)
         if entry is None:
             return error_response(404, "no such object")
-        grant = SignedGrant.from_query(request.query)
-        if not verify_grant(
-            self._secret, self._key_pair_id, grant, request.path, self._clock.now()
-        ):
+        if not self._gate.admits(request.query, request.path, self._clock.now()):
             return error_response(403, "grant rejected")
         body, ctype = entry
         return HttpResponse(status=200, headers={"content-type": ctype}, body=body)

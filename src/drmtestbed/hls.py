@@ -52,7 +52,10 @@ class MediaAsset:
         return max(self.variants)
 
     def variant(self, rate: int) -> bytes:
-        return self.variants[rate]
+        try:
+            return self.variants[rate]
+        except KeyError:
+            raise ValueError(f"{self.asset_id}: no {rate} kbps variant") from None
 
 
 @dataclass

@@ -83,7 +83,9 @@ def tap_rip(
     track: str,
 ) -> RipResult:
     asset = catalog.assets.get(track)
-    variants = set(asset.variants.values()) if asset else set()
+    # a list, not a set: `in` then compares lengths before contents,
+    # where a set would hash every MB-sized candidate first
+    variants = list(asset.variants.values()) if asset else []
     candidates = _index_candidates(records) + _body_candidates(records)
     for blob, seqs in candidates:
         if blob in variants:

@@ -89,8 +89,7 @@ class GaanaService:
     def _authorized_uri(self, asset_id: str, quality: str) -> str:
         rate = QUALITY_RATES[quality]
         grant = self.cdn.hls_grant(asset_id, FAR_FUTURE)
-        query = "&".join(f"{k}={v}" for k, v in grant.as_query().items())
-        return f"{self.cdn.variant_master_url(asset_id, rate)}?{query}"
+        return f"{self.cdn.variant_master_url(asset_id, rate)}?{grant.query_string()}"
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":

@@ -126,7 +126,6 @@ class HungamaService:
             return error_response(400, f"quality must be one of {list(QUALITY_RATES)}")
         rate = QUALITY_RATES[quality]
         grant = self.cdn.file_grant(song_id, rate, self.env.now() + self.grant_ttl)
-        query = "&".join(f"{k}={v}" for k, v in grant.as_query().items())
         return json_response(
-            {"media_url": f"{self.cdn.file_url(song_id, rate)}?{query}"}
+            {"media_url": f"{self.cdn.file_url(song_id, rate)}?{grant.query_string()}"}
         )

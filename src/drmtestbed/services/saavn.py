@@ -164,7 +164,6 @@ class SaavnService:
         if rate not in self.catalog.asset(asset_id).variants:
             return error_response(404, "variant not stocked")
         grant = self.cdn.file_grant(asset_id, rate, FAR_FUTURE)
-        query = "&".join(f"{k}={v}" for k, v in grant.as_query().items())
         return json_response(
-            {"auth_url": f"{self.cdn.file_url(asset_id, rate)}?{query}"}
+            {"auth_url": f"{self.cdn.file_url(asset_id, rate)}?{grant.query_string()}"}
         )

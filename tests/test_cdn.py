@@ -6,13 +6,17 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import drmtestbed.cdn as cdn_mod
 from drmtestbed.cdn import (
     FAR_FUTURE,
     KEY_PAIR_PARAM,
     POLICY_PARAM,
     SIGNATURE_PARAM,
     CdnNode,
+    GrantGate,
     SignedGrant,
     issue_grant,
     verify_grant,
@@ -49,6 +53,9 @@ def test_grant_query_round_trip():
     assert SignedGrant.from_query(query) == grant
     assert SignedGrant.from_query({}) is None
     assert SignedGrant.from_query({POLICY_PARAM: "x"}) is None
+    assert grant.query_string() == (
+        f"Policy={grant.policy}&Signature={grant.signature}&Key-Pair-Id={KPID}"
+    )
 
 
 def test_verify_accepts_within_scope_and_time():
@@ -116,6 +123,73 @@ def test_policy_mutation_fuzz_never_verifies():
         )
         accepted += verify_grant(SECRET, KPID, candidate, "/hls/a/x", 0)
     assert accepted == 0
+
+
+# ------------------------------------------------------------- grant gate
+
+_GATE_A = _grant("/hls/a/", expires=2000)
+_GATE_B = _grant("/file/b/320.aud", expires=2500)
+_GATE_GRANTS = {
+    "a": _GATE_A,
+    "b": _GATE_B,
+    "tampered-policy": SignedGrant(_GATE_B.policy, _GATE_A.signature, KPID),
+    "tampered-signature": SignedGrant(_GATE_A.policy, b64(bytes(20)), KPID),
+    "foreign-key-pair": SignedGrant(_GATE_A.policy, _GATE_A.signature, "KOTHER"),
+    "none": None,
+}
+_GATE_PATHS = (
+    "/hls/a/master.m3u8",
+    "/hls/a/320/seg_00001.ts",
+    "/hls/b/master.m3u8",
+    "/hls/a",
+    "/file/b/320.aud",
+    "/file/b/64.aud",
+    "/",
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_GATE_GRANTS)),
+            st.sampled_from(_GATE_PATHS),
+            st.sampled_from((0, 0, 1, 5, 10, 500)),
+        ),
+        max_size=40,
+    )
+)
+@example([("a", "/hls/a/x", 0), ("a", "/hls/a/x", 5), ("a", "/hls/a/x", 0)])
+@example([("a", "/hls/a/x", 0), ("b", "/file/b/320.aud", 0), ("a", "/hls/b/x", 0)])
+@example([("a", "/hls/a/x", 0), ("tampered-policy", "/file/b/320.aud", 0),
+          ("foreign-key-pair", "/hls/a/x", 0), ("a", "/hls/a/x", 500)])
+def test_gate_answers_as_verify_grant(steps):
+    # the clock starts 5 s before grant a expires and only moves forward,
+    # so sequences reach now == expires and run past both expiries
+    gate, now = GrantGate(SECRET, KPID), 1995
+    for name, path, advance in steps:
+        now += advance
+        grant = _GATE_GRANTS[name]
+        query = grant.as_query() if grant else {}
+        assert gate.admits(query, path, now) == verify_grant(
+            SECRET, KPID, grant, path, now
+        ), (name, path, now)
+
+
+def test_gate_checks_each_grant_signature_once(bed, monkeypatch):
+    # A play streams a whole track under one grant: the signature is
+    # computed when the grant is issued and once more when the CDN first
+    # sees it, however many chunks follow.
+    calls = []
+    real = cdn_mod.hmac_sha1
+    monkeypatch.setattr(
+        cdn_mod, "hmac_sha1", lambda key, msg: calls.append(msg) or real(key, msg)
+    )
+    bed.rip("benchmark", "trk1")
+    assert len(calls) == 3  # a grant for each of two edges, one check
+    calls.clear()
+    result, _ = bed.rip("wynk-v1", "trk1")
+    assert result.matched_catalog
+    assert len(calls) == 2  # one grant for the HLS tree, one check
 
 
 def test_far_future_constant():

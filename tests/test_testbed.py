@@ -113,3 +113,13 @@ def test_build_holds_about_one_catalog_of_memory(tmp_path):
         tracemalloc.stop()
     assert bed.catalog.track_ids() == ["trk0", "trk1", "trk2", "trk3"]
     assert held <= 1.25 * catalog_bytes, held / catalog_bytes
+
+
+def test_build_names_the_asset_missing_a_served_rate(tmp_path):
+    # load_catalog accepts any ladder subset, but wynk and gaana serve
+    # 320, 128 and 64 from every track
+    variants = {320: AUDIO_MAGIC + b"hi" * 64, 128: AUDIO_MAGIC + b"mid" * 32}
+    asset = MediaAsset("short1", "Short Ladder", variants)
+    save_catalog(ServiceCatalog(assets={"short1": asset}), tmp_path)
+    with pytest.raises(ValueError, match="short1: no 64 kbps variant"):
+        Testbed(TestbedConfig(catalog_dir=str(tmp_path)))
