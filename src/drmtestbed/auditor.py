@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .benchmark import LICENSE_PATH
 from .clients import ProtocolFailure
 from .ripper import tap_rip
-from .testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, Testbed
-from .transport import copy_request, read_tap
+from .testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, SPECS, ServiceSpec, Testbed
+from .transport import copy_request
 from .webassets import MINIFIED_BANNER
 
 PRACTICE_FIELDS = (
@@ -32,18 +32,6 @@ EXTENDED_AUDIT_SERVICES = AUDIT_SERVICES + ("wynk-v1",)
 
 REPLAY_HORIZON = 7200  # seconds the replay probe jumps forward
 
-_ALIASES = {"benchmark": "spotify-benchmark"}
-
-# how to spot the exchange that acquired stream authorization, per service
-_AUTH_EXCHANGE = {
-    "wynk-v1": lambda req: req.path.startswith("/streaming/v4/cscgw/"),
-    "wynk-v2": lambda req: req.path == "/song/v4/stream",
-    "jiosaavn": lambda req: req.path == "/api.php",
-    "gaana": lambda req: req.path.endswith("/master.m3u8"),
-    "hungama": lambda req: req.path.startswith("/mdnurl/"),
-    "spotify-benchmark": lambda req: req.path.startswith("/resolve/"),
-}
-
 
 @dataclass(frozen=True)
 class PracticesScorecard:
@@ -59,33 +47,33 @@ class PracticesScorecard:
         return {name: getattr(self, name) for name in PRACTICE_FIELDS}
 
 
+def _audit_spec(service: str) -> ServiceSpec:
+    """The row named by an audit name or a rip name."""
+    for spec in SPECS:
+        if service in (spec.audit_name, spec.name):
+            return spec
+    raise ValueError(f"unknown auditable service {service!r}")
+
+
 def canonical_audit_name(service: str) -> str:
-    name = _ALIASES.get(service, service)
-    if name not in EXTENDED_AUDIT_SERVICES:
-        raise ValueError(f"unknown auditable service {service!r}")
-    return name
+    return _audit_spec(service).audit_name
 
 
-def _rip_name(audit_name: str) -> str:
-    return "benchmark" if audit_name == "spotify-benchmark" else audit_name
-
-
-def _attempt(tb: Testbed, audit_name: str, track: str, principal: str) -> bool:
+def _attempt(tb: Testbed, spec: ServiceSpec, track: str, principal: str) -> bool:
     """True when the client walks away with media bytes."""
     try:
-        tb.run_client(_rip_name(audit_name), track, principal=principal)
+        tb.run_client(spec.name, track, principal=principal)
     except ProtocolFailure:
         return False
     return True
 
 
-def _replay_rejected(tb: Testbed, audit_name: str, records) -> bool:
+def _replay_rejected(tb: Testbed, spec: ServiceSpec, records) -> bool:
     """Replay the captured authorization exchange after a clock jump.
     A service only scores here when the verbatim replay stops working."""
-    matcher = _AUTH_EXCHANGE[audit_name]
     target = None
     for rec in records:
-        if matcher(rec.request):
+        if spec.auth_path.fullmatch(rec.request.path):
             target = rec
     if target is None:
         return False
@@ -101,38 +89,35 @@ def _replay_rejected(tb: Testbed, audit_name: str, records) -> bool:
 
 
 def audit(tb: Testbed, service: str) -> PracticesScorecard:
-    name = canonical_audit_name(service)
+    spec = _audit_spec(service)
     open_tracks = tb.open_tracks()
     premium_tracks = tb.premium_tracks()
     if not open_tracks or not premium_tracks:
         raise ValueError("audit needs at least one open and one premium track")
     track, premium = open_tracks[0], premium_tracks[0]
 
-    mandatory_id = not _attempt(tb, name, track, ANONYMOUS)
+    mandatory_id = not _attempt(tb, spec, track, ANONYMOUS)
 
     tap = tb.net.attach_tap()
     try:
         try:
-            tb.run_client(_rip_name(name), track, principal=DEFAULT_PRINCIPAL)
+            tb.run_client(spec.name, track, principal=DEFAULT_PRINCIPAL)
         except ProtocolFailure:
             pass  # audit whatever did cross the wire
     finally:
         tb.net.detach_tap(tap)
-    records = read_tap(tap)
+    records = tap.records()
 
-    rip = tap_rip(records, tb.catalog, name, track)
+    rip = tap_rip(records, tb.catalog, spec.audit_name, track)
     encrypted = not rip.matched_catalog
     drm = any(rec.request.path == LICENSE_PATH for rec in records)
-    replay_dies = _replay_rejected(tb, name, records)
+    replay_dies = _replay_rejected(tb, spec, records)
 
-    bodies = [
-        tb.net.get(url).body.decode("utf-8", errors="replace")
-        for url in tb.static_asset_urls(_rip_name(name))
-    ]
-    hardcoded = any(secret in body for body in bodies for secret in tb.secret_material())
-    obfuscated = any(MINIFIED_BANNER in body for body in bodies)
+    bundle = tb.net.get(spec.bundle_url).body.decode("utf-8", errors="replace")
+    hardcoded = any(secret in bundle for secret in tb.secret_material())
+    obfuscated = MINIFIED_BANNER in bundle
 
-    premium_gated = not _attempt(tb, name, premium, FREE_TIER)
+    premium_gated = not _attempt(tb, spec, premium, FREE_TIER)
 
     return PracticesScorecard(
         mandatory_user_identification=mandatory_id,

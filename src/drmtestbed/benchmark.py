@@ -31,7 +31,7 @@ from .transport import (
     error_response,
     json_response,
 )
-from .webassets import render_client_script
+from .webassets import script_response
 
 HOST_API = "api.benchtune.sim"
 HOST_CDN = "cdn.benchtune.sim"
@@ -192,13 +192,8 @@ class BenchmarkService:
 
     def _handle_api(self, req: HttpRequest) -> HttpResponse:
         if req.method == "GET" and req.path == ASSET_PATH:
-            body = render_client_script(
+            return script_response(
                 ['var api="https://api.benchtune.sim"', 'var player="ranged"']
-            )
-            return HttpResponse(
-                status=200,
-                headers={"content-type": "application/javascript"},
-                body=body,
             )
         if req.method == "POST" and req.path == LOGIN_PATH:
             return self._login(req)

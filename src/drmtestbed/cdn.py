@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .crypto_kit import DecodeError, b64, b64_decode, hmac_sha1
 from .hls import (
-    IndexManifest,
     MasterManifest,
     MediaAsset,
     render_index,
@@ -166,8 +165,6 @@ class CdnNode:
         self._clock = clock
         self._chunk_bytes = chunk_bytes
         self._content: dict[str, tuple[bytes | memoryview, str]] = {}  # path -> (body, ctype)
-        self._hls_keys: set[str] = set()
-        self._file_keys: dict[str, list[int]] = {}
 
     def url(self, path: str) -> str:
         return f"https://{self.host}{path}"
@@ -209,13 +206,10 @@ class CdnNode:
             render_master(master).encode("utf-8"),
             "application/vnd.apple.mpegurl",
         )
-        self._hls_keys.add(key)
 
     def add_file_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
-        rates = sorted(bitrates or asset.variants, reverse=True)
-        for rate in rates:
+        for rate in sorted(bitrates or asset.variants, reverse=True):
             self._put(f"/file/{key}/{rate}.aud", asset.variant(rate), "audio/aud")
-        self._file_keys[key] = rates
 
     def _put(self, path: str, body: bytes | memoryview, ctype: str) -> None:
         self._content[path] = (body, ctype)

@@ -18,7 +18,7 @@ from ..transport import (
     HttpResponse,
     error_response,
 )
-from ..webassets import render_client_script
+from ..webassets import script_response
 
 HOST_WWW = "gaana.com"
 HOST_CDN = "stream.gaana.com"
@@ -95,17 +95,12 @@ class GaanaService:
         if req.method != "GET":
             return error_response(400, "GET only")
         if req.path == ASSET_PATH:
-            body = render_client_script(
+            return script_response(
                 [
                     f'var mediaKey="{self.page_key.hex()}"',
                     f'var mediaIv="{self.page_iv.hex()}"',
                     'var qualities=["high","medium","low"]',
                 ]
-            )
-            return HttpResponse(
-                status=200,
-                headers={"content-type": "application/javascript"},
-                body=body,
             )
         if req.path.startswith(SONG_PREFIX):
             slug = req.path[len(SONG_PREFIX):].strip("/")

@@ -6,7 +6,6 @@ returns a signed media URL that needs nothing else.
 from __future__ import annotations
 
 import hmac as _hmac
-import json
 
 from ..catalog import ServiceCatalog, slugify
 from ..cdn import CdnNode
@@ -18,7 +17,7 @@ from ..transport import (
     error_response,
     json_response,
 )
-from ..webassets import render_client_script
+from ..webassets import script_response
 
 HOST_WWW = "www.hungama.com"
 HOST_CDN = "media.hungama.com"
@@ -82,16 +81,11 @@ class HungamaService:
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method == "GET" and req.path == ASSET_PATH:
-            body = render_client_script(
+            return script_response(
                 [
                     'var qualityCookie="hcom_audio_qty"',
                     'var qualities=["high","medium","low"]',
                 ]
-            )
-            return HttpResponse(
-                status=200,
-                headers={"content-type": "application/javascript"},
-                body=body,
             )
         if req.method == "GET" and req.path.startswith(PLAYER_DATA_PREFIX):
             return self._player_data(req)

@@ -27,7 +27,7 @@ from ..transport import (
     error_response,
     json_response,
 )
-from ..webassets import render_client_script
+from ..webassets import script_response
 
 HOST_WWW = "www.jiosaavn.com"
 HOST_CDN = "aac.saavncdn.com"
@@ -107,16 +107,11 @@ class SaavnService:
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method == "GET" and req.path == ASSET_PATH:
-            body = render_client_script(
+            return script_response(
                 [
                     'var apiBase="/api.php?call=song.generateAuthToken"',
                     f"var bitRates={json.dumps(list(ALLOWED_BIT_RATES))}",
                 ]
-            )
-            return HttpResponse(
-                status=200,
-                headers={"content-type": "application/javascript"},
-                body=body,
             )
         if req.method == "GET" and req.path.startswith(SONG_PREFIX):
             return self._song_page(req)

@@ -35,7 +35,7 @@ from ..transport import (
     error_response,
     json_response,
 )
-from ..webassets import render_client_script
+from ..webassets import script_response
 
 HOST_ACCOUNT = "sapi.wynk.in"
 HOST_PLAYBACK = "playback.wynk.in"
@@ -187,17 +187,6 @@ class WynkService:
     def song_url(self, asset_id: str, slug: str, producer: str = "srch") -> str:
         return f"https://wynk.in/music/song/{slug}/{producer}_{asset_id}"
 
-    def client_script(self) -> bytes:
-        mapping = json.dumps(self.catalog.cp_mapping, separators=(",", ":"))
-        return render_client_script(
-            [
-                f'var sk="{self.sk}"',
-                f'var pk="{wynk_pk()}"',
-                f"var cpMapping={mapping}",
-                'var qualities=["320","128","64"]',
-            ]
-        )
-
     # ---- v1 ---------------------------------------------------------------
 
     def _handle_account(self, req: HttpRequest) -> HttpResponse:
@@ -221,27 +210,27 @@ class WynkService:
             )
         return error_response(404, "no such endpoint")
 
-    def _session_for_utkn(self, req: HttpRequest):
-        """Shared x-bsy-utkn verification; returns (session, error)."""
-        utkn = req.headers.get("x-bsy-utkn", "")
-        uid, sep, given = utkn.partition(":")
-        if not sep:
-            return None, error_response(403, "utkn malformed")
-        sess = self._by_uid.get(uid)
-        if sess is None:
-            return None, error_response(401, "unknown uid")
+    def _utkn_rejection(
+        self, req: HttpRequest, sess: WynkSession
+    ) -> HttpResponse | None:
+        """The x-bsy-utkn check both stream calls share, on the session
+        each found its own way: a live session, then <uid>:<b64 HMAC of
+        the request under the session token>. None when it holds."""
         if self.env.now() - sess.created_at >= self.session_ttl:
-            return None, error_response(401, "session expired")
+            return error_response(401, "session expired")
+        uid, sep, given = req.headers.get("x-bsy-utkn", "").partition(":")
+        if not sep or uid != sess.uid:
+            return error_response(403, "utkn mismatch")
         try:
             body_text = req.body.decode("utf-8")
             given_digest = b64_decode(given)
         except (UnicodeDecodeError, DecodeError):
-            return None, error_response(403, "utkn mismatch")
+            return error_response(403, "utkn mismatch")
         msg = stream_message(req.method, req.path, req.query_string(), body_text)
         want = hmac_sha1(sess.token.data, msg.encode("utf-8"))
         if not _hmac.compare_digest(given_digest, want):
-            return None, error_response(403, "utkn mismatch")
-        return sess, None
+            return error_response(403, "utkn mismatch")
+        return None
 
     def _grant_response(self, sid: str) -> HttpResponse:
         if sid not in self._sids:
@@ -255,7 +244,13 @@ class WynkService:
         if req.method == "POST" and req.path.startswith(V1_STREAM_PREFIX):
             if not req.path.endswith(V1_STREAM_SUFFIX):
                 return error_response(404, "no such endpoint")
-            sess, err = self._session_for_utkn(req)
+            uid, sep, _given = req.headers.get("x-bsy-utkn", "").partition(":")
+            if not sep:
+                return error_response(403, "utkn malformed")
+            sess = self._by_uid.get(uid)
+            if sess is None:
+                return error_response(401, "unknown uid")
+            err = self._utkn_rejection(req, sess)
             if err is not None:
                 return err
             sid = req.path[len(V1_STREAM_PREFIX):-len(V1_STREAM_SUFFIX)]
@@ -270,10 +265,14 @@ class WynkService:
         if req.method != "GET":
             return error_response(400, "GET only")
         if req.path == ASSET_PATH:
-            return HttpResponse(
-                status=200,
-                headers={"content-type": "application/javascript"},
-                body=self.client_script(),
+            mapping = json.dumps(self.catalog.cp_mapping, separators=(",", ":"))
+            return script_response(
+                [
+                    f'var sk="{self.sk}"',
+                    f'var pk="{wynk_pk()}"',
+                    f"var cpMapping={mapping}",
+                    'var qualities=["320","128","64"]',
+                ]
             )
         m = _MIX_PATTERN.match(req.path)
         if m is None:
@@ -351,21 +350,9 @@ class WynkService:
         sess = self._by_dt.get(req.headers.get("x-bsy-uuid", ""))
         if sess is None:
             return error_response(403, "unknown device token")
-        if self.env.now() - sess.created_at >= self.session_ttl:
-            return error_response(401, "session expired")
-        utkn = req.headers.get("x-bsy-utkn", "")
-        uid, sep, given = utkn.partition(":")
-        if not sep or uid != sess.uid:
-            return error_response(403, "utkn mismatch")
-        try:
-            body_text = req.body.decode("utf-8")
-            given_digest = b64_decode(given)
-        except (UnicodeDecodeError, DecodeError):
-            return error_response(403, "utkn mismatch")
-        msg = stream_message(req.method, req.path, req.query_string(), body_text)
-        want = hmac_sha1(sess.token.data, msg.encode("utf-8"))
-        if not _hmac.compare_digest(given_digest, want):
-            return error_response(403, "utkn mismatch")
+        err = self._utkn_rejection(req, sess)
+        if err is not None:
+            return err
         if not self._fresh_otp(req.headers.get("x-bsy-t", ""), sess):
             return error_response(401, "stale or unreadable otp")
         sid = req.query.get("id", "")

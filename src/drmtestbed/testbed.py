@@ -7,6 +7,10 @@ and the auditor drive the exact same wiring.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass, fields
+from typing import Callable
+
 from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog, slugify
@@ -17,9 +21,92 @@ from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
 from .services import saavn as saavn_mod
 from .services import wynk as wynk_mod
-from .transport import DeterministicEnv, Network, read_tap
+from .transport import DeterministicEnv, Network
 
-RIP_SERVICES = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama", "benchmark")
+
+@dataclass(frozen=True)
+class ServiceSpec:
+    """Everything the harness and the auditor know about one service.
+    The rows live here rather than in each service module because
+    clients.py imports those modules."""
+
+    name: str  # rip name, as `testbed rip --service` takes it
+    audit_name: str  # its column in the practices table
+    server: str  # the Testbed attribute holding the serving object
+    bundle_url: str  # the static client script the auditor reads
+    auth_path: re.Pattern  # path of the exchange that buys stream authorization
+    # (bed, track, quality, principal) -> audio; a lambda, so clients.* is
+    # looked up on every call rather than bound once
+    client: Callable[[Testbed, str, str | None, str], bytes]
+
+
+def _path(pattern: str) -> re.Pattern:
+    return re.compile(pattern, re.DOTALL)
+
+
+_WYNK_BUNDLE = f"https://{wynk_mod.HOST_ASSETS}{wynk_mod.ASSET_PATH}"
+
+SPECS = (
+    ServiceSpec(
+        "wynk-v1", "wynk-v1", "wynk", _WYNK_BUNDLE,
+        _path(re.escape(wynk_mod.V1_STREAM_PREFIX) + ".*"),
+        lambda tb, track, quality, principal: clients.rip_wynk_v1(
+            tb.net, tb.env, tb.song_url("wynk-v1", track), tb.catalog.cp_mapping
+        ),
+    ),
+    ServiceSpec(
+        "wynk-v2", "wynk-v2", "wynk", _WYNK_BUNDLE,
+        _path(re.escape(wynk_mod.V2_STREAM_PATH)),
+        lambda tb, track, quality, principal: clients.rip_wynk_v2(
+            tb.net, tb.env, tb.song_url("wynk-v2", track), tb.catalog.cp_mapping,
+            sk=tb.config.wynk_sk,
+        ),
+    ),
+    ServiceSpec(
+        "jiosaavn", "jiosaavn", "saavn",
+        f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}",
+        _path(re.escape(saavn_mod.API_PATH)),
+        lambda tb, track, quality, principal: clients.rip_saavn(
+            tb.net, tb.env, tb.song_url("jiosaavn", track), bit_rate=quality or "320"
+        ),
+    ),
+    ServiceSpec(
+        "gaana", "gaana", "gaana",
+        f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}",
+        _path(r".*/master\.m3u8"),
+        lambda tb, track, quality, principal: clients.rip_gaana(
+            tb.net, tb.env, tb.song_url("gaana", track),
+            tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality or "high",
+        ),
+    ),
+    ServiceSpec(
+        "hungama", "hungama", "hungama",
+        f"https://{hungama_mod.HOST_WWW}{hungama_mod.ASSET_PATH}",
+        _path(re.escape(hungama_mod.MDNURL_PREFIX) + ".*"),
+        lambda tb, track, quality, principal: clients.rip_hungama(
+            tb.net, tb.env, tb.song_url("hungama", track), quality=quality
+        ),
+    ),
+    ServiceSpec(
+        "benchmark", "spotify-benchmark", "benchmark",
+        f"https://{bench.HOST_API}{bench.ASSET_PATH}",
+        _path(re.escape(bench.RESOLVE_PREFIX) + ".*"),
+        lambda tb, track, quality, principal: clients.play_benchmark(
+            tb.net, tb.env, track, tb.benchmark_credentials(principal),
+            tb.benchmark.make_cdm(),
+        ),
+    ),
+)
+
+RIP_SERVICES = tuple(spec.name for spec in SPECS)
+
+
+def _spec(service: str) -> ServiceSpec:
+    for spec in SPECS:
+        if spec.name == service:
+            return spec
+    raise ValueError(f"unknown service {service!r}")
+
 
 # who the client pretends to be, per probe
 ANONYMOUS = "anonymous"
@@ -93,46 +180,19 @@ class Testbed:
     # ---- service knowledge -----------------------------------------------------
 
     def song_url(self, service: str, track: str) -> str:
-        if service in ("wynk-v1", "wynk-v2"):
-            slug = slugify(self.catalog.asset(track).title)
-            return self.wynk.song_url(track, slug)
-        if service == "jiosaavn":
-            return self.saavn.song_url(track)
-        if service == "gaana":
-            return self.gaana.song_url(track)
-        if service == "hungama":
-            return self.hungama.song_url(track)
-        raise ValueError(f"no song urls for {service!r}")
-
-    def static_asset_urls(self, service: str) -> list[str]:
-        urls = {
-            "wynk-v1": [f"https://{wynk_mod.HOST_ASSETS}{wynk_mod.ASSET_PATH}"],
-            "wynk-v2": [f"https://{wynk_mod.HOST_ASSETS}{wynk_mod.ASSET_PATH}"],
-            "jiosaavn": [f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}"],
-            "gaana": [f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}"],
-            "hungama": [f"https://{hungama_mod.HOST_WWW}{hungama_mod.ASSET_PATH}"],
-            "benchmark": [f"https://{bench.HOST_API}{bench.ASSET_PATH}"],
-        }
-        return urls[service]
+        server = getattr(self, _spec(service).server)
+        if server is self.benchmark:
+            raise ValueError(f"no song urls for {service!r}")
+        if server is self.wynk:
+            return server.song_url(track, slugify(self.catalog.asset(track).title))
+        return server.song_url(track)
 
     def secret_material(self) -> list[str]:
         """Strings that must never show up in client-visible static assets
         unless the service really does hardcode them."""
         cfg = self.config
-        return [
-            cfg.gaana_key_hex,
-            cfg.gaana_iv_hex,
-            cfg.wynk_sk,
-            cfg.saavn_seal_key_hex,
-            cfg.saavn_seal_iv_hex,
-            cfg.hungama_token_secret_hex,
-            cfg.wynk_cdn_secret_hex,
-            cfg.saavn_cdn_secret_hex,
-            cfg.gaana_cdn_secret_hex,
-            cfg.hungama_cdn_secret_hex,
-            cfg.benchmark_cdn_secret_hex,
-            cfg.device_key_hex,
-        ]
+        hexes = [getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_hex")]
+        return [cfg.wynk_sk, *hexes]
 
     def benchmark_credentials(self, principal: str) -> tuple[str, str]:
         if principal == ANONYMOUS:
@@ -152,42 +212,10 @@ class Testbed:
         quality: str | None = None,
         principal: str = DEFAULT_PRINCIPAL,
     ) -> bytes:
-        if service not in RIP_SERVICES:
-            raise ValueError(f"unknown service {service!r}")
+        spec = _spec(service)
         if track not in self.catalog.assets:
             raise clients.ProtocolFailure(f"unknown track {track!r}")
-        if service == "wynk-v1":
-            return clients.rip_wynk_v1(
-                self.net, self.env, self.song_url(service, track),
-                self.catalog.cp_mapping,
-            )
-        if service == "wynk-v2":
-            return clients.rip_wynk_v2(
-                self.net, self.env, self.song_url(service, track),
-                self.catalog.cp_mapping, sk=self.config.wynk_sk,
-            )
-        if service == "jiosaavn":
-            return clients.rip_saavn(
-                self.net, self.env, self.song_url(service, track),
-                bit_rate=quality or "320",
-            )
-        if service == "gaana":
-            return clients.rip_gaana(
-                self.net, self.env, self.song_url(service, track),
-                self.config.gaana_key(), self.config.gaana_iv(),
-                quality=quality or "high",
-            )
-        if service == "hungama":
-            return clients.rip_hungama(
-                self.net, self.env, self.song_url(service, track), quality=quality
-            )
-        return clients.play_benchmark(
-            self.net,
-            self.env,
-            track,
-            self.benchmark_credentials(principal),
-            self.benchmark.make_cdm(),
-        )
+        return spec.client(self, track, quality, principal)
 
     def rip(
         self, service: str, track: str, quality: str | None = None
@@ -203,5 +231,6 @@ class Testbed:
             client_error = str(exc)
         finally:
             self.net.detach_tap(tap)
-        result = tap_rip(read_tap(tap), self.catalog, service, track)
+        result = tap_rip(tap.records(), self.catalog, service, track)
         return result, client_error
+

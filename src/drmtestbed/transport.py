@@ -149,12 +149,8 @@ class Tap:
         self._records: list[TapRecord] = []
 
     def records(self) -> list[TapRecord]:
+        """A copy: reading twice gives the same records."""
         return list(self._records)
-
-
-def read_tap(tap: Tap) -> list[TapRecord]:
-    """Non-destructive: reading twice gives the same records."""
-    return tap.records()
 
 
 def copy_request(req: HttpRequest) -> HttpRequest:

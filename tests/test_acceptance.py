@@ -44,7 +44,7 @@ from drmtestbed.hls import (
 from drmtestbed.ripper import tap_rip
 from drmtestbed.services import wynk
 from drmtestbed.testbed import RIP_SERVICES, Testbed
-from drmtestbed.transport import export_tap, read_tap, split_url
+from drmtestbed.transport import export_tap, split_url
 
 INSECURE = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
 
@@ -125,7 +125,7 @@ def test_rip_differential_insecure_vs_benchmark(bed):
             bed.run_client("benchmark", track)
     finally:
         bed.net.detach_tap(tap)
-    records = read_tap(tap)
+    records = tap.records()
     bench_defeated = all(
         not tap_rip(records, bed.catalog, "benchmark", track).succeeded
         for track in bed.catalog.track_ids()
@@ -452,7 +452,7 @@ def test_key_confinement_in_benchmark_transcript(bed):
             bed.run_client("benchmark", track)
     finally:
         bed.net.detach_tap(tap)
-    records = read_tap(tap)
+    records = tap.records()
     bodies = [rec.request.body for rec in records] + [
         rec.response.body for rec in records
     ]
@@ -490,7 +490,7 @@ def test_deterministic_tap_exports(tmp_path):
             finally:
                 tb.net.detach_tap(tap)
             (run_dir / f"{service}.tap").write_text(
-                export_tap(read_tap(tap)), encoding="utf-8"
+                export_tap(tap.records()), encoding="utf-8"
             )
 
     transcripts(tmp_path / "run1")

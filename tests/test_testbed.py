@@ -8,11 +8,22 @@ import tracemalloc
 
 import pytest
 
+from drmtestbed import clients
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
-from drmtestbed.testbed import RIP_SERVICES, Testbed
+from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
+from drmtestbed.transport import copy_request
+
+CLIENT_FUNCTIONS = {
+    "wynk-v1": "rip_wynk_v1",
+    "wynk-v2": "rip_wynk_v2",
+    "jiosaavn": "rip_saavn",
+    "gaana": "rip_gaana",
+    "hungama": "rip_hungama",
+    "benchmark": "play_benchmark",
+}
 
 
 class TestWiring:
@@ -48,9 +59,8 @@ class TestWiring:
             bed.song_url("benchmark", "trk1")
 
     def test_static_assets_are_served(self, bed):
-        for service in RIP_SERVICES:
-            for url in bed.static_asset_urls(service):
-                assert bed.net.get(url).status == 200
+        for spec in SPECS:
+            assert bed.net.get(spec.bundle_url).status == 200
 
     def test_secret_material_is_nonempty_hex_or_sk(self, bed):
         material = bed.secret_material()
@@ -86,6 +96,38 @@ class TestRunClient:
         user, password = bed.benchmark_credentials("free")
         assert bed.benchmark.users[user] == (password, "free")
         assert bed.benchmark_credentials("anonymous") == ("nobody", "wrong-password")
+
+
+class TestServiceSpecs:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_auth_path_finds_a_replayable_exchange(self, bed, spec):
+        # A pattern that matches nothing scores cookie_auth_timeout False,
+        # the golden value for three services, so only this test notices.
+        tap = bed.net.attach_tap()
+        try:
+            bed.run_client(spec.name, "trk1")
+        finally:
+            bed.net.detach_tap(tap)
+        hits = [r for r in tap.records() if spec.auth_path.fullmatch(r.request.path)]
+        assert hits, f"no exchange matches {spec.auth_path.pattern!r}"
+        req = hits[-1].request
+        assert bed.net.dispatch(req.headers["host"], copy_request(req)).status == 200
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_client_is_looked_up_on_the_module(self, bed, spec, monkeypatch):
+        # perfbench times each client by rebinding drmtestbed.clients.<fn>;
+        # a row holding the function object itself would slip past it
+        name = CLIENT_FUNCTIONS[spec.name]
+        original = getattr(clients, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(clients, name, counting)
+        bed.run_client(spec.name, "trk1")
+        assert calls == [name]
 
 
 def test_build_holds_about_one_catalog_of_memory(tmp_path):

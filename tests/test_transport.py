@@ -20,7 +20,6 @@ from drmtestbed.transport import (
     error_response,
     export_tap,
     json_response,
-    read_tap,
     split_url,
 )
 
@@ -227,7 +226,7 @@ def test_tap_sequences_increase_across_all_traffic():
     net.get("https://echo.test/a")
     net.get("https://nowhere.test/b")  # 404s are traffic too
     net.get("https://echo.test/c")
-    records = read_tap(tap)
+    records = tap.records()
     assert [r.seq for r in records] == [2, 3, 4]
     assert [r.request.path for r in records] == ["/a", "/b", "/c"]
     assert records[1].response.status == 404
@@ -237,12 +236,12 @@ def test_tap_reading_is_repeatable_and_detach_stops_recording():
     net = _echo_network()
     tap = net.attach_tap()
     net.get("https://echo.test/a")
-    first = read_tap(tap)
-    second = read_tap(tap)
+    first = tap.records()
+    second = tap.records()
     assert first == second
     net.detach_tap(tap)
     net.get("https://echo.test/b")
-    assert len(read_tap(tap)) == 1
+    assert len(tap.records()) == 1
 
 
 def test_two_taps_see_the_same_records():
@@ -250,7 +249,7 @@ def test_two_taps_see_the_same_records():
     t1 = net.attach_tap()
     t2 = net.attach_tap()
     net.get("https://echo.test/x")
-    assert read_tap(t1) == read_tap(t2)
+    assert t1.records() == t2.records()
 
 
 def test_tap_holds_copies_not_references():
@@ -268,7 +267,7 @@ def test_tap_holds_copies_not_references():
     req.query["k"] = "tampered"
     req.headers["h"] = "tampered"
     resp.headers["h"] = "tampered"
-    rec = read_tap(tap)[0]
+    rec = tap.records()[0]
     assert rec.request.query == {"k": "v"}
     assert "h" not in rec.request.headers
     assert "h" not in rec.response.headers
@@ -306,7 +305,7 @@ def test_export_tap_exact_format():
     net = _echo_network()
     tap = net.attach_tap()
     net.get("https://echo.test/one?z=9&a=1")
-    records = read_tap(tap)
+    records = tap.records()
     body = records[0].response.body
     want = f"1\tGET\t/one\ta=1&z=9\t{len(body)}\t{body.hex()}\n"
     assert export_tap(records) == want

@@ -21,7 +21,7 @@ from drmtestbed.clients import (
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1, passphrase_seal, totp
 from drmtestbed.services import wynk
 from drmtestbed.testbed import Testbed
-from drmtestbed.transport import DeterministicEnv, Network, export_tap, read_tap
+from drmtestbed.transport import DeterministicEnv, Network, export_tap
 from drmtestbed.webassets import MINIFIED_BANNER
 
 CDN_SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
@@ -624,5 +624,5 @@ def test_export_tap_bytes_are_pinned(service):
         tb.run_client(service, tb.open_tracks()[0])
     finally:
         tb.net.detach_tap(tap)
-    data = export_tap(read_tap(tap)).encode("utf-8")
+    data = export_tap(tap.records()).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == PINNED_TAP_SHA256[service]
