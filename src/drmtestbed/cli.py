@@ -88,7 +88,7 @@ def _cmd_rip(args) -> int:
 
 def _cmd_audit(args) -> int:
     tb = Testbed(_load(args))
-    if args.service:
+    if args.service is not None:
         name = canonical_audit_name(args.service)
         audits = {name: audit(tb, name)}
     else:

@@ -33,6 +33,7 @@ from ..transport import (
     HttpRequest,
     HttpResponse,
     error_response,
+    hex_digits,
     json_response,
 )
 from ..webassets import script_response
@@ -85,16 +86,12 @@ def search_id(url: str, cp_mapping: dict[str, str]) -> str:
 
 
 def gen_bk(now: int, rng: Random) -> str:
-    tail = "".join(rng.choice("0123456789abcdef") for _ in range(16))
-    return f"{now}-{tail}"
+    return f"{now}-{hex_digits(rng, 16)}"
 
 
 def gen_device_id(rng: Random) -> str:
     def uuid_like():
-        return "-".join(
-            "".join(rng.choice("0123456789abcdef") for _ in range(n))
-            for n in (8, 4, 4, 4, 12)
-        )
+        return "-".join(hex_digits(rng, n) for n in (8, 4, 4, 4, 12))
 
     return uuid_like() + uuid_like()
 

@@ -5,7 +5,9 @@ Nothing here opens a socket. Services register a handler per host,
 clients dispatch requests through the Network, and every exchange is
 copied into any attached taps with a strictly increasing sequence
 number. Tap readers only ever see copies, so observing traffic can
-never change it.
+never change it. The copies are snapshots filled straight from the
+exchange's own fields, without re-validation: a request or response
+was checked once, when it was built.
 """
 
 from __future__ import annotations
@@ -17,6 +19,26 @@ from urllib.parse import urlsplit
 
 ALLOWED_STATUSES = (200, 400, 401, 403, 404)
 _UUID_SHAPE = (8, 4, 4, 4, 12)
+
+# rng.choice over 16 digits keeps the top 5 bits of one 32-bit word and
+# redraws when they are 16 or more, i.e. when the word's top byte is 128
+# or more; otherwise the digit is that byte >> 3.
+_HEX_OF_TOP_BYTE = bytes(b"0123456789abcdef"[(b >> 3) & 15] for b in range(256))
+_REDRAWN_TOP_BYTES = bytes(range(128, 256))
+
+
+def hex_digits(rng: random.Random, n: int) -> str:
+    """n lower-case hex digits: exactly what n calls of
+    rng.choice("0123456789abcdef") return, drawing the same words, so the
+    rng is left in the same state. Each round draws one word per digit
+    still missing; a word yields at most one digit, so no word is drawn
+    that the choice loop would not have drawn."""
+    out = bytearray()
+    while len(out) < n:
+        missing = n - len(out)
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        out += words[3::4].translate(_HEX_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
+    return out.decode("ascii")
 
 
 class Clock:
@@ -48,7 +70,7 @@ class DeterministicEnv:
         return self.clock.now()
 
     def hex_token(self, n_chars: int) -> str:
-        return "".join(self.rng.choice("0123456789abcdef") for _ in range(n_chars))
+        return hex_digits(self.rng, n_chars)
 
     def rand_bytes(self, n: int) -> bytes:
         return self.rng.randbytes(n)
@@ -61,11 +83,13 @@ class Headers(dict):
     """dict with case-folded keys; 'TK' and 'tk' are the same header."""
 
     def __init__(self, items=None):
-        super().__init__()
-        if items:
+        if isinstance(items, Headers):
+            super().__init__(items)  # keys already folded
+        elif items:
             pairs = items.items() if isinstance(items, dict) else items
-            for k, v in pairs:
-                self[k] = v
+            super().__init__({k.lower(): v for k, v in pairs})
+        else:
+            super().__init__()
 
     def __setitem__(self, key, value):
         super().__setitem__(key.lower(), value)
@@ -154,23 +178,27 @@ class Tap:
 
 
 def copy_request(req: HttpRequest) -> HttpRequest:
-    return HttpRequest(
-        method=req.method,
-        path=req.path,
-        query=dict(req.query),
-        headers=Headers(req.headers),
-        cookies=dict(req.cookies),
-        body=req.body,
-    )
+    """A snapshot sharing no dict with req. It skips __init__ and
+    __post_init__: req was validated when it was built, and its header
+    keys are folded already."""
+    dup = object.__new__(HttpRequest)
+    dup.method = req.method
+    dup.path = req.path
+    dup.query = req.query.copy()
+    dup.headers = req.headers.copy()
+    dup.cookies = req.cookies.copy()
+    dup.body = req.body
+    return dup
 
 
 def copy_response(resp: HttpResponse) -> HttpResponse:
-    return HttpResponse(
-        status=resp.status,
-        headers=dict(resp.headers),
-        set_cookies=dict(resp.set_cookies),
-        body=resp.body,
-    )
+    """A snapshot sharing no dict with resp; see copy_request."""
+    dup = object.__new__(HttpResponse)
+    dup.status = resp.status
+    dup.headers = resp.headers.copy()
+    dup.set_cookies = resp.set_cookies.copy()
+    dup.body = resp.body
+    return dup
 
 
 def split_url(url: str) -> tuple[str, str, dict[str, str]]:
@@ -219,9 +247,7 @@ class Network:
         self._seq += 1
         if self._taps:
             record = TapRecord(
-                seq=self._seq,
-                request=copy_request(request),
-                response=copy_response(response),
+                self._seq, copy_request(request), copy_response(response)
             )
             for tap in self._taps:
                 tap._records.append(record)
@@ -241,12 +267,7 @@ class Network:
         if extra_query:
             query.update(extra_query)
         req = HttpRequest(
-            method=method,
-            path=path,
-            query=query,
-            headers=Headers(headers or {}),
-            cookies=dict(cookies or {}),
-            body=body,
+            method, path, query, Headers(headers), dict(cookies or ()), body
         )
         return self.dispatch(host, req)
 

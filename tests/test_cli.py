@@ -72,6 +72,12 @@ class TestAudit:
         assert main(["audit", "--service", "tidal"]) == EXIT_USAGE
         assert "tidal" in capsys.readouterr().err
 
+    def test_empty_service_is_a_usage_error_not_the_whole_table(self, capsys):
+        assert main(["audit", "--service", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "testbed: unknown auditable service ''\n"
+
 
 class TestDemo:
     def test_demo_runs_everything(self, capsys):

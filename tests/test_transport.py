@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drmtestbed.services import wynk
 from drmtestbed.transport import (
     ALLOWED_STATUSES,
     Clock,
@@ -19,6 +23,7 @@ from drmtestbed.transport import (
     copy_response,
     error_response,
     export_tap,
+    hex_digits,
     json_response,
     split_url,
 )
@@ -57,6 +62,70 @@ def test_env_token_shapes():
     assert [len(c) for c in chunks] == [8, 4, 4, 4, 12]
 
 
+# ------------------------------------------------------- batched hex draws
+# Each reference below is the per-digit rng.choice loop the batched draw
+# replaced; equal output and an equal next rng.random() mean not one draw
+# moved.
+
+_HEX = "0123456789abcdef"
+_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+_RNG_EQUIVALENCE = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def _choice_loop(rng, n):
+    return "".join(rng.choice(_HEX) for _ in range(n))
+
+
+def _old_uuid_like(rng):
+    return "-".join(_choice_loop(rng, n) for n in (8, 4, 4, 4, 12))
+
+
+@_RNG_EQUIVALENCE
+@given(seed=_SEEDS, n=st.integers(min_value=0, max_value=300))
+def test_hex_digits_draws_what_the_choice_loop_draws(seed, n):
+    new, old = random.Random(seed), random.Random(seed)
+    assert hex_digits(new, n) == _choice_loop(old, n)
+    assert new.random() == old.random()
+
+
+@_RNG_EQUIVALENCE
+@given(seed=_SEEDS, n=st.integers(min_value=0, max_value=300))
+def test_hex_token_draws_what_the_choice_loop_draws(seed, n):
+    env, old = DeterministicEnv(seed, 0), random.Random(seed)
+    assert env.hex_token(n) == _choice_loop(old, n)
+    assert env.rng.random() == old.random()
+
+
+@_RNG_EQUIVALENCE
+@given(seed=_SEEDS)
+def test_uuid_like_draws_what_the_choice_loop_draws(seed):
+    env, old = DeterministicEnv(seed, 0), random.Random(seed)
+    assert env.uuid_like() == _old_uuid_like(old)
+    assert env.rng.random() == old.random()
+
+
+@_RNG_EQUIVALENCE
+@given(seed=_SEEDS, now=st.integers(min_value=0, max_value=2**40))
+def test_wynk_gen_bk_draws_what_the_choice_loop_draws(seed, now):
+    new, old = random.Random(seed), random.Random(seed)
+    assert wynk.gen_bk(now, new) == f"{now}-{_choice_loop(old, 16)}"
+    assert new.random() == old.random()
+
+
+@_RNG_EQUIVALENCE
+@given(seed=_SEEDS)
+def test_wynk_gen_device_id_draws_what_the_choice_loop_draws(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    assert wynk.gen_device_id(new) == _old_uuid_like(old) + _old_uuid_like(old)
+    assert new.random() == old.random()
+
+
+def test_hex_digits_of_nothing_draws_nothing():
+    new, old = random.Random(5), random.Random(5)
+    assert hex_digits(new, 0) == ""
+    assert new.random() == old.random()
+
+
 # ---------------------------------------------------------------- headers
 
 
@@ -77,6 +146,25 @@ def test_headers_case_folding():
 def test_headers_from_pairs():
     h = Headers([("A", "1"), ("a", "2")])
     assert h == {"a": "2"}
+
+
+def test_headers_last_duplicate_wins_at_first_position():
+    assert Headers([("A", "1"), ("a", "2")])["a"] == "2"
+    h = Headers({"B": "1", "c": "2", "b": "3"})
+    assert list(h.items()) == [("b", "3"), ("c", "2")]
+
+
+def test_headers_of_headers_is_a_new_object():
+    h = Headers({"TK": "1"})
+    dup = Headers(h)
+    assert type(dup) is Headers and dup == h and dup is not h
+    dup["tk"] = "2"
+    assert h["tk"] == "1"
+
+
+def test_headers_of_nothing_is_empty():
+    for items in (None, [], {}, Headers()):
+        assert Headers(items) == {}
 
 
 def test_headers_copy_keeps_case_folding():
@@ -291,6 +379,22 @@ def test_copy_helpers_are_deep_enough():
     dup2.headers["x"] = "2"
     dup2.set_cookies["s"] = "2"
     assert resp.headers["x"] == "1" and resp.set_cookies["s"] == "1"
+
+
+def test_copies_equal_their_source_and_share_no_dict():
+    req = HttpRequest(method="POST", path="/p", query={"a": "1"},
+                      headers=Headers({"H": "v"}), cookies={"c": "1"}, body=b"b")
+    dup = copy_request(req)
+    assert dup == req and type(dup.headers) is Headers
+    for name in ("query", "headers", "cookies"):
+        assert getattr(dup, name) is not getattr(req, name)
+
+    resp = HttpResponse(status=401, headers={"x": "1"}, set_cookies={"s": "1"},
+                        body=memoryview(b"z"))
+    dup2 = copy_response(resp)
+    assert dup2 == resp
+    for name in ("headers", "set_cookies"):
+        assert getattr(dup2, name) is not getattr(resp, name)
 
 
 # ------------------------------------------------------------------ export

@@ -23,6 +23,7 @@ from drmtestbed.services import wynk
 from drmtestbed.testbed import Testbed
 from drmtestbed.transport import DeterministicEnv, Network, export_tap
 from drmtestbed.webassets import MINIFIED_BANNER
+from test_golden import PINNED_TAP_SHA256
 
 CDN_SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
 
@@ -603,19 +604,10 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
         rip_wynk_v2(net, env, url, catalog.cp_mapping)
 
 
-# Digests of one reference-client run under a tap on a fresh default bed.
-# They pin the transcript bytes, so a change to the order or number of RNG
-# draws (which run-against-run determinism tests cannot see) fails here.
-PINNED_TAP_SHA256 = {
-    "wynk-v1": "73985ccf0efed07e86ad29ce981e7fd435761a02462148f3f8917f11019ff7f6",
-    "wynk-v2": "66632266ac9fc86b4e0bfca83e6127af51f6b0e11bc8a99acd21ec1e337a2828",
-    "jiosaavn": "4eb8c91e5c9c331eaad7b44efe69d244358998157f8e1f399eb4d74f27f73e77",
-    "gaana": "dc36a074d4568b81b3393793d9ff36d1bd5ed50475afafc4aaaf2d01aad6c3d3",
-    "hungama": "7fe73a0522dad0e813b41f358f2a45a0bf52121d73f6a7259fa5bb200f642725",
-    "benchmark": "6352b50513909d78b8d22965f5cd417388f2c1ba1d740a77074da230ecfaca82",
-}
-
-
+# Digests of one reference-client run under a tap on a fresh default bed,
+# kept in the behaviour manifest. They pin the transcript bytes, so a change
+# to the order or number of RNG draws (which run-against-run determinism
+# tests cannot see) fails here.
 @pytest.mark.parametrize("service", sorted(PINNED_TAP_SHA256))
 def test_export_tap_bytes_are_pinned(service):
     tb = Testbed(TestbedConfig())
