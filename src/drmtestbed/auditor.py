@@ -6,7 +6,7 @@ use: public endpoints, static assets, a tap, and the injected clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .benchmark import LICENSE_PATH
 from .clients import ProtocolFailure
@@ -14,16 +14,6 @@ from .ripper import tap_rip
 from .testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, SPECS, ServiceSpec, Testbed
 from .transport import copy_request
 from .webassets import MINIFIED_BANNER
-
-PRACTICE_FIELDS = (
-    "mandatory_user_identification",
-    "streamed_content_encryption",
-    "hardcoded_keys",
-    "drm_scheme",
-    "cookie_auth_timeout",
-    "premium_access_restrictions",
-    "obfuscation_minification",
-)
 
 # the five services the comparison table covers, plus the legacy flow,
 # which is auditable but was already retired when the table was drawn
@@ -44,7 +34,10 @@ class PracticesScorecard:
     obfuscation_minification: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in PRACTICE_FIELDS}
+        return asdict(self)
+
+
+PRACTICE_FIELDS = tuple(f.name for f in fields(PracticesScorecard))
 
 
 def _audit_spec(service: str) -> ServiceSpec:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .catalog import ServiceCatalog
 from .cdn import GrantGate, issue_grant
+from .config import TestbedConfig
 from .crypto_kit import (
     CryptoError,
     SecretKey,
@@ -51,7 +52,7 @@ HEADER_BYTES = 48  # magic(4) pad(12) key_id(16) nonce(16)
 SEGMENT_BYTES = 4096
 EDGES = ("edge1", "edge2")
 
-DEFAULT_USERS = {
+USERS = {
     "ada": ("correct-horse-battery", "premium"),
     "grace": ("paper-clip-42", "free"),
 }
@@ -142,25 +143,17 @@ class Cdm:
 
 class BenchmarkService:
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        env: DeterministicEnv,
-        *,
-        cdn_secret: bytes,
-        device_key: bytes,
-        users: dict[str, tuple[str, str]] | None = None,
-        bearer_ttl: int = 3600,
-        grant_ttl: int = 3600,
+        self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
         self.env = env
-        self._cdn_secret = cdn_secret
+        self._cdn_secret = cfg.benchmark_cdn_secret()
         self._key_pair_id = "KBENCH1"
-        self._gate = GrantGate(cdn_secret, self._key_pair_id)
-        self.device_key = SecretKey(device_key)
-        self.users = dict(users or DEFAULT_USERS)
-        self.bearer_ttl = bearer_ttl
-        self.grant_ttl = grant_ttl
+        self._gate = GrantGate(self._cdn_secret, self._key_pair_id)
+        self.device_key = SecretKey(cfg.device_key())
+        self.users = dict(USERS)
+        self.bearer_ttl = cfg.bearer_ttl
+        self.grant_ttl = cfg.grant_ttl
         self._sessions: dict[str, tuple[str, int]] = {}  # sid -> (user, created)
         self._bearers: dict[str, BearerToken] = {}
         # asset_id -> (init header, content key, nonce, top catalog variant)

@@ -156,7 +156,7 @@ class CdnNode:
         secret: bytes,
         key_pair_id: str,
         clock: Clock,
-        chunk_bytes: int = 32768,
+        chunk_bytes: int,
     ):
         self.host = host
         self._secret = secret

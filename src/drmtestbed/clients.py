@@ -160,7 +160,7 @@ def rip_wynk_v2(
     env: DeterministicEnv,
     song_url: str,
     cp_mapping: dict[str, str],
-    sk: str = wynk_mod.DEFAULT_SK,
+    sk: str,
 ) -> bytes:
     session = wynk_v2_handshake(net, env)
     sid = search_id(song_url, cp_mapping)

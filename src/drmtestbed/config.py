@@ -1,14 +1,17 @@
 """key=value config for the harness.
 
 Everything has a working default so `testbed demo` runs with no file at
-all; a config file only overrides. Secrets are hex so the file stays
-one printable line per key.
+all; a config file only overrides. These are the only defaults: every
+service reads its settings and secrets from a TestbedConfig. Secrets are
+hex so the file stays one printable line per key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .hls import DEFAULT_CHUNK_BYTES
 
 
 class ConfigError(Exception):
@@ -20,7 +23,7 @@ class TestbedConfig:
     seed: int = 7
     clock: int = 1700000000
     catalog_dir: str = ""
-    chunk_bytes: int = 32768
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     grant_ttl: int = 3600
     wynk_session_ttl: int = 2592000
     hungama_token_ttl: int = 86400

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..catalog import ServiceCatalog, slugify
 from ..cdn import FAR_FUTURE, CdnNode
+from ..config import TestbedConfig
 from ..crypto_kit import aes_cbc_encrypt, b64
 from ..transport import (
     DeterministicEnv,
@@ -18,7 +19,7 @@ from ..transport import (
     HttpResponse,
     error_response,
 )
-from ..webassets import script_response
+from ..webassets import page_response, script_response
 
 HOST_WWW = "gaana.com"
 HOST_CDN = "stream.gaana.com"
@@ -27,6 +28,7 @@ SONG_PREFIX = "/song/"
 ASSET_PATH = "/static/player.min.js"
 
 QUALITY_RATES = {"high": 320, "medium": 128, "low": 64}
+_QUALITIES_JSON = json.dumps(list(QUALITY_RATES), separators=(",", ":"))
 
 _SPAN_OPEN = '<span class="sourcelist" data-type="playSong">'
 _SPAN_CLOSE = "</span>"
@@ -54,19 +56,15 @@ def parse_song_page(html: str) -> GaanaPathBlock:
 
 class GaanaService:
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        env: DeterministicEnv,
-        *,
-        cdn_secret: bytes,
-        page_key: bytes,
-        page_iv: bytes,
+        self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
         self.env = env
-        self.page_key = page_key
-        self.page_iv = page_iv
-        self.cdn = CdnNode(HOST_CDN, cdn_secret, "KGAANA1", env.clock)
+        self.page_key = cfg.gaana_key()
+        self.page_iv = cfg.gaana_iv()
+        self.cdn = CdnNode(
+            HOST_CDN, cfg.gaana_cdn_secret(), "KGAANA1", env.clock, cfg.chunk_bytes
+        )
         self._by_slug: dict[str, str] = {}
         for asset in catalog.assets.values():
             self.cdn.add_hls_asset(
@@ -99,7 +97,7 @@ class GaanaService:
                 [
                     f'var mediaKey="{self.page_key.hex()}"',
                     f'var mediaIv="{self.page_iv.hex()}"',
-                    'var qualities=["high","medium","low"]',
+                    f"var qualities={_QUALITIES_JSON}",
                 ]
             )
         if req.path.startswith(SONG_PREFIX):
@@ -123,17 +121,4 @@ class GaanaService:
             for quality in QUALITY_RATES
         }
         block = json.dumps({"title": asset.title, "path": path})
-        html = (
-            "<!DOCTYPE html><html><head><title>"
-            + asset.title
-            + "</title></head><body>\n"
-            + _SPAN_OPEN
-            + block
-            + _SPAN_CLOSE
-            + "\n</body></html>\n"
-        )
-        return HttpResponse(
-            status=200,
-            headers={"content-type": "text/html"},
-            body=html.encode("utf-8"),
-        )
+        return page_response(asset.title, _SPAN_OPEN + block + _SPAN_CLOSE)

@@ -6,9 +6,11 @@ returns a signed media URL that needs nothing else.
 from __future__ import annotations
 
 import hmac as _hmac
+import json
 
 from ..catalog import ServiceCatalog, slugify
 from ..cdn import CdnNode
+from ..config import TestbedConfig
 from ..crypto_kit import b64, hmac_sha1
 from ..transport import (
     DeterministicEnv,
@@ -28,6 +30,7 @@ ASSET_PATH = "/static/player.min.js"
 
 QUALITY_COOKIE = "hcom_audio_qty"
 QUALITY_RATES = {"high": 320, "medium": 128, "low": 64}
+_QUALITIES_JSON = json.dumps(list(QUALITY_RATES), separators=(",", ":"))
 DEFAULT_QUALITY = "high"
 
 _TAG_CHARS = 28  # base64 of a 20-byte HMAC-SHA1 tag is always 28 chars
@@ -35,21 +38,16 @@ _TAG_CHARS = 28  # base64 of a 20-byte HMAC-SHA1 tag is always 28 chars
 
 class HungamaService:
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        env: DeterministicEnv,
-        *,
-        cdn_secret: bytes,
-        token_secret: bytes,
-        token_ttl: int = 86400,
-        grant_ttl: int = 3600,
+        self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
         self.env = env
-        self._token_secret = token_secret
-        self.token_ttl = token_ttl
-        self.grant_ttl = grant_ttl
-        self.cdn = CdnNode(HOST_CDN, cdn_secret, "KHNGMA1", env.clock)
+        self._token_secret = cfg.hungama_token_secret()
+        self.token_ttl = cfg.hungama_token_ttl
+        self.grant_ttl = cfg.grant_ttl
+        self.cdn = CdnNode(
+            HOST_CDN, cfg.hungama_cdn_secret(), "KHNGMA1", env.clock, cfg.chunk_bytes
+        )
         for asset in catalog.assets.values():
             self.cdn.add_file_asset(
                 asset.asset_id, asset, sorted(QUALITY_RATES.values(), reverse=True)
@@ -83,8 +81,8 @@ class HungamaService:
         if req.method == "GET" and req.path == ASSET_PATH:
             return script_response(
                 [
-                    'var qualityCookie="hcom_audio_qty"',
-                    'var qualities=["high","medium","low"]',
+                    f'var qualityCookie="{QUALITY_COOKIE}"',
+                    f"var qualities={_QUALITIES_JSON}",
                 ]
             )
         if req.method == "GET" and req.path.startswith(PLAYER_DATA_PREFIX):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..catalog import ServiceCatalog, slugify
 from ..cdn import FAR_FUTURE, CdnNode
+from ..config import TestbedConfig
 from ..crypto_kit import (
     DecodeError,
     PaddingError,
@@ -20,6 +21,7 @@ from ..crypto_kit import (
     b64,
     b64_decode,
 )
+from ..hls import DEFAULT_CHUNK_BYTES
 from ..transport import (
     DeterministicEnv,
     HttpRequest,
@@ -27,7 +29,7 @@ from ..transport import (
     error_response,
     json_response,
 )
-from ..webassets import script_response
+from ..webassets import page_response, script_response
 
 HOST_WWW = "www.jiosaavn.com"
 HOST_CDN = "aac.saavncdn.com"
@@ -69,19 +71,15 @@ def parse_song_page(html: str) -> SaavnSongData:
 
 class SaavnService:
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        env: DeterministicEnv,
-        *,
-        cdn_secret: bytes,
-        seal_key: bytes,
-        seal_iv: bytes,
+        self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
         self.env = env
-        self._seal_key = seal_key
-        self._seal_iv = seal_iv
-        self.cdn = CdnNode(HOST_CDN, cdn_secret, "KSAAVN1", env.clock)
+        self._seal_key = cfg.saavn_seal_key()
+        self._seal_iv = cfg.saavn_seal_iv()
+        self.cdn = CdnNode(
+            HOST_CDN, cfg.saavn_cdn_secret(), "KSAAVN1", env.clock, cfg.chunk_bytes
+        )
         for asset in catalog.assets.values():
             self.cdn.add_file_asset(asset.asset_id, asset)
 
@@ -124,26 +122,18 @@ class SaavnService:
         if asset_id not in self.catalog.assets:
             return error_response(404, "no such song")
         asset = self.catalog.asset(asset_id)
+        # one 10-second segment per default-size chunk of the top variant
+        top = asset.variant(asset.top_bitrate())
         data = {
             "song": {
                 "perma_url": self.song_url(asset_id),
                 "encrypted_media_url": self._seal_token(asset_id),
                 "title": asset.title,
-                "duration": 10 * max(1, len(asset.variants[asset.top_bitrate()]) // 32768),
+                "duration": 10 * max(1, len(top) // DEFAULT_CHUNK_BYTES),
             }
         }
-        html = (
-            "<!DOCTYPE html><html><head><title>"
-            + asset.title
-            + "</title></head><body>\n<script>"
-            + _DATA_PREFIX
-            + json.dumps(data)
-            + ";</script>\n</body></html>\n"
-        )
-        return HttpResponse(
-            status=200,
-            headers={"content-type": "text/html"},
-            body=html.encode("utf-8"),
+        return page_response(
+            asset.title, f"<script>{_DATA_PREFIX}{json.dumps(data)};</script>"
         )
 
     def _api(self, req: HttpRequest) -> HttpResponse:

@@ -17,6 +17,7 @@ from random import Random
 
 from ..catalog import ServiceCatalog
 from ..cdn import CdnNode
+from ..config import TestbedConfig
 from ..crypto_kit import (
     DecodeError,
     SealError,
@@ -55,7 +56,8 @@ ASSET_PATH = "/webassets/app.min.js"
 
 STREAM_QUERY = (("ets", "true"), ("hlscapable", "1"), ("sq", "a"), ("lang", "en"))
 
-DEFAULT_SK = "51ymYn1MS"
+BITRATES = (320, 128, 64)
+_QUALITIES_JSON = json.dumps([str(r) for r in BITRATES], separators=(",", ":"))
 PK_SOURCE = "https://sapi.wynk.in/music"
 
 TOTP_PARAMS = TotpParams(window_seconds=600, digits=6)
@@ -145,28 +147,21 @@ class WynkSession:
 
 class WynkService:
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        env: DeterministicEnv,
-        *,
-        cdn_secret: bytes,
-        sk: str = DEFAULT_SK,
-        session_ttl: int = 2592000,
-        grant_ttl: int = 3600,
-        chunk_bytes: int = 32768,
-        bitrates=(320, 128, 64),
+        self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
         self.env = env
-        self.sk = sk
-        self.session_ttl = session_ttl
-        self.grant_ttl = grant_ttl
-        self.cdn = CdnNode(HOST_CDN, cdn_secret, "KWYNK01", env.clock, chunk_bytes)
+        self.sk = cfg.wynk_sk
+        self.session_ttl = cfg.wynk_session_ttl
+        self.grant_ttl = cfg.grant_ttl
+        self.cdn = CdnNode(
+            HOST_CDN, cfg.wynk_cdn_secret(), "KWYNK01", env.clock, cfg.chunk_bytes
+        )
         self._sids: dict[str, str] = {}  # search_id -> asset_id
         for asset in catalog.assets.values():
             for cp_code in catalog.cp_mapping.values():
                 sid = f"{cp_code}_{asset.asset_id}"
-                self.cdn.add_hls_asset(sid, asset, bitrates)
+                self.cdn.add_hls_asset(sid, asset, BITRATES)
                 self._sids[sid] = asset.asset_id
         self._by_uid: dict[str, WynkSession] = {}
         self._by_dt: dict[str, WynkSession] = {}
@@ -268,7 +263,7 @@ class WynkService:
                     f'var sk="{self.sk}"',
                     f'var pk="{wynk_pk()}"',
                     f"var cpMapping={mapping}",
-                    'var qualities=["320","128","64"]',
+                    f"var qualities={_QUALITIES_JSON}",
                 ]
             )
         m = _MIX_PATTERN.match(req.path)

@@ -127,45 +127,12 @@ class Testbed:
             self.catalog = demo_catalog(self.env.rng)
         self.net = Network(self.env)
 
-        self.wynk = WynkService(
-            self.catalog,
-            self.env,
-            cdn_secret=cfg.wynk_cdn_secret(),
-            sk=cfg.wynk_sk,
-            session_ttl=cfg.wynk_session_ttl,
-            grant_ttl=cfg.grant_ttl,
-            chunk_bytes=cfg.chunk_bytes,
-        )
-        self.saavn = SaavnService(
-            self.catalog,
-            self.env,
-            cdn_secret=cfg.saavn_cdn_secret(),
-            seal_key=cfg.saavn_seal_key(),
-            seal_iv=cfg.saavn_seal_iv(),
-        )
-        self.gaana = GaanaService(
-            self.catalog,
-            self.env,
-            cdn_secret=cfg.gaana_cdn_secret(),
-            page_key=cfg.gaana_key(),
-            page_iv=cfg.gaana_iv(),
-        )
-        self.hungama = HungamaService(
-            self.catalog,
-            self.env,
-            cdn_secret=cfg.hungama_cdn_secret(),
-            token_secret=cfg.hungama_token_secret(),
-            token_ttl=cfg.hungama_token_ttl,
-            grant_ttl=cfg.grant_ttl,
-        )
-        self.benchmark = bench.BenchmarkService(
-            self.catalog,
-            self.env,
-            cdn_secret=cfg.benchmark_cdn_secret(),
-            device_key=cfg.device_key(),
-            bearer_ttl=cfg.bearer_ttl,
-            grant_ttl=cfg.grant_ttl,
-        )
+        self.wynk = WynkService(self.catalog, self.env, cfg)
+        self.saavn = SaavnService(self.catalog, self.env, cfg)
+        self.gaana = GaanaService(self.catalog, self.env, cfg)
+        self.hungama = HungamaService(self.catalog, self.env, cfg)
+        # draws a content key per track from the rng as it is built
+        self.benchmark = bench.BenchmarkService(self.catalog, self.env, cfg)
         for service in (self.wynk, self.saavn, self.gaana, self.hungama, self.benchmark):
             service.mount(self.net)
 

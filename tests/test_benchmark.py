@@ -10,11 +10,11 @@ import pytest
 from drmtestbed import benchmark as bench
 from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, play_benchmark
+from drmtestbed.config import TestbedConfig
 from drmtestbed.crypto_kit import aes_ctr
 from drmtestbed.hls import AUDIO_MAGIC
 from drmtestbed.transport import DeterministicEnv, Network
 
-CDN_SECRET = bytes.fromhex("b85f03ae67c12d94f0261e5b7ad9c480d1537fa6")
 DEVICE_KEY = bytes.fromhex("5e21b7da93c604f8ab176ce0421f98d3")
 
 PREMIUM = ("ada", "correct-horse-battery")
@@ -25,9 +25,7 @@ FREE = ("grace", "paper-clip-42")
 def rig():
     env = DeterministicEnv(seed=61, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
-    svc = bench.BenchmarkService(
-        catalog, env, cdn_secret=CDN_SECRET, device_key=DEVICE_KEY
-    )
+    svc = bench.BenchmarkService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog

@@ -6,13 +6,13 @@ import pytest
 
 from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_gaana
+from drmtestbed.config import TestbedConfig
 from drmtestbed.crypto_kit import CryptoError, aes_cbc_decrypt, b64, b64_decode
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import gaana
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER
 
-CDN_SECRET = bytes.fromhex("d6027be93f514cc8a1e7f04db96325aa80ce14d7")
 PAGE_KEY = bytes.fromhex("a45bd1087e92cf36610b54afc3d278e9")
 PAGE_IV = bytes.fromhex("0cf3a871469de2b5871e90cd5336ab14")
 
@@ -21,9 +21,7 @@ PAGE_IV = bytes.fromhex("0cf3a871469de2b5871e90cd5336ab14")
 def rig():
     env = DeterministicEnv(seed=41, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
-    svc = gaana.GaanaService(
-        catalog, env, cdn_secret=CDN_SECRET, page_key=PAGE_KEY, page_iv=PAGE_IV
-    )
+    svc = gaana.GaanaService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog
@@ -131,10 +129,4 @@ def test_titles_that_slugify_alike_are_rejected_at_build():
     }
     env = DeterministicEnv(seed=41, clock_start=1_700_000_000)
     with pytest.raises(ValueError, match="a1 and a2 share the slug 'rain-song'"):
-        gaana.GaanaService(
-            ServiceCatalog(assets=assets),
-            env,
-            cdn_secret=CDN_SECRET,
-            page_key=PAGE_KEY,
-            page_iv=PAGE_IV,
-        )
+        gaana.GaanaService(ServiceCatalog(assets=assets), env, TestbedConfig())

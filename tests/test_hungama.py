@@ -8,21 +8,17 @@ import pytest
 
 from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_hungama
+from drmtestbed.config import TestbedConfig
 from drmtestbed.services import hungama
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER
-
-CDN_SECRET = bytes.fromhex("23fa8c11d074b9e655201cdd38e6a7f4490b52e8")
-TOKEN_SECRET = bytes.fromhex("97d11e40ab5f82c6e3094ffd261c7b3a5580ed29")
 
 
 @pytest.fixture
 def rig():
     env = DeterministicEnv(seed=51, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
-    svc = hungama.HungamaService(
-        catalog, env, cdn_secret=CDN_SECRET, token_secret=TOKEN_SECRET
-    )
+    svc = hungama.HungamaService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog

@@ -8,13 +8,13 @@ import pytest
 
 from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_saavn
+from drmtestbed.config import TestbedConfig
 from drmtestbed.crypto_kit import aes_cbc_encrypt, b64, b64_decode
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import saavn
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER
 
-CDN_SECRET = bytes.fromhex("8a25c90bf417de6300982bd15efa4c7761d3a90f")
 SEAL_KEY = bytes.fromhex("3d8a1f650b72c49ee8135a0c9746fd2b")
 SEAL_IV = bytes.fromhex("71e04cb82f9ad6135c68020d94b7fae3")
 
@@ -23,9 +23,7 @@ SEAL_IV = bytes.fromhex("71e04cb82f9ad6135c68020d94b7fae3")
 def rig():
     env = DeterministicEnv(seed=31, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
-    svc = saavn.SaavnService(
-        catalog, env, cdn_secret=CDN_SECRET, seal_key=SEAL_KEY, seal_iv=SEAL_IV
-    )
+    svc = saavn.SaavnService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog
@@ -132,9 +130,7 @@ def test_api_variant_not_stocked_404():
     catalog = ServiceCatalog(
         assets={"solo": MediaAsset("solo", "Solo", {128: AUDIO_MAGIC + b"only"})}
     )
-    svc = saavn.SaavnService(
-        catalog, env, cdn_secret=CDN_SECRET, seal_key=SEAL_KEY, seal_iv=SEAL_IV
-    )
+    svc = saavn.SaavnService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     song = _page_token(net, svc, "solo")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 
@@ -128,6 +129,22 @@ class TestServiceSpecs:
         monkeypatch.setattr(clients, name, counting)
         bed.run_client(spec.name, "trk1")
         assert calls == [name]
+
+
+@pytest.mark.parametrize("service", ["wynk-v1", "gaana"])
+def test_config_chunk_bytes_reaches_every_hls_tree(service):
+    # wynk and gaana both serve HLS; each CDN chunks by the config it was
+    # built from, not by a size of its own
+    bed = Testbed(TestbedConfig(chunk_bytes=4096))
+    top = bed.catalog.asset("trk1").variant(320)
+    tap = bed.net.attach_tap()
+    try:
+        result, client_error = bed.rip(service, "trk1")
+    finally:
+        bed.net.detach_tap(tap)
+    assert client_error == "" and result.matched_catalog
+    segments = [r for r in tap.records() if r.request.path.endswith(".ts")]
+    assert len(segments) == math.ceil(len(top) / 4096) == 23
 
 
 def test_build_holds_about_one_catalog_of_memory(tmp_path):

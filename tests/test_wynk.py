@@ -25,14 +25,14 @@ from drmtestbed.transport import DeterministicEnv, Network, export_tap
 from drmtestbed.webassets import MINIFIED_BANNER
 from test_golden import PINNED_TAP_SHA256
 
-CDN_SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
+WYNK_SK = TestbedConfig().wynk_sk
 
 
 @pytest.fixture
 def rig():
     env = DeterministicEnv(seed=21, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
-    svc = wynk.WynkService(catalog, env, cdn_secret=CDN_SECRET)
+    svc = wynk.WynkService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog
@@ -155,7 +155,7 @@ def test_client_script_leaks_the_secrets(rig):
     assert resp.status == 200
     text = resp.body.decode("utf-8")
     assert text.startswith(MINIFIED_BANNER)
-    assert f'var sk="{wynk.DEFAULT_SK}"' in text
+    assert f'var sk="{WYNK_SK}"' in text
     assert f'var pk="{wynk.wynk_pk()}"' in text
     assert json.dumps(catalog.cp_mapping, separators=(",", ":")) in text
 
@@ -499,7 +499,7 @@ def _v2_stream_response(net, env, session, sid, *, otp_at=None, otp=None,
     if tamper:
         digest = bytes([digest[0] ^ 1]) + digest[1:]
     code = otp if otp is not None else totp(
-        (session["dt"] + wynk.DEFAULT_SK).encode("utf-8"),
+        (session["dt"] + WYNK_SK).encode("utf-8"),
         wynk.TOTP_PARAMS,
         env.now() if otp_at is None else otp_at,
     )
@@ -593,7 +593,7 @@ def test_v2_session_expires(rig):
 def test_v2_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk3", "gilded-cage")
-    media = rip_wynk_v2(net, env, url, catalog.cp_mapping)
+    media = rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
     assert media == catalog.asset("trk3").variant(320)
 
 
@@ -601,7 +601,7 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("missing", "missing")
     with pytest.raises(ProtocolFailure):
-        rip_wynk_v2(net, env, url, catalog.cp_mapping)
+        rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
 
 
 # Digests of one reference-client run under a tap on a fresh default bed,
