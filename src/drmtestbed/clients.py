@@ -187,7 +187,7 @@ def rip_saavn(
     net: Network,
     env: DeterministicEnv,
     song_url: str,
-    bit_rate: str = "320",
+    bit_rate: str | None = None,  # None or "": the top rate, "320"
 ) -> bytes:
     page = net.get(song_url)
     if page.status != 200:
@@ -199,7 +199,7 @@ def rip_saavn(
             extra_query={
                 "call": saavn_mod.AUTH_CALL,
                 "url": song.encrypted_media_url,
-                "bit_rate": bit_rate,
+                "bit_rate": bit_rate or "320",
             },
         ),
         "auth token refused",
@@ -219,8 +219,9 @@ def rip_gaana(
     song_url: str,
     page_key: bytes,
     page_iv: bytes,
-    quality: str = "high",
+    quality: str | None = None,  # None or "": "high"
 ) -> bytes:
+    quality = quality or "high"
     page = net.get(song_url)
     if page.status != 200:
         raise ProtocolFailure("song page refused", page.status)

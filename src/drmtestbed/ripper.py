@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .catalog import ServiceCatalog
-from .hls import AUDIO_MAGIC, ManifestError, parse_index
+from .hls import AUDIO_MAGIC, M3U_HEADER, ManifestError, parse_index
 from .transport import TapRecord
+
+_PLAYLIST_TAG = M3U_HEADER.encode("ascii")
 
 
 @dataclass
@@ -42,10 +44,13 @@ def _index_candidates(records):
             last_by_path[rec.request.path] = rec
     out = []
     for rec in records:
-        if rec.response.status != 200:
+        body = rec.response.body
+        # UTF-8 text starts with the tag exactly when its bytes do, so
+        # media bodies are never decoded
+        if rec.response.status != 200 or body[:len(_PLAYLIST_TAG)] != _PLAYLIST_TAG:
             continue
-        text = _decode_text(rec.response.body)
-        if text is None or not text.startswith("#EXTM3U"):
+        text = _decode_text(body)
+        if text is None:
             continue
         try:
             index = parse_index(text)

@@ -67,7 +67,7 @@ SPECS = (
         f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}",
         _path(re.escape(saavn_mod.API_PATH)),
         lambda tb, track, quality, principal: clients.rip_saavn(
-            tb.net, tb.env, tb.song_url("jiosaavn", track), bit_rate=quality or "320"
+            tb.net, tb.env, tb.song_url("jiosaavn", track), bit_rate=quality
         ),
     ),
     ServiceSpec(
@@ -76,7 +76,7 @@ SPECS = (
         _path(r".*/master\.m3u8"),
         lambda tb, track, quality, principal: clients.rip_gaana(
             tb.net, tb.env, tb.song_url("gaana", track),
-            tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality or "high",
+            tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality,
         ),
     ),
     ServiceSpec(

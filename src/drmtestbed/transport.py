@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 ALLOWED_STATUSES = (200, 400, 401, 403, 404)
+_METHODS = ("GET", "POST")
 _UUID_SHAPE = (8, 4, 4, 4, 12)
 
 # rng.choice over 16 digits keeps the top 5 bits of one 32-bit word and
@@ -107,7 +108,10 @@ class Headers(dict):
         return super().setdefault(key.lower(), default)
 
     def copy(self):
-        return Headers(self)
+        # a plain dict copy: the keys are folded already
+        dup = dict.__new__(Headers)
+        dict.update(dup, self)
+        return dup
 
     def update(self, items=None, **kw):
         if items:
@@ -128,7 +132,7 @@ class HttpRequest:
     body: bytes = b""
 
     def __post_init__(self):
-        if self.method not in ("GET", "POST"):
+        if self.method not in _METHODS:
             raise ValueError(f"method {self.method!r}")
         if not isinstance(self.headers, Headers):
             self.headers = Headers(self.headers)
@@ -177,18 +181,38 @@ class Tap:
         return list(self._records)
 
 
+def _checked_request(
+    method: str,
+    path: str,
+    query: dict[str, str],
+    headers: Headers,
+    cookies: dict[str, str],
+    body: bytes,
+) -> HttpRequest:
+    """An HttpRequest filled without __init__ and __post_init__, from
+    fields the caller has already checked: a known method and folded
+    header keys."""
+    req = object.__new__(HttpRequest)
+    req.method = method
+    req.path = path
+    req.query = query
+    req.headers = headers
+    req.cookies = cookies
+    req.body = body
+    return req
+
+
 def copy_request(req: HttpRequest) -> HttpRequest:
-    """A snapshot sharing no dict with req. It skips __init__ and
-    __post_init__: req was validated when it was built, and its header
-    keys are folded already."""
-    dup = object.__new__(HttpRequest)
-    dup.method = req.method
-    dup.path = req.path
-    dup.query = req.query.copy()
-    dup.headers = req.headers.copy()
-    dup.cookies = req.cookies.copy()
-    dup.body = req.body
-    return dup
+    """A snapshot sharing no dict with req; req was validated when it
+    was built."""
+    return _checked_request(
+        req.method,
+        req.path,
+        req.query.copy(),
+        req.headers.copy(),
+        req.cookies.copy(),
+        req.body,
+    )
 
 
 def copy_response(resp: HttpResponse) -> HttpResponse:
@@ -238,7 +262,8 @@ class Network:
         self._taps.remove(tap)
 
     def dispatch(self, host: str, request: HttpRequest) -> HttpResponse:
-        request.headers.setdefault("host", host)
+        # "host" is lower case already, so the fold can be skipped
+        dict.setdefault(request.headers, "host", host)
         handler = self._routes.get(host)
         if handler is None:
             response = error_response(404, f"no route to {host}")
@@ -266,7 +291,9 @@ class Network:
         host, path, query = split_url(url)
         if extra_query:
             query.update(extra_query)
-        req = HttpRequest(
+        if method not in _METHODS:
+            raise ValueError(f"method {method!r}")
+        req = _checked_request(
             method, path, query, Headers(headers), dict(cookies or ()), body
         )
         return self.dispatch(host, req)

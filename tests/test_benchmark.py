@@ -118,6 +118,34 @@ def test_resolve_requires_live_bearer(rig):
     assert _resolve(net, bearer).status == 401
 
 
+def test_bearer_store_holds_only_the_live_window(rig):
+    # 10k token grants with the clock stepped 700 s after each: a bearer
+    # lives bearer_ttl (3600 s), so at most ceil(3600 / 700) = 6 are live
+    svc, net, env, _catalog = rig
+    step = 700
+    window = -(-svc.bearer_ttl // step)
+    login = _login(net)
+    cookies = dict(login.set_cookies)
+    first = None
+    for _ in range(10_000):
+        token = net.post(f"https://{bench.HOST_API}{bench.TOKEN_PATH}", cookies=cookies)
+        bearer = json.loads(token.body)["bearer"]
+        first = first or bearer
+        assert _resolve(net, bearer).status == 200
+        assert len(svc._bearers) <= window
+        env.clock.advance(step)
+    assert len(svc._bearers) == window
+    # an evicted bearer answers exactly as an expired one still stored
+    assert first not in svc._bearers
+    expired = _bearer(net)
+    env.clock.advance(svc.bearer_ttl)
+    assert expired in svc._bearers
+    evicted_resp, expired_resp = _resolve(net, first), _resolve(net, expired)
+    assert evicted_resp.status == expired_resp.status == 401
+    assert evicted_resp.body == expired_resp.body
+    assert json.loads(evicted_resp.body) == {"error": "bearer missing or expired"}
+
+
 def test_resolve_unknown_track_404(rig):
     _svc, net, _env, _catalog = rig
     assert _resolve(net, _bearer(net), "trk9").status == 404

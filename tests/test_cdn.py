@@ -192,6 +192,28 @@ def test_gate_checks_each_grant_signature_once(bed, monkeypatch):
     assert len(calls) == 2  # one grant for the HLS tree, one check
 
 
+def test_gate_hit_refuses_another_signature():
+    # same Policy and Key-Pair-Id as the cached grant, signed under
+    # another secret
+    gate, path, now = GrantGate(SECRET, KPID), "/hls/a/x", 1995
+    query = _GATE_A.as_query()
+    assert gate.admits(query, path, now)
+    forged = issue_grant(b"not the cdn secret", KPID, "/hls/a/", 2000)
+    assert forged.policy == _GATE_A.policy and forged.signature != _GATE_A.signature
+    assert not gate.admits(dict(query, **{SIGNATURE_PARAM: forged.signature}), path, now)
+    assert gate.admits(query, path, now)
+
+
+@pytest.mark.parametrize("param", [POLICY_PARAM, SIGNATURE_PARAM, KEY_PAIR_PARAM])
+def test_gate_hit_refuses_a_dropped_parameter(param):
+    gate, path, now = GrantGate(SECRET, KPID), "/hls/a/x", 1995
+    query = _GATE_A.as_query()
+    assert gate.admits(query, path, now)
+    del query[param]
+    assert not gate.admits(query, path, now)
+    assert gate.admits(_GATE_A.as_query(), path, now)
+
+
 def test_far_future_constant():
     assert FAR_FUTURE == 4102444800
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from drmtestbed.catalog import ServiceCatalog
+import drmtestbed.ripper as ripper_mod
+from drmtestbed.catalog import ServiceCatalog, save_catalog
+from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset, render_index, segment
-from drmtestbed.ripper import tap_rip
+from drmtestbed.ripper import _index_candidates, tap_rip
+from drmtestbed.testbed import Testbed
 from drmtestbed.transport import HttpRequest, HttpResponse, TapRecord
 
 MEDIA = AUDIO_MAGIC + bytes(range(256)) * 10
@@ -160,6 +163,56 @@ class TestOutcomes:
         )
         result = tap_rip([_rec(1, "/f", alt)], cat, "svc", "trk")
         assert result.matched_catalog and result.recovered == alt
+
+
+class TestPlaylistPrefix:
+    """Only a body whose bytes start with #EXTM3U is decoded and parsed."""
+
+    def test_clean_index_is_a_candidate(self):
+        assert len(_index_candidates(_tree(MEDIA))) == 1
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda index: index + b"\xff",  # #EXTM3U, then invalid UTF-8
+            lambda index: b"\xef\xbb\xbf" + index,  # a BOM before #EXTM3U
+        ],
+        ids=["invalid-utf8", "bom"],
+    )
+    def test_mangled_index_is_not_a_playlist(self, mangle):
+        recs = _tree(MEDIA)
+        recs[0] = _rec(recs[0].seq, recs[0].request.path, mangle(recs[0].response.body))
+        assert _index_candidates(recs) == []
+
+    @pytest.mark.parametrize("view", [bytes, memoryview])
+    def test_megabyte_audio_body_is_not_a_playlist(self, view):
+        body = view(AUDIO_MAGIC + bytes((1 << 20) - len(AUDIO_MAGIC)))
+        assert _index_candidates([_rec(1, "/file/t/320.aud", body)]) == []
+
+    def test_only_tagged_bodies_are_decoded(self, tmp_path, monkeypatch):
+        # a catalog-size track: 1 MB top variant, whole-file and HLS rips
+        big = MediaAsset(
+            "trk1",
+            "Big Track",
+            {
+                rate: AUDIO_MAGIC + bytes(range(256)) * (size // 256)
+                for rate, size in ((320, 1 << 20), (128, 1 << 18), (64, 1 << 17))
+            },
+        )
+        save_catalog(ServiceCatalog(assets={"trk1": big}), tmp_path)
+        bed = Testbed(TestbedConfig(catalog_dir=str(tmp_path)))
+        decoded = []
+        real = ripper_mod._decode_text
+        monkeypatch.setattr(
+            ripper_mod, "_decode_text", lambda body: decoded.append(body) or real(body)
+        )
+        for service, playlists in (("jiosaavn", 0), ("hungama", 0), ("wynk-v1", 2)):
+            decoded.clear()
+            result, client_error = bed.rip(service, "trk1")
+            assert client_error == "" and result.matched_catalog, service
+            assert result.recovered == big.variant(320)
+            assert len(decoded) == playlists, service
+            assert all(bytes(body[:7]) == b"#EXTM3U" for body in decoded)
 
 
 class TestAgainstLiveServices:

@@ -289,6 +289,37 @@ def test_extra_query_merges_after_url_query():
     assert captured["qs"] == "a=1&b=2&c=3"
 
 
+def test_request_refuses_an_unknown_method():
+    net = _echo_network()
+    tap = net.attach_tap()
+    with pytest.raises(ValueError, match="PUT"):
+        net.request("PUT", "https://echo.test/p")
+    assert tap.records() == []
+
+
+def test_request_folds_header_keys_and_owns_its_cookies():
+    seen = []
+    env = DeterministicEnv(seed=3, clock_start=0)
+    net = Network(env)
+
+    def handler(req):
+        seen.append(req)
+        return json_response({})
+
+    net.register("c.test", handler)
+    tap = net.attach_tap()
+    cookies = {"sid": "1"}
+    net.get("https://c.test/p", headers={"X-Bsy-Tk": "t", "Range": "r"}, cookies=cookies)
+    req = seen[0]
+    assert type(req.headers) is Headers
+    assert dict(req.headers) == {"x-bsy-tk": "t", "range": "r", "host": "c.test"}
+    assert req.cookies is not cookies
+    cookies["sid"] = "tampered"
+    cookies["extra"] = "1"
+    assert req.cookies == {"sid": "1"}
+    assert tap.records()[0].request.cookies == {"sid": "1"}
+
+
 def test_post_carries_body():
     captured = {}
     env = DeterministicEnv(seed=3, clock_start=0)
