@@ -25,7 +25,7 @@ from .hls import (
     render_master,
     segment,
 )
-from .transport import Clock, HttpRequest, HttpResponse, error_response
+from .transport import Clock, HttpRequest, HttpResponse, error_response, query_string
 
 POLICY_PARAM = "Policy"
 SIGNATURE_PARAM = "Signature"
@@ -49,7 +49,7 @@ class SignedGrant:
         }
 
     def query_string(self) -> str:
-        return "&".join(f"{k}={v}" for k, v in self.as_query().items())
+        return query_string(self.as_query())
 
     @classmethod
     def from_query(cls, query: dict[str, str]):

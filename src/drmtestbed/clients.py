@@ -25,7 +25,7 @@ from .services import wynk as wynk_mod
 from .services.gaana import parse_song_page as parse_gaana_page
 from .services.saavn import parse_song_page as parse_saavn_page
 from .services.wynk import encode_cip, mix_it, search_id
-from .transport import DeterministicEnv, Network, split_url
+from .transport import DeterministicEnv, Network, query_string, split_url
 
 USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) testbed-player/1.0"
 
@@ -81,14 +81,14 @@ def _wynk_stream_call(net, env, *, path, sid, uid, token, extra_headers):
     query = dict(wynk_mod.STREAM_QUERY)
     if path == wynk_mod.V2_STREAM_PATH:
         query["id"] = sid
-    query_string = "&".join(f"{k}={v}" for k, v in query.items())
+    qs = query_string(query)
     body = "{}"
-    msg = wynk_mod.stream_message("POST", path, query_string, body)
+    msg = wynk_mod.stream_message("POST", path, qs, body)
     utkn = f"{uid}:{b64(hmac_sha1(token.encode('ascii'), msg.encode('utf-8')))}"
     headers = {"x-bsy-utkn": utkn}
     headers.update(extra_headers)
     resp = net.post(
-        f"https://{wynk_mod.HOST_PLAYBACK}{path}?{query_string}",
+        f"https://{wynk_mod.HOST_PLAYBACK}{path}?{qs}",
         body=body.encode("ascii"),
         headers=headers,
     )

@@ -51,6 +51,8 @@ class TestbedConfig:
             raise ConfigError(f"{name} is not hex: {raw!r}") from exc
         if want_len is not None and len(data) != want_len:
             raise ConfigError(f"{name} must be {want_len} bytes, got {len(data)}")
+        if not data:
+            raise ConfigError(f"{name} is empty")
         return data
 
     def wynk_cdn_secret(self) -> bytes:
@@ -87,6 +89,7 @@ class TestbedConfig:
         return self._hex("device_key_hex", 16)
 
 
+_FIELDS = {f.name for f in fields(TestbedConfig)}
 _INT_FIELDS = {
     f.name for f in fields(TestbedConfig) if f.type == "int"
 }
@@ -102,7 +105,7 @@ def parse_config(text: str) -> TestbedConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if not hasattr(cfg, key):
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in _INT_FIELDS:
             try:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from random import Random
 
-from ..catalog import ServiceCatalog
+from ..catalog import ServiceCatalog, slugify
 from ..cdn import CdnNode
 from ..config import TestbedConfig
 from ..crypto_kit import (
@@ -36,6 +36,7 @@ from ..transport import (
     error_response,
     hex_digits,
     json_response,
+    uuid_like,
 )
 from ..webassets import script_response
 
@@ -92,10 +93,7 @@ def gen_bk(now: int, rng: Random) -> str:
 
 
 def gen_device_id(rng: Random) -> str:
-    def uuid_like():
-        return "-".join(hex_digits(rng, n) for n in (8, 4, 4, 4, 12))
-
-    return uuid_like() + uuid_like()
+    return uuid_like(rng) + uuid_like(rng)
 
 
 def mix_it(halve: str, bk: str) -> str:
@@ -176,8 +174,9 @@ class WynkService:
         net.register(HOST_LOGIN, self._handle_login)
         net.register(self.cdn.host, self.cdn.handler)
 
-    def song_url(self, asset_id: str, slug: str, producer: str = "srch") -> str:
-        return f"https://wynk.in/music/song/{slug}/{producer}_{asset_id}"
+    def song_url(self, asset_id: str) -> str:
+        slug = slugify(self.catalog.asset(asset_id).title)
+        return f"https://wynk.in/music/song/{slug}/srch_{asset_id}"
 
     # ---- v1 ---------------------------------------------------------------
 

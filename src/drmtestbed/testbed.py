@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import benchmark as bench
 from . import clients
-from .catalog import demo_catalog, load_catalog, slugify
+from .catalog import demo_catalog, load_catalog
 from .config import TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import GaanaService, HungamaService, SaavnService, WynkService
@@ -150,8 +150,6 @@ class Testbed:
         server = getattr(self, _spec(service).server)
         if server is self.benchmark:
             raise ValueError(f"no song urls for {service!r}")
-        if server is self.wynk:
-            return server.song_url(track, slugify(self.catalog.asset(track).title))
         return server.song_url(track)
 
     def secret_material(self) -> list[str]:

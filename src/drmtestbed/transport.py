@@ -5,9 +5,15 @@ Nothing here opens a socket. Services register a handler per host,
 clients dispatch requests through the Network, and every exchange is
 copied into any attached taps with a strictly increasing sequence
 number. Tap readers only ever see copies, so observing traffic can
-never change it. The copies are snapshots filled straight from the
-exchange's own fields, without re-validation: a request or response
-was checked once, when it was built.
+never change it.
+
+Every request and response is built one way, through its constructor,
+which checks the method or status and copies each dict it is given, so
+an exchange owns its dicts from the moment it exists. A request folds
+its header keys to lower case there and nowhere else (field names are
+case-insensitive, RFC 9110 section 5.1), so handlers read headers by
+lower-case name. Tap snapshots and replay copies go through the same
+constructors.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ def hex_digits(rng: random.Random, n: int) -> str:
         words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
         out += words[3::4].translate(_HEX_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
     return out.decode("ascii")
+
+
+def uuid_like(rng: random.Random) -> str:
+    """An (8,4,4,4,12) dashed run of hex digits drawn from rng."""
+    return "-".join(hex_digits(rng, n) for n in _UUID_SHAPE)
 
 
 class Clock:
@@ -77,49 +88,7 @@ class DeterministicEnv:
         return self.rng.randbytes(n)
 
     def uuid_like(self) -> str:
-        return "-".join(self.hex_token(n) for n in _UUID_SHAPE)
-
-
-class Headers(dict):
-    """dict with case-folded keys; 'TK' and 'tk' are the same header."""
-
-    def __init__(self, items=None):
-        if isinstance(items, Headers):
-            super().__init__(items)  # keys already folded
-        elif items:
-            pairs = items.items() if isinstance(items, dict) else items
-            super().__init__({k.lower(): v for k, v in pairs})
-        else:
-            super().__init__()
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key.lower(), value)
-
-    def __getitem__(self, key):
-        return super().__getitem__(key.lower())
-
-    def __contains__(self, key):
-        return super().__contains__(key.lower())
-
-    def get(self, key, default=None):
-        return super().get(key.lower(), default)
-
-    def setdefault(self, key, default=None):
-        return super().setdefault(key.lower(), default)
-
-    def copy(self):
-        # a plain dict copy: the keys are folded already
-        dup = dict.__new__(Headers)
-        dict.update(dup, self)
-        return dup
-
-    def update(self, items=None, **kw):
-        if items:
-            pairs = items.items() if isinstance(items, dict) else items
-            for k, v in pairs:
-                self[k] = v
-        for k, v in kw.items():
-            self[k] = v
+        return uuid_like(self.rng)
 
 
 @dataclass
@@ -127,18 +96,20 @@ class HttpRequest:
     method: str
     path: str
     query: dict[str, str] = field(default_factory=dict)  # insertion-ordered
-    headers: Headers = field(default_factory=Headers)
+    headers: dict[str, str] = field(default_factory=dict)  # lower-case keys
     cookies: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method {self.method!r}")
-        if not isinstance(self.headers, Headers):
-            self.headers = Headers(self.headers)
+        self.query = dict(self.query)
+        # last duplicate wins, at the first one's position
+        self.headers = {k.lower(): v for k, v in self.headers.items()}
+        self.cookies = dict(self.cookies)
 
     def query_string(self) -> str:
-        return "&".join(f"{k}={v}" for k, v in self.query.items())
+        return query_string(self.query)
 
 
 @dataclass
@@ -151,6 +122,8 @@ class HttpResponse:
     def __post_init__(self):
         if self.status not in ALLOWED_STATUSES:
             raise ValueError(f"status {self.status} not in {ALLOWED_STATUSES}")
+        self.headers = dict(self.headers)
+        self.set_cookies = dict(self.set_cookies)
 
 
 def json_response(payload, status: int = 200) -> HttpResponse:
@@ -181,48 +154,14 @@ class Tap:
         return list(self._records)
 
 
-def _checked_request(
-    method: str,
-    path: str,
-    query: dict[str, str],
-    headers: Headers,
-    cookies: dict[str, str],
-    body: bytes,
-) -> HttpRequest:
-    """An HttpRequest filled without __init__ and __post_init__, from
-    fields the caller has already checked: a known method and folded
-    header keys."""
-    req = object.__new__(HttpRequest)
-    req.method = method
-    req.path = path
-    req.query = query
-    req.headers = headers
-    req.cookies = cookies
-    req.body = body
-    return req
-
-
 def copy_request(req: HttpRequest) -> HttpRequest:
-    """A snapshot sharing no dict with req; req was validated when it
-    was built."""
-    return _checked_request(
-        req.method,
-        req.path,
-        req.query.copy(),
-        req.headers.copy(),
-        req.cookies.copy(),
-        req.body,
-    )
+    """A snapshot sharing no dict with req."""
+    return HttpRequest(req.method, req.path, req.query, req.headers, req.cookies, req.body)
 
 
 def copy_response(resp: HttpResponse) -> HttpResponse:
-    """A snapshot sharing no dict with resp; see copy_request."""
-    dup = object.__new__(HttpResponse)
-    dup.status = resp.status
-    dup.headers = resp.headers.copy()
-    dup.set_cookies = resp.set_cookies.copy()
-    dup.body = resp.body
-    return dup
+    """A snapshot sharing no dict with resp."""
+    return HttpResponse(resp.status, resp.headers, resp.set_cookies, resp.body)
 
 
 def split_url(url: str) -> tuple[str, str, dict[str, str]]:
@@ -237,6 +176,11 @@ def split_url(url: str) -> tuple[str, str, dict[str, str]]:
             key, _, value = item.partition("=")
             query[key] = value
     return parts.netloc, parts.path or "/", query
+
+
+def query_string(query: dict[str, str]) -> str:
+    """The raw k=v&... join in insertion order, undoing split_url's split."""
+    return "&".join(f"{k}={v}" for k, v in query.items())
 
 
 class Network:
@@ -262,8 +206,7 @@ class Network:
         self._taps.remove(tap)
 
     def dispatch(self, host: str, request: HttpRequest) -> HttpResponse:
-        # "host" is lower case already, so the fold can be skipped
-        dict.setdefault(request.headers, "host", host)
+        request.headers.setdefault("host", host)
         handler = self._routes.get(host)
         if handler is None:
             response = error_response(404, f"no route to {host}")
@@ -291,11 +234,7 @@ class Network:
         host, path, query = split_url(url)
         if extra_query:
             query.update(extra_query)
-        if method not in _METHODS:
-            raise ValueError(f"method {method!r}")
-        req = _checked_request(
-            method, path, query, Headers(headers), dict(cookies or ()), body
-        )
+        req = HttpRequest(method, path, query, headers or {}, cookies or {}, body)
         return self.dispatch(host, req)
 
     def get(self, url: str, **kw) -> HttpResponse:

@@ -10,6 +10,8 @@ import pytest
 
 from drmtestbed.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, run
 
+from test_config import UNSIZED_SECRETS
+
 
 class TestRip:
     def test_rip_writes_media_and_reports(self, tmp_path, capsys):
@@ -120,6 +122,23 @@ class TestUsage:
         code = main(["audit", "--config", str(tmp_path / "none.conf")])
         assert code == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["gaana_key=00", "__class__=x", "rip=1"])
+    def test_config_key_that_is_not_a_field_exits_64(self, tmp_path, capsys, line):
+        conf = tmp_path / "t.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        assert main(["audit", "--config", str(conf)]) == EXIT_USAGE
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err == f"testbed: line 1: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("field", UNSIZED_SECRETS)
+    def test_empty_secret_exits_64(self, tmp_path, capsys, field):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"{field} =\n", encoding="utf-8")
+        code = main(["rip", "--config", str(conf), "--service", "wynk-v1",
+                     "--track", "trk1", "--out", str(tmp_path / "x.aud")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"testbed: {field} is empty\n"
 
     def test_config_file_reaches_the_testbed(self, tmp_path, capsys):
         conf = tmp_path / "t.conf"

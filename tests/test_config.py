@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from drmtestbed.config import ConfigError, TestbedConfig, load_config, parse_config
+
+# the *_hex secrets of any length but zero
+UNSIZED_SECRETS = (
+    "wynk_cdn_secret_hex",
+    "saavn_cdn_secret_hex",
+    "gaana_cdn_secret_hex",
+    "hungama_cdn_secret_hex",
+    "benchmark_cdn_secret_hex",
+    "hungama_token_secret_hex",
+)
 
 
 class TestDefaults:
@@ -100,6 +112,25 @@ class TestParsing:
     def test_variable_length_secret_allows_any_size(self):
         cfg = parse_config("wynk_cdn_secret_hex = ff00")
         assert cfg.wynk_cdn_secret() == b"\xff\x00"
+
+    @pytest.mark.parametrize("field", UNSIZED_SECRETS)
+    def test_empty_secret_rejected(self, field):
+        cfg = parse_config(f"{field} =")
+        with pytest.raises(ConfigError, match=f"{field} is empty"):
+            getattr(cfg, field.removesuffix("_hex"))()
+
+    def test_every_other_hex_field_is_sized(self):
+        hexes = {f.name for f in fields(TestbedConfig) if f.name.endswith("_hex")}
+        for name in hexes - set(UNSIZED_SECRETS):
+            for value in ("00", ""):
+                cfg = parse_config(f"{name} = {value}")
+                with pytest.raises(ConfigError, match="must be 16 bytes"):
+                    getattr(cfg, name.removesuffix("_hex"))()
+
+    @pytest.mark.parametrize("key", ["gaana_key", "__class__", "_hex", "__dict__"])
+    def test_keys_that_are_not_fields_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key {key!r}"):
+            parse_config(f"{key} = 00")
 
 
 class TestLoading:

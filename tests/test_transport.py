@@ -14,7 +14,6 @@ from drmtestbed.transport import (
     ALLOWED_STATUSES,
     Clock,
     DeterministicEnv,
-    Headers,
     HttpRequest,
     HttpResponse,
     Network,
@@ -25,7 +24,9 @@ from drmtestbed.transport import (
     export_tap,
     hex_digits,
     json_response,
+    query_string,
     split_url,
+    uuid_like,
 )
 
 # ----------------------------------------------------------------- clock
@@ -101,6 +102,7 @@ def test_hex_token_draws_what_the_choice_loop_draws(seed, n):
 def test_uuid_like_draws_what_the_choice_loop_draws(seed):
     env, old = DeterministicEnv(seed, 0), random.Random(seed)
     assert env.uuid_like() == _old_uuid_like(old)
+    assert uuid_like(env.rng) == _old_uuid_like(old)
     assert env.rng.random() == old.random()
 
 
@@ -127,53 +129,42 @@ def test_hex_digits_of_nothing_draws_nothing():
 
 
 # ---------------------------------------------------------------- headers
+# Field names are case-insensitive (RFC 9110 section 5.1): a request folds
+# them once, when it is built, and handlers read them lower case.
+
+
+def _header_network():
+    seen = []
+    net = Network(DeterministicEnv(seed=3, clock_start=0))
+    net.register("f.test", lambda req: seen.append(req) or json_response({}))
+    return net, net.attach_tap(), seen
 
 
 def test_headers_case_folding():
-    h = Headers({"X-Bsy-Tk": "1"})
-    assert h["x-bsy-tk"] == "1"
-    assert h.get("X-BSY-TK") == "1"
-    assert "x-bsy-TK" in h
-    h["Content-Type"] = "a"
-    h.update({"CONTENT-type": "b"})
-    assert h["content-type"] == "b"
-    h.setdefault("Host", "x")
-    h.setdefault("HOST", "y")
-    assert h["host"] == "x"
-    assert set(h) == {"x-bsy-tk", "content-type", "host"}
-
-
-def test_headers_from_pairs():
-    h = Headers([("A", "1"), ("a", "2")])
-    assert h == {"a": "2"}
+    req = HttpRequest(method="GET", path="/", headers={"X-Bsy-Tk": "1", "HOST": "h"})
+    assert req.headers == {"x-bsy-tk": "1", "host": "h"}
+    net, tap, seen = _header_network()
+    net.get("https://f.test/a", headers={"X-Bsy-Tk": "1", "Content-TYPE": "b"})
+    want = {"x-bsy-tk": "1", "content-type": "b", "host": "f.test"}
+    assert seen[0].headers == want and tap.records()[0].request.headers == want
 
 
 def test_headers_last_duplicate_wins_at_first_position():
-    assert Headers([("A", "1"), ("a", "2")])["a"] == "2"
-    h = Headers({"B": "1", "c": "2", "b": "3"})
-    assert list(h.items()) == [("b", "3"), ("c", "2")]
-
-
-def test_headers_of_headers_is_a_new_object():
-    h = Headers({"TK": "1"})
-    dup = Headers(h)
-    assert type(dup) is Headers and dup == h and dup is not h
-    dup["tk"] = "2"
-    assert h["tk"] == "1"
+    req = HttpRequest(method="GET", path="/", headers={"B": "1", "c": "2", "b": "3"})
+    assert list(req.headers.items()) == [("b", "3"), ("c", "2")]
+    net, _tap, seen = _header_network()
+    net.get("https://f.test/a", headers={"Range": "1", "x": "2", "RANGE": "3"})
+    assert list(seen[0].headers.items()) == [("range", "3"), ("x", "2"), ("host", "f.test")]
 
 
 def test_headers_of_nothing_is_empty():
-    for items in (None, [], {}, Headers()):
-        assert Headers(items) == {}
-
-
-def test_headers_copy_keeps_case_folding():
-    h = Headers({"TK": "1"})
-    dup = h.copy()
-    assert isinstance(dup, Headers)
-    assert dup.get("TK") == "1"
-    dup["tk"] = "2"
-    assert h["tk"] == "1"
+    assert HttpRequest(method="GET", path="/").headers == {}
+    assert HttpRequest(method="GET", path="/", headers={}).headers == {}
+    net, _tap, seen = _header_network()
+    net.get("https://f.test/a", headers=None)
+    net.get("https://f.test/b", headers={})
+    net.get("https://f.test/c")
+    assert [r.headers for r in seen] == [{"host": "f.test"}] * 3
 
 
 # ----------------------------------------------------- requests, responses
@@ -189,8 +180,15 @@ def test_request_validation_and_query_string():
 
 def test_request_header_coercion():
     req = HttpRequest(method="GET", path="/", headers={"UA": "z"})
-    assert isinstance(req.headers, Headers)
+    assert type(req.headers) is dict
     assert req.headers["ua"] == "z"
+
+
+def test_query_string_joins_raw_in_insertion_order():
+    assert query_string({}) == ""
+    assert query_string({"b": "2", "a": "x+/="}) == "b=2&a=x+/="
+    host, path, query = split_url("https://h.test/p?Policy=eyJ+/==&flag=&z=1")
+    assert query_string(query) == "Policy=eyJ+/==&flag=&z=1"
 
 
 def test_response_status_whitelist():
@@ -311,8 +309,8 @@ def test_request_folds_header_keys_and_owns_its_cookies():
     cookies = {"sid": "1"}
     net.get("https://c.test/p", headers={"X-Bsy-Tk": "t", "Range": "r"}, cookies=cookies)
     req = seen[0]
-    assert type(req.headers) is Headers
-    assert dict(req.headers) == {"x-bsy-tk": "t", "range": "r", "host": "c.test"}
+    assert type(req.headers) is dict
+    assert req.headers == {"x-bsy-tk": "t", "range": "r", "host": "c.test"}
     assert req.cookies is not cookies
     cookies["sid"] = "tampered"
     cookies["extra"] = "1"
@@ -380,7 +378,7 @@ def test_tap_holds_copies_not_references():
 
     net.register("m.test", mutating_handler)
     tap = net.attach_tap()
-    req = HttpRequest(method="GET", path="/p", query={"k": "v"}, headers=Headers())
+    req = HttpRequest(method="GET", path="/p", query={"k": "v"}, headers={})
     resp = net.dispatch("m.test", req)
     # mutate the originals after the exchange
     req.query["k"] = "tampered"
@@ -398,7 +396,7 @@ def test_tap_holds_copies_not_references():
 
 def test_copy_helpers_are_deep_enough():
     req = HttpRequest(method="POST", path="/p", query={"a": "1"},
-                      headers=Headers({"h": "v"}), cookies={"c": "1"}, body=b"b")
+                      headers={"h": "v"}, cookies={"c": "1"}, body=b"b")
     dup = copy_request(req)
     dup.query["a"] = "2"
     dup.headers["h"] = "w"
@@ -414,9 +412,9 @@ def test_copy_helpers_are_deep_enough():
 
 def test_copies_equal_their_source_and_share_no_dict():
     req = HttpRequest(method="POST", path="/p", query={"a": "1"},
-                      headers=Headers({"H": "v"}), cookies={"c": "1"}, body=b"b")
+                      headers={"H": "v"}, cookies={"c": "1"}, body=b"b")
     dup = copy_request(req)
-    assert dup == req and type(dup.headers) is Headers
+    assert dup == req and dup.headers == {"h": "v"}
     for name in ("query", "headers", "cookies"):
         assert getattr(dup, name) is not getattr(req, name)
 
@@ -426,6 +424,37 @@ def test_copies_equal_their_source_and_share_no_dict():
     assert dup2 == resp
     for name in ("headers", "set_cookies"):
         assert getattr(dup2, name) is not getattr(resp, name)
+
+
+def test_exchanges_own_their_dicts_from_construction():
+    # the caller's dicts, mutated after the exchange is built, never reach
+    # the exchange, the handler or the tap record
+    query, headers, cookies = {"k": "v"}, {"H": "v"}, {"c": "1"}
+    resp_headers, set_cookies = {"x": "1"}, {"s": "1"}
+    seen = []
+    net = Network(DeterministicEnv(seed=3, clock_start=0))
+
+    def handler(req):
+        seen.append(req)
+        resp = HttpResponse(200, resp_headers, set_cookies, b"z")
+        resp_headers["x"] = "tampered"
+        set_cookies["late"] = "1"
+        return resp
+
+    net.register("o.test", handler)
+    tap = net.attach_tap()
+    req = HttpRequest("POST", "/p", query, headers, cookies, b"b")
+    for d in (query, headers, cookies):
+        d["late"] = "tampered"
+    query["k"] = headers["H"] = cookies["c"] = "tampered"
+    resp = net.dispatch("o.test", req)
+    resp_headers["y"] = set_cookies["s"] = "tampered"
+    rec = tap.records()[0]
+    for r in (req, seen[0], rec.request):
+        assert (r.query, r.cookies) == ({"k": "v"}, {"c": "1"})
+        assert r.headers == {"h": "v", "host": "o.test"}
+    for r in (resp, rec.response):
+        assert (r.headers, r.set_cookies) == ({"x": "1"}, {"s": "1"})
 
 
 # ------------------------------------------------------------------ export

@@ -282,7 +282,7 @@ def test_v1_unknown_content_id_is_404_after_auth(rig):
 
 def test_v1_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
-    url = svc.song_url("trk2", "paper-lanterns")
+    url = svc.song_url("trk2")
     media = rip_wynk_v1(net, env, url, catalog.cp_mapping)
     assert media == catalog.asset("trk2").variant(320)
 
@@ -592,14 +592,14 @@ def test_v2_session_expires(rig):
 
 def test_v2_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
-    url = svc.song_url("trk3", "gilded-cage")
+    url = svc.song_url("trk3")
     media = rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
     assert media == catalog.asset("trk3").variant(320)
 
 
 def test_v2_rip_fails_cleanly_when_asset_missing(rig):
     svc, net, env, catalog = rig
-    url = svc.song_url("missing", "missing")
+    url = "https://wynk.in/music/song/missing/srch_missing"
     with pytest.raises(ProtocolFailure):
         rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
 
