@@ -31,6 +31,7 @@ from .transport import (
     HttpResponse,
     error_response,
     json_response,
+    query_string,
 )
 from .webassets import script_response
 
@@ -263,7 +264,7 @@ class BenchmarkService:
             grant = issue_grant(
                 self._cdn_secret, self._key_pair_id, path, expires
             )
-            uris.append(f"https://{HOST_CDN}{path}?{grant.query_string()}")
+            uris.append(f"https://{HOST_CDN}{path}?{query_string(grant)}")
         return json_response({"uris": uris, "license_url": LICENSE_URL})
 
     # ---- cdn host -----------------------------------------------------------

@@ -15,8 +15,6 @@ from random import Random
 
 from .hls import AUDIO_MAGIC, MediaAsset
 
-DEMO_CP_MAPPING = {"srch": "bsycdn1"}
-
 # (asset_id, title, premium, per-rate approximate sizes)
 _DEMO_TRACKS = (
     ("trk1", "Midnight Local", False),
@@ -29,12 +27,6 @@ _DEMO_SIZES = {320: 90000, 128: 40000, 64: 20000, 32: 10000, 16: 5000}
 @dataclass
 class ServiceCatalog:
     assets: dict[str, MediaAsset] = field(default_factory=dict)
-    cp_mapping: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        values = list(self.cp_mapping.values())
-        if len(values) != len(set(values)):
-            raise ValueError("cp_mapping values must be unique")
 
     def asset(self, asset_id: str) -> MediaAsset:
         return self.assets[asset_id]
@@ -63,7 +55,7 @@ def demo_catalog(rng: Random) -> ServiceCatalog:
         assets[asset_id] = MediaAsset(
             asset_id=asset_id, title=title, variants=variants, premium=premium
         )
-    return ServiceCatalog(assets=assets, cp_mapping=dict(DEMO_CP_MAPPING))
+    return ServiceCatalog(assets=assets)
 
 
 def save_catalog(catalog: ServiceCatalog, dirpath) -> None:
@@ -76,7 +68,7 @@ def save_catalog(catalog: ServiceCatalog, dirpath) -> None:
         (root / f"{asset.asset_id}.meta").write_text(meta, encoding="utf-8")
 
 
-def load_catalog(dirpath, cp_mapping: dict[str, str] | None = None) -> ServiceCatalog:
+def load_catalog(dirpath) -> ServiceCatalog:
     root = Path(dirpath)
     if not root.is_dir():
         raise FileNotFoundError(f"catalog directory {root} not found")
@@ -103,6 +95,4 @@ def load_catalog(dirpath, cp_mapping: dict[str, str] | None = None) -> ServiceCa
         )
     if not assets:
         raise ValueError(f"no .aud files under {root}")
-    return ServiceCatalog(
-        assets=assets, cp_mapping=dict(cp_mapping or DEMO_CP_MAPPING)
-    )
+    return ServiceCatalog(assets=assets)

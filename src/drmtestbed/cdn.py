@@ -1,10 +1,12 @@
 """Signed URL grants and the media CDN they guard.
 
-A grant is the CloudFront trio of query parameters: a base64 policy
-naming a resource prefix and an expiry epoch, an HMAC-SHA1 signature
-over the policy bytes, and a key-pair id. The CDN recomputes the
-signature over the *decoded* policy, so no amount of base64 massaging
-gets around it, and the path prefix binds a grant to one asset.
+A grant is the CloudFront trio of query parameters, issued and checked
+as the query dict that carries it: a base64 `Policy` naming a resource
+prefix and an expiry epoch, a `Signature` that is the HMAC-SHA1 of the
+policy bytes, and a `Key-Pair-Id`. The CDN recomputes the signature
+over the *decoded* policy, so no amount of base64 massaging gets around
+it, and the path prefix binds a grant to one asset. A query missing any
+of the three is refused.
 
 Each CDN host checks a grant's key-pair id and signature, and parses its
 policy, once for a run of requests carrying that grant; expiry against
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import hmac as _hmac
 import json
-from dataclasses import dataclass
 
 from .crypto_kit import DecodeError, b64, b64_decode, hmac_sha1
 from .hls import (
@@ -35,60 +36,33 @@ KEY_PAIR_PARAM = "Key-Pair-Id"
 FAR_FUTURE = 4102444800  # 2100-01-01T00:00:00Z
 
 
-@dataclass(frozen=True)
-class SignedGrant:
-    policy: str
-    signature: str
-    key_pair_id: str
-
-    def as_query(self) -> dict[str, str]:
-        return {
-            POLICY_PARAM: self.policy,
-            SIGNATURE_PARAM: self.signature,
-            KEY_PAIR_PARAM: self.key_pair_id,
-        }
-
-    def query_string(self) -> str:
-        return query_string(self.as_query())
-
-    @classmethod
-    def from_query(cls, query: dict[str, str]):
-        try:
-            return cls(
-                policy=query[POLICY_PARAM],
-                signature=query[SIGNATURE_PARAM],
-                key_pair_id=query[KEY_PAIR_PARAM],
-            )
-        except KeyError:
-            return None
-
-
 def issue_grant(
     secret: bytes, key_pair_id: str, resource_prefix: str, expires_at: int
-) -> SignedGrant:
+) -> dict[str, str]:
+    """The grant's query parameters, in wire order."""
     policy_doc = json.dumps(
         {"expires": int(expires_at), "resource": resource_prefix},
         separators=(",", ":"),
         sort_keys=True,
     ).encode("ascii")
-    return SignedGrant(
-        policy=b64(policy_doc),
-        signature=b64(hmac_sha1(secret, policy_doc)),
-        key_pair_id=key_pair_id,
-    )
+    return {
+        POLICY_PARAM: b64(policy_doc),
+        SIGNATURE_PARAM: b64(hmac_sha1(secret, policy_doc)),
+        KEY_PAIR_PARAM: key_pair_id,
+    }
 
 
 def _signed_terms(
-    secret: bytes, key_pair_id: str, grant: SignedGrant | None
+    secret: bytes, key_pair_id: str, query: dict[str, str]
 ) -> tuple[str, int] | None:
-    """(resource prefix, expiry) of a grant whose key-pair id and
-    signature check out, else None."""
-    if grant is None or grant.key_pair_id != key_pair_id:
+    """(resource prefix, expiry) of the grant in a query whose key-pair
+    id and signature check out, else None."""
+    if query.get(KEY_PAIR_PARAM) != key_pair_id:
         return None
     try:
-        policy_doc = b64_decode(grant.policy)
-        given_sig = b64_decode(grant.signature)
-    except DecodeError:
+        policy_doc = b64_decode(query[POLICY_PARAM])
+        given_sig = b64_decode(query[SIGNATURE_PARAM])
+    except (KeyError, DecodeError):
         return None
     if not _hmac.compare_digest(given_sig, hmac_sha1(secret, policy_doc)):
         return None
@@ -111,11 +85,11 @@ def _admits(terms: tuple[str, int], resource_path: str, now: int) -> bool:
 def verify_grant(
     secret: bytes,
     key_pair_id: str,
-    grant: SignedGrant | None,
+    query: dict[str, str],
     resource_path: str,
     now: int,
 ) -> bool:
-    terms = _signed_terms(secret, key_pair_id, grant)
+    terms = _signed_terms(secret, key_pair_id, query)
     return terms is not None and _admits(terms, resource_path, now)
 
 
@@ -130,7 +104,8 @@ class GrantGate:
     def __init__(self, secret: bytes, key_pair_id: str):
         self._secret = secret
         self._key_pair_id = key_pair_id
-        self._last: tuple[SignedGrant, tuple[str, int]] | None = None
+        # (policy, signature, terms) of the last grant that checked out
+        self._last: tuple[str, str, tuple[str, int]] | None = None
 
     def admits(self, query: dict[str, str], resource_path: str, now: int) -> bool:
         last = self._last
@@ -138,17 +113,16 @@ class GrantGate:
         # None, which equals no cached string
         if (
             last is not None
-            and query.get(SIGNATURE_PARAM) == last[0].signature
-            and query.get(POLICY_PARAM) == last[0].policy
-            and query.get(KEY_PAIR_PARAM) == last[0].key_pair_id
+            and query.get(SIGNATURE_PARAM) == last[1]
+            and query.get(POLICY_PARAM) == last[0]
+            and query.get(KEY_PAIR_PARAM) == self._key_pair_id
         ):
-            terms = last[1]
+            terms = last[2]
         else:
-            grant = SignedGrant.from_query(query)
-            terms = _signed_terms(self._secret, self._key_pair_id, grant)
+            terms = _signed_terms(self._secret, self._key_pair_id, query)
             if terms is None:
                 return False
-            self._last = (grant, terms)
+            self._last = (query[POLICY_PARAM], query[SIGNATURE_PARAM], terms)
         return _admits(terms, resource_path, now)
 
 
@@ -185,7 +159,6 @@ class CdnNode:
             chunks, index = segment(
                 memoryview(asset.variant(rate)),
                 self._chunk_bytes,
-                bitrate=rate,
                 uri_prefix=self.url(base),
             )
             for i, chunk in enumerate(chunks):
@@ -222,24 +195,21 @@ class CdnNode:
 
     # ---- grant issuance (service side) -------------------------------------
 
-    def hls_grant(self, key: str, expires_at: int) -> SignedGrant:
+    def hls_grant(self, key: str, expires_at: int) -> dict[str, str]:
         return issue_grant(
             self._secret, self._key_pair_id, f"/hls/{key}/", expires_at
         )
 
-    def file_grant(self, key: str, rate: int, expires_at: int) -> SignedGrant:
-        return issue_grant(
-            self._secret, self._key_pair_id, f"/file/{key}/{rate}.aud", expires_at
-        )
+    def signed_file_url(self, key: str, rate: int, expires_at: int) -> str:
+        path = f"/file/{key}/{rate}.aud"
+        grant = issue_grant(self._secret, self._key_pair_id, path, expires_at)
+        return f"{self.url(path)}?{query_string(grant)}"
 
     def master_url(self, key: str) -> str:
         return self.url(f"/hls/{key}/master.m3u8")
 
     def variant_master_url(self, key: str, rate: int) -> str:
         return self.url(f"/hls/{key}/{rate}/master.m3u8")
-
-    def file_url(self, key: str, rate: int) -> str:
-        return self.url(f"/file/{key}/{rate}.aud")
 
     # ---- serving ------------------------------------------------------------
 

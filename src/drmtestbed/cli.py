@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         return _cmd_demo(args)
-    except (ConfigError, UsageError, ValueError) as exc:
+    except (ConfigError, UsageError, ValueError, OSError) as exc:
         print(f"testbed: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

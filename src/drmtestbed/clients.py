@@ -99,7 +99,6 @@ def rip_wynk_v1(
     net: Network,
     env: DeterministicEnv,
     song_url: str,
-    cp_mapping: dict[str, str],
 ) -> bytes:
     reg = _expect_json(
         net.post(
@@ -110,7 +109,7 @@ def rip_wynk_v1(
         ),
         "device registration refused",
     )
-    sid = search_id(song_url, cp_mapping)
+    sid = search_id(song_url)
     stream = _wynk_stream_call(
         net,
         env,
@@ -159,11 +158,10 @@ def rip_wynk_v2(
     net: Network,
     env: DeterministicEnv,
     song_url: str,
-    cp_mapping: dict[str, str],
     sk: str,
 ) -> bytes:
     session = wynk_v2_handshake(net, env)
-    sid = search_id(song_url, cp_mapping)
+    sid = search_id(song_url)
     otp = totp(
         (session["dt"] + sk).encode("utf-8"), wynk_mod.TOTP_PARAMS, env.now()
     )

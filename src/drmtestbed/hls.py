@@ -75,7 +75,6 @@ class MasterManifest:
 
 @dataclass
 class IndexManifest:
-    variant_bitrate: int
     segments: list[tuple[str, float]] = field(default_factory=list)  # (uri, seconds)
 
 
@@ -83,7 +82,6 @@ def segment(
     media: bytes | memoryview,
     chunk_bytes: int,
     *,
-    bitrate: int = 128,
     uri_prefix: str = "",
 ) -> tuple[list[bytes | memoryview], IndexManifest]:
     """Split media into fixed-size chunks (last one ragged) and build the
@@ -94,7 +92,7 @@ def segment(
     segs = [
         (f"{uri_prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(len(chunks))
     ]
-    return chunks, IndexManifest(variant_bitrate=bitrate, segments=segs)
+    return chunks, IndexManifest(segments=segs)
 
 
 def assemble(chunks: list[bytes]) -> bytes:
@@ -149,15 +147,15 @@ def parse_master(text: str) -> MasterManifest:
         raw = tag[len(STREAM_INF):]
         if not (raw.isascii() and raw.isdigit()):
             raise ManifestError(f"bad bandwidth {raw!r}", i + 1)
-        uri = _want_uri(lines, i + 1)
-        entries.append((int(raw), uri))
+        bandwidth = int(raw)
+        if any(bw == bandwidth for bw, _uri in entries):
+            raise ManifestError(f"duplicate bandwidth {bandwidth}", i + 1)
+        entries.append((bandwidth, _want_uri(lines, i + 1)))
         i += 2
     return MasterManifest(entries=entries)
 
 
-def parse_index(text: str, variant_bitrate: int = 0) -> IndexManifest:
-    # The wire format has no bitrate tag; the fetch context (CDN path)
-    # knows the rate, so callers pass it through when they have it.
+def parse_index(text: str) -> IndexManifest:
     lines = _lines_of(text)
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)
@@ -179,4 +177,4 @@ def parse_index(text: str, variant_bitrate: int = 0) -> IndexManifest:
         raise ManifestError(f"missing {ENDLIST}", len(lines) + 1)
     if i != len(lines) - 1:
         raise ManifestError(f"content after {ENDLIST}", i + 2)
-    return IndexManifest(variant_bitrate=variant_bitrate, segments=segments)
+    return IndexManifest(segments=segments)

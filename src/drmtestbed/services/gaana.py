@@ -18,6 +18,7 @@ from ..transport import (
     HttpRequest,
     HttpResponse,
     error_response,
+    query_string,
 )
 from ..webassets import page_response, script_response
 
@@ -87,7 +88,7 @@ class GaanaService:
     def _authorized_uri(self, asset_id: str, quality: str) -> str:
         rate = QUALITY_RATES[quality]
         grant = self.cdn.hls_grant(asset_id, FAR_FUTURE)
-        return f"{self.cdn.variant_master_url(asset_id, rate)}?{grant.query_string()}"
+        return f"{self.cdn.variant_master_url(asset_id, rate)}?{query_string(grant)}"
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":

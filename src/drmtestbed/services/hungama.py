@@ -117,7 +117,7 @@ class HungamaService:
         if quality not in QUALITY_RATES:
             return error_response(400, f"quality must be one of {list(QUALITY_RATES)}")
         rate = QUALITY_RATES[quality]
-        grant = self.cdn.file_grant(song_id, rate, self.env.now() + self.grant_ttl)
+        expires_at = self.env.now() + self.grant_ttl
         return json_response(
-            {"media_url": f"{self.cdn.file_url(song_id, rate)}?{grant.query_string()}"}
+            {"media_url": self.cdn.signed_file_url(song_id, rate, expires_at)}
         )

@@ -148,7 +148,6 @@ class SaavnService:
         rate = int(bit_rate)
         if rate not in self.catalog.asset(asset_id).variants:
             return error_response(404, "variant not stocked")
-        grant = self.cdn.file_grant(asset_id, rate, FAR_FUTURE)
         return json_response(
-            {"auth_url": f"{self.cdn.file_url(asset_id, rate)}?{grant.query_string()}"}
+            {"auth_url": self.cdn.signed_file_url(asset_id, rate, FAR_FUTURE)}
         )

@@ -60,6 +60,9 @@ STREAM_QUERY = (("ets", "true"), ("hlscapable", "1"), ("sq", "a"), ("lang", "en"
 BITRATES = (320, 128, 64)
 _QUALITIES_JSON = json.dumps([str(r) for r in BITRATES], separators=(",", ":"))
 PK_SOURCE = "https://sapi.wynk.in/music"
+# song-URL producer prefix -> CDN content-provider code; the bundle
+# ships it as cpMapping
+CP_MAPPING = {"srch": "bsycdn1"}
 
 TOTP_PARAMS = TotpParams(window_seconds=600, digits=6)
 CLOCK_SKEW = 120  # seconds of tk/ptot drift the servers tolerate
@@ -76,16 +79,16 @@ def wynk_pk() -> str:
     return b64(PK_SOURCE.encode("ascii"))
 
 
-def search_id(url: str, cp_mapping: dict[str, str]) -> str:
+def search_id(url: str) -> str:
     """Map a public song URL to the CDN-side content id. The URL tail is
     <producer>_<string>; the producer prefix swaps for its CDN code."""
     tail = url.rstrip("/").rsplit("/", 1)[-1]
     producer, sep, rest = tail.partition("_")
     if not sep or not rest:
         raise ValueError(f"song url tail {tail!r} has no producer prefix")
-    if producer not in cp_mapping:
+    if producer not in CP_MAPPING:
         raise LookupError(f"unknown producer {producer!r}")
-    return f"{cp_mapping[producer]}_{rest}"
+    return f"{CP_MAPPING[producer]}_{rest}"
 
 
 def gen_bk(now: int, rng: Random) -> str:
@@ -157,7 +160,7 @@ class WynkService:
         )
         self._sids: dict[str, str] = {}  # search_id -> asset_id
         for asset in catalog.assets.values():
-            for cp_code in catalog.cp_mapping.values():
+            for cp_code in CP_MAPPING.values():
                 sid = f"{cp_code}_{asset.asset_id}"
                 self.cdn.add_hls_asset(sid, asset, BITRATES)
                 self._sids[sid] = asset.asset_id
@@ -228,7 +231,7 @@ class WynkService:
             return error_response(404, "unknown content id")
         grant = self.cdn.hls_grant(sid, self.env.now() + self.grant_ttl)
         return json_response(
-            {"url": self.cdn.master_url(sid), "cookies": grant.as_query()}
+            {"url": self.cdn.master_url(sid), "cookies": grant}
         )
 
     def _handle_playback(self, req: HttpRequest) -> HttpResponse:
@@ -256,7 +259,7 @@ class WynkService:
         if req.method != "GET":
             return error_response(400, "GET only")
         if req.path == ASSET_PATH:
-            mapping = json.dumps(self.catalog.cp_mapping, separators=(",", ":"))
+            mapping = json.dumps(CP_MAPPING, separators=(",", ":"))
             return script_response(
                 [
                     f'var sk="{self.sk}"',

@@ -32,7 +32,6 @@ class ServiceSpec:
 
     name: str  # rip name, as `testbed rip --service` takes it
     audit_name: str  # its column in the practices table
-    server: str  # the Testbed attribute holding the serving object
     bundle_url: str  # the static client script the auditor reads
     auth_path: re.Pattern  # path of the exchange that buys stream authorization
     # (bed, track, quality, principal) -> audio; a lambda, so clients.* is
@@ -48,47 +47,46 @@ _WYNK_BUNDLE = f"https://{wynk_mod.HOST_ASSETS}{wynk_mod.ASSET_PATH}"
 
 SPECS = (
     ServiceSpec(
-        "wynk-v1", "wynk-v1", "wynk", _WYNK_BUNDLE,
+        "wynk-v1", "wynk-v1", _WYNK_BUNDLE,
         _path(re.escape(wynk_mod.V1_STREAM_PREFIX) + ".*"),
         lambda tb, track, quality, principal: clients.rip_wynk_v1(
-            tb.net, tb.env, tb.song_url("wynk-v1", track), tb.catalog.cp_mapping
+            tb.net, tb.env, tb.wynk.song_url(track)
         ),
     ),
     ServiceSpec(
-        "wynk-v2", "wynk-v2", "wynk", _WYNK_BUNDLE,
+        "wynk-v2", "wynk-v2", _WYNK_BUNDLE,
         _path(re.escape(wynk_mod.V2_STREAM_PATH)),
         lambda tb, track, quality, principal: clients.rip_wynk_v2(
-            tb.net, tb.env, tb.song_url("wynk-v2", track), tb.catalog.cp_mapping,
-            sk=tb.config.wynk_sk,
+            tb.net, tb.env, tb.wynk.song_url(track), sk=tb.config.wynk_sk
         ),
     ),
     ServiceSpec(
-        "jiosaavn", "jiosaavn", "saavn",
+        "jiosaavn", "jiosaavn",
         f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}",
         _path(re.escape(saavn_mod.API_PATH)),
         lambda tb, track, quality, principal: clients.rip_saavn(
-            tb.net, tb.env, tb.song_url("jiosaavn", track), bit_rate=quality
+            tb.net, tb.env, tb.saavn.song_url(track), bit_rate=quality
         ),
     ),
     ServiceSpec(
-        "gaana", "gaana", "gaana",
+        "gaana", "gaana",
         f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}",
         _path(r".*/master\.m3u8"),
         lambda tb, track, quality, principal: clients.rip_gaana(
-            tb.net, tb.env, tb.song_url("gaana", track),
+            tb.net, tb.env, tb.gaana.song_url(track),
             tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality,
         ),
     ),
     ServiceSpec(
-        "hungama", "hungama", "hungama",
+        "hungama", "hungama",
         f"https://{hungama_mod.HOST_WWW}{hungama_mod.ASSET_PATH}",
         _path(re.escape(hungama_mod.MDNURL_PREFIX) + ".*"),
         lambda tb, track, quality, principal: clients.rip_hungama(
-            tb.net, tb.env, tb.song_url("hungama", track), quality=quality
+            tb.net, tb.env, tb.hungama.song_url(track), quality=quality
         ),
     ),
     ServiceSpec(
-        "benchmark", "spotify-benchmark", "benchmark",
+        "benchmark", "spotify-benchmark",
         f"https://{bench.HOST_API}{bench.ASSET_PATH}",
         _path(re.escape(bench.RESOLVE_PREFIX) + ".*"),
         lambda tb, track, quality, principal: clients.play_benchmark(
@@ -145,12 +143,6 @@ class Testbed:
         return self.catalog.premium_ids()
 
     # ---- service knowledge -----------------------------------------------------
-
-    def song_url(self, service: str, track: str) -> str:
-        server = getattr(self, _spec(service).server)
-        if server is self.benchmark:
-            raise ValueError(f"no song urls for {service!r}")
-        return server.song_url(track)
 
     def secret_material(self) -> list[str]:
         """Strings that must never show up in client-visible static assets

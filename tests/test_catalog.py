@@ -7,7 +7,6 @@ import random
 import pytest
 
 from drmtestbed.catalog import (
-    DEMO_CP_MAPPING,
     ServiceCatalog,
     demo_catalog,
     load_catalog,
@@ -21,7 +20,6 @@ def test_demo_catalog_shape():
     cat = demo_catalog(random.Random(7))
     assert cat.track_ids() == ["trk1", "trk2", "trk3"]
     assert cat.premium_ids() == ["trk3"]
-    assert cat.cp_mapping == DEMO_CP_MAPPING
     for asset in cat.assets.values():
         assert set(asset.variants) == {320, 128, 64, 32, 16}
         for blob in asset.variants.values():
@@ -37,11 +35,6 @@ def test_demo_catalog_deterministic_per_seed():
     c = demo_catalog(random.Random(8))
     assert a.assets["trk1"].variants[320] == b.assets["trk1"].variants[320]
     assert a.assets["trk1"].variants[320] != c.assets["trk1"].variants[320]
-
-
-def test_cp_mapping_values_must_be_unique():
-    with pytest.raises(ValueError):
-        ServiceCatalog(assets={}, cp_mapping={"a": "x", "b": "x"})
 
 
 @pytest.mark.parametrize("title,slug", [
@@ -90,13 +83,6 @@ def test_load_rejects_non_ascii_rate_digits(tmp_path):
     (tmp_path / "trk1.\u00b2.aud").write_bytes(AUDIO_MAGIC)
     with pytest.raises(ValueError, match="bad catalog filename"):
         load_catalog(tmp_path)
-
-
-def test_load_custom_cp_mapping(tmp_path):
-    cat = demo_catalog(random.Random(1))
-    save_catalog(cat, tmp_path)
-    loaded = load_catalog(tmp_path, cp_mapping={"alt": "cdn9"})
-    assert loaded.cp_mapping == {"alt": "cdn9"}
 
 
 def test_asset_ids_with_dots_round_trip(tmp_path):

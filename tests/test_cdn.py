@@ -17,13 +17,12 @@ from drmtestbed.cdn import (
     SIGNATURE_PARAM,
     CdnNode,
     GrantGate,
-    SignedGrant,
     issue_grant,
     verify_grant,
 )
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1
 from drmtestbed.hls import MediaAsset, parse_index, parse_master
-from drmtestbed.transport import Clock, HttpRequest
+from drmtestbed.transport import Clock, HttpRequest, query_string, split_url
 
 SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
 KPID = "KTEST01"
@@ -33,29 +32,33 @@ def _grant(prefix="/hls/a/", expires=2000):
     return issue_grant(SECRET, KPID, prefix, expires)
 
 
+def _forge(grant, **fields):
+    """A copy of a grant with some of its parameters replaced."""
+    return {**grant, **fields}
+
+
 # ------------------------------------------------------------------ grants
 
 
 def test_grant_policy_is_inspectable_base64_json():
     grant = _grant()
-    policy = json.loads(b64_decode(grant.policy))
+    policy = json.loads(b64_decode(grant[POLICY_PARAM]))
     assert policy == {"expires": 2000, "resource": "/hls/a/"}
     # signature is HMAC-SHA1 over the decoded policy bytes
     doc = json.dumps(policy, separators=(",", ":"), sort_keys=True).encode()
-    assert b64_decode(grant.signature) == hmac_sha1(SECRET, doc)
-    assert grant.key_pair_id == KPID
+    assert b64_decode(grant[SIGNATURE_PARAM]) == hmac_sha1(SECRET, doc)
+    assert grant[KEY_PAIR_PARAM] == KPID
 
 
 def test_grant_query_round_trip():
     grant = _grant()
-    query = grant.as_query()
-    assert set(query) == {POLICY_PARAM, SIGNATURE_PARAM, KEY_PAIR_PARAM}
-    assert SignedGrant.from_query(query) == grant
-    assert SignedGrant.from_query({}) is None
-    assert SignedGrant.from_query({POLICY_PARAM: "x"}) is None
-    assert grant.query_string() == (
-        f"Policy={grant.policy}&Signature={grant.signature}&Key-Pair-Id={KPID}"
+    assert list(grant) == [POLICY_PARAM, SIGNATURE_PARAM, KEY_PAIR_PARAM]
+    policy, signature = grant[POLICY_PARAM], grant[SIGNATURE_PARAM]
+    assert query_string(grant) == (
+        f"Policy={policy}&Signature={signature}&Key-Pair-Id={KPID}"
     )
+    url = f"https://cdn.test/hls/a/master.m3u8?{query_string(grant)}"
+    assert split_url(url)[2] == grant
 
 
 def test_verify_accepts_within_scope_and_time():
@@ -84,33 +87,38 @@ def test_verify_rejects_wrong_secret_or_key_pair():
     grant = _grant()
     assert not verify_grant(b"other-secret", KPID, grant, "/hls/a/x", 0)
     assert not verify_grant(SECRET, "KOTHER", grant, "/hls/a/x", 0)
-    assert not verify_grant(SECRET, KPID, None, "/hls/a/x", 0)
+    assert not verify_grant(SECRET, KPID, {}, "/hls/a/x", 0)
 
 
 def test_forged_policy_fails_without_the_secret():
     grant = _grant(expires=2000)
     doc = json.dumps({"expires": FAR_FUTURE, "resource": "/"},
                      separators=(",", ":"), sort_keys=True).encode()
-    forged = SignedGrant(policy=b64(doc), signature=grant.signature, key_pair_id=KPID)
+    forged = _forge(grant, **{POLICY_PARAM: b64(doc)})
     assert not verify_grant(SECRET, KPID, forged, "/hls/a/x", 0)
 
 
 def test_garbage_grants_fail_closed():
     grant = _grant()
+    missing = [
+        {k: v for k, v in grant.items() if k != param}
+        for param in (POLICY_PARAM, SIGNATURE_PARAM, KEY_PAIR_PARAM)
+    ]
     for bad in (
-        SignedGrant(policy="!!", signature=grant.signature, key_pair_id=KPID),
-        SignedGrant(policy=grant.policy, signature="!!", key_pair_id=KPID),
-        SignedGrant(policy=b64(b"not json"), signature=grant.signature, key_pair_id=KPID),
-        SignedGrant(policy=b64(b'{"expires": 99}'), signature=grant.signature, key_pair_id=KPID),
-        SignedGrant(policy=b64(b'{"expires": "soon", "resource": "/"}'),
-                    signature=grant.signature, key_pair_id=KPID),
+        _forge(grant, **{POLICY_PARAM: "!!"}),
+        _forge(grant, **{SIGNATURE_PARAM: "!!"}),
+        _forge(grant, **{POLICY_PARAM: b64(b"not json")}),
+        _forge(grant, **{POLICY_PARAM: b64(b'{"expires": 99}')}),
+        _forge(grant, **{POLICY_PARAM: b64(b'{"expires": "soon", "resource": "/"}')}),
+        *missing,  # each parameter missing
     ):
         assert not verify_grant(SECRET, KPID, bad, "/hls/a/x", 0)
+        assert not GrantGate(SECRET, KPID).admits(bad, "/hls/a/x", 0)
 
 
 def test_policy_mutation_fuzz_never_verifies():
     grant = _grant("/hls/a/", expires=FAR_FUTURE)
-    raw = b64_decode(grant.policy)
+    raw = b64_decode(grant[POLICY_PARAM])
     rng = random.Random(0xCD4)
     accepted = 0
     for _ in range(300):
@@ -118,9 +126,7 @@ def test_policy_mutation_fuzz_never_verifies():
         mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
         if bytes(mutated) == raw:
             continue
-        candidate = SignedGrant(
-            policy=b64(bytes(mutated)), signature=grant.signature, key_pair_id=KPID
-        )
+        candidate = _forge(grant, **{POLICY_PARAM: b64(bytes(mutated))})
         accepted += verify_grant(SECRET, KPID, candidate, "/hls/a/x", 0)
     assert accepted == 0
 
@@ -132,10 +138,10 @@ _GATE_B = _grant("/file/b/320.aud", expires=2500)
 _GATE_GRANTS = {
     "a": _GATE_A,
     "b": _GATE_B,
-    "tampered-policy": SignedGrant(_GATE_B.policy, _GATE_A.signature, KPID),
-    "tampered-signature": SignedGrant(_GATE_A.policy, b64(bytes(20)), KPID),
-    "foreign-key-pair": SignedGrant(_GATE_A.policy, _GATE_A.signature, "KOTHER"),
-    "none": None,
+    "tampered-policy": _forge(_GATE_A, **{POLICY_PARAM: _GATE_B[POLICY_PARAM]}),
+    "tampered-signature": _forge(_GATE_A, **{SIGNATURE_PARAM: b64(bytes(20))}),
+    "foreign-key-pair": _forge(_GATE_A, **{KEY_PAIR_PARAM: "KOTHER"}),
+    "none": {},
 }
 _GATE_PATHS = (
     "/hls/a/master.m3u8",
@@ -168,10 +174,9 @@ def test_gate_answers_as_verify_grant(steps):
     gate, now = GrantGate(SECRET, KPID), 1995
     for name, path, advance in steps:
         now += advance
-        grant = _GATE_GRANTS[name]
-        query = grant.as_query() if grant else {}
+        query = dict(_GATE_GRANTS[name])
         assert gate.admits(query, path, now) == verify_grant(
-            SECRET, KPID, grant, path, now
+            SECRET, KPID, query, path, now
         ), (name, path, now)
 
 
@@ -196,22 +201,23 @@ def test_gate_hit_refuses_another_signature():
     # same Policy and Key-Pair-Id as the cached grant, signed under
     # another secret
     gate, path, now = GrantGate(SECRET, KPID), "/hls/a/x", 1995
-    query = _GATE_A.as_query()
+    query = dict(_GATE_A)
     assert gate.admits(query, path, now)
     forged = issue_grant(b"not the cdn secret", KPID, "/hls/a/", 2000)
-    assert forged.policy == _GATE_A.policy and forged.signature != _GATE_A.signature
-    assert not gate.admits(dict(query, **{SIGNATURE_PARAM: forged.signature}), path, now)
+    assert forged[POLICY_PARAM] == _GATE_A[POLICY_PARAM]
+    assert forged[SIGNATURE_PARAM] != _GATE_A[SIGNATURE_PARAM]
+    assert not gate.admits(forged, path, now)
     assert gate.admits(query, path, now)
 
 
 @pytest.mark.parametrize("param", [POLICY_PARAM, SIGNATURE_PARAM, KEY_PAIR_PARAM])
 def test_gate_hit_refuses_a_dropped_parameter(param):
     gate, path, now = GrantGate(SECRET, KPID), "/hls/a/x", 1995
-    query = _GATE_A.as_query()
+    query = dict(_GATE_A)
     assert gate.admits(query, path, now)
     del query[param]
     assert not gate.admits(query, path, now)
-    assert gate.admits(_GATE_A.as_query(), path, now)
+    assert gate.admits(dict(_GATE_A), path, now)
 
 
 def test_far_future_constant():
@@ -237,7 +243,7 @@ def _get(cdn, path, query=None):
 
 def test_cdn_serves_granted_hls_tree(node):
     cdn, _clock, asset = node
-    query = cdn.hls_grant("a1", expires_at=2000).as_query()
+    query = cdn.hls_grant("a1", expires_at=2000)
 
     master = _get(cdn, "/hls/a1/master.m3u8", query)
     assert master.status == 200
@@ -245,7 +251,7 @@ def test_cdn_serves_granted_hls_tree(node):
     assert [bw for bw, _ in entries] == [320000, 64000]
 
     index = _get(cdn, "/hls/a1/320/index.m3u8", query)
-    segs = parse_index(index.body.decode(), variant_bitrate=320).segments
+    segs = parse_index(index.body.decode()).segments
     assert len(segs) == 3  # 250 bytes at 100-byte chunks
     body = b"".join(
         _get(cdn, f"/hls/a1/320/seg_{i:05d}.ts", query).body for i in range(3)
@@ -258,7 +264,7 @@ def test_cdn_serves_granted_hls_tree(node):
 
 def test_cdn_single_variant_masters(node):
     cdn, _clock, _asset = node
-    query = cdn.hls_grant("a1", expires_at=2000).as_query()
+    query = cdn.hls_grant("a1", expires_at=2000)
     solo = _get(cdn, "/hls/a1/64/master.m3u8", query)
     entries = parse_master(solo.body.decode()).entries
     assert entries == [(64000, "https://cdn.test/hls/a1/64/index.m3u8")]
@@ -267,12 +273,14 @@ def test_cdn_single_variant_masters(node):
 
 def test_cdn_file_assets_and_exact_grants(node):
     cdn, _clock, asset = node
-    query = cdn.file_grant("f1", 320, expires_at=2000).as_query()
-    resp = _get(cdn, "/file/f1/320.aud", query)
+    url = cdn.signed_file_url("f1", 320, expires_at=2000)
+    host, path, query = split_url(url)
+    assert (host, path) == ("cdn.test", "/file/f1/320.aud")
+    assert query == issue_grant(SECRET, KPID, "/file/f1/320.aud", 2000)
+    resp = _get(cdn, path, query)
     assert resp.status == 200 and resp.body == asset.variant(320)
     # that grant covers exactly one rate
     assert _get(cdn, "/file/f1/64.aud", query).status == 403
-    assert cdn.file_url("f1", 320) == "https://cdn.test/file/f1/320.aud"
 
 
 def test_cdn_refuses_without_grant(node):
@@ -283,7 +291,7 @@ def test_cdn_refuses_without_grant(node):
 
 def test_cdn_refuses_expired_grant(node):
     cdn, clock, _asset = node
-    query = cdn.hls_grant("a1", expires_at=2000).as_query()
+    query = cdn.hls_grant("a1", expires_at=2000)
     assert _get(cdn, "/hls/a1/master.m3u8", query).status == 200
     clock.set_to(2000)
     assert _get(cdn, "/hls/a1/master.m3u8", query).status == 403
@@ -292,7 +300,7 @@ def test_cdn_refuses_expired_grant(node):
 def test_cdn_grant_does_not_leak_across_assets(node):
     cdn, _clock, asset = node
     cdn.add_hls_asset("a2", asset)
-    query = cdn.hls_grant("a1", expires_at=2000).as_query()
+    query = cdn.hls_grant("a1", expires_at=2000)
     assert _get(cdn, "/hls/a2/master.m3u8", query).status == 403
 
 
@@ -300,7 +308,7 @@ def test_cdn_404_before_grant_evaluation_order(node):
     # unknown object is 404 even with a valid grant; missing grant on a
     # real object is 403
     cdn, _clock, _asset = node
-    query = cdn.hls_grant("a1", expires_at=2000).as_query()
+    query = cdn.hls_grant("a1", expires_at=2000)
     assert _get(cdn, "/hls/a1/999/index.m3u8", query).status == 404
     assert _get(cdn, "/nothing", query).status == 404
 

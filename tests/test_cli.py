@@ -123,6 +123,14 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
+    def test_missing_catalog_dir_exits_64(self, tmp_path, capsys):
+        conf = tmp_path / "t.conf"
+        missing = tmp_path / "nonexistent"
+        conf.write_text(f"catalog_dir = {missing}\n", encoding="utf-8")
+        assert main(["audit", "--config", str(conf)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"testbed: catalog directory {missing} not found\n"
+
     @pytest.mark.parametrize("line", ["gaana_key=00", "__class__=x", "rip=1"])
     def test_config_key_that_is_not_a_field_exits_64(self, tmp_path, capsys, line):
         conf = tmp_path / "t.conf"

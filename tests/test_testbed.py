@@ -47,17 +47,13 @@ class TestWiring:
         assert bed.premium_tracks() == ["trk3"]
 
     def test_song_urls_embed_the_title_slug(self, bed):
-        for service in RIP_SERVICES[:-1]:
-            url = bed.song_url(service, "trk1")
+        for svc in (bed.wynk, bed.saavn, bed.gaana, bed.hungama):
+            url = svc.song_url("trk1")
             assert url.startswith("https://")
             assert "/song/midnight-local" in url
 
     def test_wynk_song_url_carries_the_search_id(self, bed):
-        assert bed.song_url("wynk-v1", "trk1").endswith("/srch_trk1")
-
-    def test_no_song_url_for_the_benchmark(self, bed):
-        with pytest.raises(ValueError):
-            bed.song_url("benchmark", "trk1")
+        assert bed.wynk.song_url("trk1").endswith("/srch_trk1")
 
     def test_static_assets_are_served(self, bed):
         for spec in SPECS:

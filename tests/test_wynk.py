@@ -81,14 +81,13 @@ def test_encode_cip_shape(digits):
 
 
 def test_search_id():
-    mapping = {"srch": "bsycdn1"}
     url = "https://wynk.in/music/song/midnight-local/srch_trk1"
-    assert wynk.search_id(url, mapping) == "bsycdn1_trk1"
-    assert wynk.search_id(url + "/", mapping) == "bsycdn1_trk1"
+    assert wynk.search_id(url) == "bsycdn1_trk1"
+    assert wynk.search_id(url + "/") == "bsycdn1_trk1"
     with pytest.raises(ValueError):
-        wynk.search_id("https://wynk.in/music/song/x/noprefix", mapping)
+        wynk.search_id("https://wynk.in/music/song/x/noprefix")
     with pytest.raises(LookupError):
-        wynk.search_id("https://wynk.in/music/song/x/other_trk1", mapping)
+        wynk.search_id("https://wynk.in/music/song/x/other_trk1")
 
 
 def test_wynk_pk_is_base64_of_api_root():
@@ -150,14 +149,14 @@ def test_parse_mix_rejects_junk():
 
 
 def test_client_script_leaks_the_secrets(rig):
-    _svc, net, _env, catalog = rig
+    _svc, net, _env, _catalog = rig
     resp = net.get(f"https://{wynk.HOST_ASSETS}{wynk.ASSET_PATH}")
     assert resp.status == 200
     text = resp.body.decode("utf-8")
     assert text.startswith(MINIFIED_BANNER)
     assert f'var sk="{WYNK_SK}"' in text
     assert f'var pk="{wynk.wynk_pk()}"' in text
-    assert json.dumps(catalog.cp_mapping, separators=(",", ":")) in text
+    assert 'var cpMapping={"srch":"bsycdn1"}' in text
 
 
 # ---------------------------------------------------------------------- v1
@@ -283,7 +282,7 @@ def test_v1_unknown_content_id_is_404_after_auth(rig):
 def test_v1_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk2")
-    media = rip_wynk_v1(net, env, url, catalog.cp_mapping)
+    media = rip_wynk_v1(net, env, url)
     assert media == catalog.asset("trk2").variant(320)
 
 
@@ -593,7 +592,7 @@ def test_v2_session_expires(rig):
 def test_v2_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk3")
-    media = rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
+    media = rip_wynk_v2(net, env, url, sk=svc.sk)
     assert media == catalog.asset("trk3").variant(320)
 
 
@@ -601,7 +600,7 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
     svc, net, env, catalog = rig
     url = "https://wynk.in/music/song/missing/srch_missing"
     with pytest.raises(ProtocolFailure):
-        rip_wynk_v2(net, env, url, catalog.cp_mapping, sk=svc.sk)
+        rip_wynk_v2(net, env, url, sk=svc.sk)
 
 
 # Digests of one reference-client run under a tap on a fresh default bed,
