@@ -77,7 +77,7 @@ def _grant_query_of(url: str) -> dict[str, str]:
 # ---- wynk ------------------------------------------------------------------
 
 
-def _wynk_stream_call(net, env, *, path, sid, uid, token, extra_headers):
+def _wynk_stream_call(net, *, path, sid, uid, token, extra_headers):
     query = dict(wynk_mod.STREAM_QUERY)
     if path == wynk_mod.V2_STREAM_PATH:
         query["id"] = sid
@@ -112,7 +112,6 @@ def rip_wynk_v1(
     sid = search_id(song_url)
     stream = _wynk_stream_call(
         net,
-        env,
         path=f"{wynk_mod.V1_STREAM_PREFIX}{sid}{wynk_mod.V1_STREAM_SUFFIX}",
         sid=sid,
         uid=reg["uid"],
@@ -168,7 +167,6 @@ def rip_wynk_v2(
     sealed = passphrase_seal(session["kt"], otp.encode("ascii"), env.rand_bytes(8))
     stream = _wynk_stream_call(
         net,
-        env,
         path=wynk_mod.V2_STREAM_PATH,
         sid=sid,
         uid=session["uid"],
@@ -183,7 +181,6 @@ def rip_wynk_v2(
 
 def rip_saavn(
     net: Network,
-    env: DeterministicEnv,
     song_url: str,
     bit_rate: str | None = None,  # None or "": the top rate, "320"
 ) -> bytes:
@@ -213,7 +210,6 @@ def rip_saavn(
 
 def rip_gaana(
     net: Network,
-    env: DeterministicEnv,
     song_url: str,
     page_key: bytes,
     page_iv: bytes,
@@ -237,7 +233,6 @@ def rip_gaana(
 
 def rip_hungama(
     net: Network,
-    env: DeterministicEnv,
     song_url: str,
     quality: str | None = None,
 ) -> bytes:
@@ -269,7 +264,6 @@ def rip_hungama(
 
 def play_benchmark(
     net: Network,
-    env: DeterministicEnv,
     track_id: str,
     credentials: tuple[str, str],
     cdm: bench.Cdm,

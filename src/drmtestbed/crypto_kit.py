@@ -4,12 +4,24 @@ Everything here is deliberately boring: HMAC-SHA1, base64, RFC 6238 TOTP,
 AES-CBC with PKCS#7, AES-CTR with a byte-addressable counter, and the
 OpenSSL "Salted__" passphrase envelope. The AES block operations ride on
 the cryptography wheel; the rest is stdlib.
+
+Building cryptography's cipher objects costs several times what a short
+CBC call does, and most keys here are fixed per service, so the CBC
+contexts are cached per key (an LRU bounded at 16 keys). Outputs are
+unchanged. A decrypt runs one cached ECB decryptor and XORs in the
+chain itself: P = D(C) xor (IV || C[:-16]). An encrypt continues one
+cached, never finalized CBC encryptor, which chains from the last
+ciphertext block L it emitted (NIST SP 800-38A 6.2); XORing iv xor L
+into the first plaintext block makes that chain start from iv instead.
+Either way the result is a pure function of (key, iv, data). The cache
+is not thread-safe: the testbed is single-threaded.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -104,14 +116,38 @@ def _check_aes_key(key: bytes, sizes: tuple[int, ...]) -> None:
         raise SizeError(f"AES key must be {sizes} bytes, got {len(key)}")
 
 
+class _CbcContexts:
+    """cryptography's contexts for one AES key, each built on first use.
+    `last` is the encryptor's last ciphertext block, as an int."""
+
+    __slots__ = ("algorithm", "encryptor", "last", "decryptor")
+
+    def __init__(self, key: bytes):
+        self.algorithm = algorithms.AES(key)
+        self.encryptor = self.decryptor = None
+        self.last = 0
+
+
+@functools.lru_cache(maxsize=16)
+def _cbc_contexts(key: bytes) -> _CbcContexts:
+    return _CbcContexts(key)
+
+
 def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     _check_aes_key(key, (16, 32))
     if len(iv) != 16:
         raise SizeError("IV must be 16 bytes")
     pad = 16 - len(plaintext) % 16
     padded = plaintext + bytes([pad]) * pad
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    return enc.update(padded) + enc.finalize()
+    ctx = _cbc_contexts(key)
+    if ctx.encryptor is None:
+        ctx.encryptor = Cipher(ctx.algorithm, modes.CBC(bytes(16))).encryptor()
+    head = (
+        int.from_bytes(padded[:16], "big") ^ int.from_bytes(iv, "big") ^ ctx.last
+    )
+    out = ctx.encryptor.update(head.to_bytes(16, "big") + padded[16:])
+    ctx.last = int.from_bytes(out[-16:], "big")
+    return out
 
 
 def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
@@ -120,8 +156,13 @@ def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
         raise SizeError("IV must be 16 bytes")
     if not ciphertext or len(ciphertext) % 16:
         raise SizeError("ciphertext must be a positive multiple of 16")
-    dec = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor()
-    padded = dec.update(ciphertext) + dec.finalize()
+    ctx = _cbc_contexts(key)
+    if ctx.decryptor is None:
+        ctx.decryptor = Cipher(ctx.algorithm, modes.ECB()).decryptor()
+    chain = int.from_bytes(iv + ciphertext[:-16], "big")
+    padded = (
+        int.from_bytes(ctx.decryptor.update(ciphertext), "big") ^ chain
+    ).to_bytes(len(ciphertext), "big")
     pad = padded[-1]
     if not 1 <= pad <= 16 or padded[-pad:] != bytes([pad]) * pad:
         raise PaddingError("bad PKCS#7 padding")

@@ -55,6 +55,12 @@ def _yes_no(value: bool) -> str:
     return "yes" if value else "no"
 
 
+def _table(rows: list) -> list[str]:
+    """Rows of cells as lines, each column padded to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def _render_text(report: RunReport) -> str:
     lines = ["== stream rip results =="]
     if report.rips:
@@ -71,25 +77,20 @@ def _render_text(report: RunReport) -> str:
                     entry["recovered_sha256"][:12] or "-",
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines += _table(rows)
     else:
         lines.append("(no rips)")
     lines.append("")
     lines.append("== practices audit ==")
     if report.audits:
         names = list(report.audits)
-        head = ["practice"] + names
-        rows = [head]
+        rows = [["practice"] + names]
         for practice in PRACTICE_FIELDS:
             rows.append(
                 [practice]
                 + [_yes_no(getattr(report.audits[n], practice)) for n in names]
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(head))]
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines += _table(rows)
     else:
         lines.append("(no audits)")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from ..transport import (
     DeterministicEnv,
     HttpRequest,
     HttpResponse,
+    copy_response,
     error_response,
     query_string,
 )
@@ -77,6 +78,9 @@ class GaanaService:
                     f"{self._by_slug[slug]} and {asset.asset_id} share the slug {slug!r}"
                 )
             self._by_slug[slug] = asset.asset_id
+        # Song pages, rendered on first request: a page's grants never
+        # expire and its key and IV are fixed, so it is pure in the asset.
+        self._pages: dict[str, HttpResponse] = {}
 
     def mount(self, net) -> None:
         net.register(HOST_WWW, self._handle_www)
@@ -84,11 +88,6 @@ class GaanaService:
 
     def song_url(self, asset_id: str) -> str:
         return f"https://{HOST_WWW}{SONG_PREFIX}{slugify(self.catalog.asset(asset_id).title)}"
-
-    def _authorized_uri(self, asset_id: str, quality: str) -> str:
-        rate = QUALITY_RATES[quality]
-        grant = self.cdn.hls_grant(asset_id, FAR_FUTURE)
-        return f"{self.cdn.variant_master_url(asset_id, rate)}?{query_string(grant)}"
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":
@@ -106,20 +105,20 @@ class GaanaService:
             asset_id = self._by_slug.get(slug)
             if asset_id is None:
                 return error_response(404, "no such song")
-            return self._song_page(asset_id)
+            page = self._pages.get(asset_id)
+            if page is None:
+                page = self._pages[asset_id] = self._song_page(asset_id)
+            return copy_response(page)
         return error_response(404, "no such page")
 
     def _song_page(self, asset_id: str) -> HttpResponse:
         asset = self.catalog.asset(asset_id)
-        path = {
-            quality: b64(
-                aes_cbc_encrypt(
-                    self.page_key,
-                    self.page_iv,
-                    self._authorized_uri(asset_id, quality).encode("utf-8"),
-                )
+        grant = query_string(self.cdn.hls_grant(asset_id, FAR_FUTURE))
+        path = {}
+        for quality, rate in QUALITY_RATES.items():
+            uri = f"{self.cdn.variant_master_url(asset_id, rate)}?{grant}"
+            path[quality] = b64(
+                aes_cbc_encrypt(self.page_key, self.page_iv, uri.encode("utf-8"))
             )
-            for quality in QUALITY_RATES
-        }
         block = json.dumps({"title": asset.title, "path": path})
         return page_response(asset.title, _SPAN_OPEN + block + _SPAN_CLOSE)

@@ -12,20 +12,13 @@ from dataclasses import dataclass
 from ..catalog import ServiceCatalog, slugify
 from ..cdn import FAR_FUTURE, CdnNode
 from ..config import TestbedConfig
-from ..crypto_kit import (
-    DecodeError,
-    PaddingError,
-    SizeError,
-    aes_cbc_decrypt,
-    aes_cbc_encrypt,
-    b64,
-    b64_decode,
-)
+from ..crypto_kit import DecodeError, aes_cbc_encrypt, b64, b64_decode
 from ..hls import DEFAULT_CHUNK_BYTES
 from ..transport import (
     DeterministicEnv,
     HttpRequest,
     HttpResponse,
+    copy_response,
     error_response,
     json_response,
 )
@@ -75,13 +68,24 @@ class SaavnService:
     ):
         self.catalog = catalog
         self.env = env
-        self._seal_key = cfg.saavn_seal_key()
-        self._seal_iv = cfg.saavn_seal_iv()
         self.cdn = CdnNode(
             HOST_CDN, cfg.saavn_cdn_secret(), "KSAAVN1", env.clock, cfg.chunk_bytes
         )
-        for asset in catalog.assets.values():
-            self.cdn.add_file_asset(asset.asset_id, asset)
+        # The seal is AES-CBC under a fixed key and IV, and PKCS#7 padding
+        # is unique, so exactly one ciphertext opens to each asset id: the
+        # seal is a table. Keyed by the decoded bytes, not the token text,
+        # because b64 decoding accepts non-canonical trailing bits.
+        seal_key, seal_iv = cfg.saavn_seal_key(), cfg.saavn_seal_iv()
+        self._tokens: dict[str, str] = {}
+        self._by_sealed: dict[bytes, str] = {}
+        for asset_id, asset in catalog.assets.items():
+            self.cdn.add_file_asset(asset_id, asset)
+            sealed = aes_cbc_encrypt(seal_key, seal_iv, asset_id.encode("utf-8"))
+            self._tokens[asset_id] = b64(sealed)
+            self._by_sealed[sealed] = asset_id
+        # api.php answers, per (asset id, bit rate): their grants never
+        # expire, so each is rendered once and copied out per request.
+        self._auth_answers: dict[tuple[str, int], HttpResponse] = {}
 
     def mount(self, net) -> None:
         net.register(HOST_WWW, self._handle_www)
@@ -91,16 +95,10 @@ class SaavnService:
         slug = slugify(self.catalog.asset(asset_id).title)
         return f"https://{HOST_WWW}{SONG_PREFIX}{slug}/{asset_id}"
 
-    def _seal_token(self, asset_id: str) -> str:
-        return b64(
-            aes_cbc_encrypt(self._seal_key, self._seal_iv, asset_id.encode("utf-8"))
-        )
-
     def _open_token(self, token: str) -> str | None:
         try:
-            raw = aes_cbc_decrypt(self._seal_key, self._seal_iv, b64_decode(token))
-            return raw.decode("utf-8")
-        except (DecodeError, PaddingError, SizeError, UnicodeDecodeError):
+            return self._by_sealed.get(b64_decode(token))
+        except DecodeError:
             return None
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
@@ -127,7 +125,7 @@ class SaavnService:
         data = {
             "song": {
                 "perma_url": self.song_url(asset_id),
-                "encrypted_media_url": self._seal_token(asset_id),
+                "encrypted_media_url": self._tokens[asset_id],
                 "title": asset.title,
                 "duration": 10 * max(1, len(top) // DEFAULT_CHUNK_BYTES),
             }
@@ -143,11 +141,14 @@ class SaavnService:
         if bit_rate not in ALLOWED_BIT_RATES:
             return error_response(400, f"bit_rate must be one of {ALLOWED_BIT_RATES}")
         asset_id = self._open_token(req.query.get("url", ""))
-        if asset_id is None or asset_id not in self.catalog.assets:
+        if asset_id is None:
             return error_response(403, "token rejected")
         rate = int(bit_rate)
         if rate not in self.catalog.asset(asset_id).variants:
             return error_response(404, "variant not stocked")
-        return json_response(
-            {"auth_url": self.cdn.signed_file_url(asset_id, rate, FAR_FUTURE)}
-        )
+        answer = self._auth_answers.get((asset_id, rate))
+        if answer is None:
+            answer = self._auth_answers[asset_id, rate] = json_response(
+                {"auth_url": self.cdn.signed_file_url(asset_id, rate, FAR_FUTURE)}
+            )
+        return copy_response(answer)

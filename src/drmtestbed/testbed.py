@@ -65,7 +65,7 @@ SPECS = (
         f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}",
         _path(re.escape(saavn_mod.API_PATH)),
         lambda tb, track, quality, principal: clients.rip_saavn(
-            tb.net, tb.env, tb.saavn.song_url(track), bit_rate=quality
+            tb.net, tb.saavn.song_url(track), bit_rate=quality
         ),
     ),
     ServiceSpec(
@@ -73,7 +73,7 @@ SPECS = (
         f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}",
         _path(r".*/master\.m3u8"),
         lambda tb, track, quality, principal: clients.rip_gaana(
-            tb.net, tb.env, tb.gaana.song_url(track),
+            tb.net, tb.gaana.song_url(track),
             tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality,
         ),
     ),
@@ -82,7 +82,7 @@ SPECS = (
         f"https://{hungama_mod.HOST_WWW}{hungama_mod.ASSET_PATH}",
         _path(re.escape(hungama_mod.MDNURL_PREFIX) + ".*"),
         lambda tb, track, quality, principal: clients.rip_hungama(
-            tb.net, tb.env, tb.hungama.song_url(track), quality=quality
+            tb.net, tb.hungama.song_url(track), quality=quality
         ),
     ),
     ServiceSpec(
@@ -90,7 +90,7 @@ SPECS = (
         f"https://{bench.HOST_API}{bench.ASSET_PATH}",
         _path(re.escape(bench.RESOLVE_PREFIX) + ".*"),
         lambda tb, track, quality, principal: clients.play_benchmark(
-            tb.net, tb.env, track, tb.benchmark_credentials(principal),
+            tb.net, track, tb.benchmark_credentials(principal),
             tb.benchmark.make_cdm(),
         ),
     ),

@@ -360,21 +360,21 @@ def test_make_cdm_uses_the_provisioned_device_key(rig):
 def test_play_benchmark_recovers_media_through_the_cdm(rig):
     svc, net, env, catalog = rig
     for track in ("trk1", "trk2", "trk3"):
-        media = play_benchmark(net, env, track, PREMIUM, svc.make_cdm())
+        media = play_benchmark(net, track, PREMIUM, svc.make_cdm())
         assert media == catalog.asset(track).variant(320)
 
 
 def test_play_benchmark_free_tier_stops_at_the_gate(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure) as info:
-        play_benchmark(net, env, "trk3", FREE, svc.make_cdm())
+        play_benchmark(net, "trk3", FREE, svc.make_cdm())
     assert info.value.status == 403
 
 
 def test_play_benchmark_bad_credentials(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure) as info:
-        play_benchmark(net, env, "trk1", ("ada", "wrong"), svc.make_cdm())
+        play_benchmark(net, "trk1", ("ada", "wrong"), svc.make_cdm())
     assert info.value.status == 401
 
 

@@ -336,6 +336,37 @@ def test_cbc_empty_plaintext_is_one_padding_block():
     assert aes_cbc_decrypt(key, iv, ct) == b""
 
 
+def test_cbc_context_cache_state_against_reference():
+    """crypto_kit caches cipher contexts for 16 keys, and each cached
+    encryptor carries the last block it chained. Twenty keys used in a
+    random order force evictions and reuse; every call must still answer
+    as the reference does, also right after a decrypt that failed."""
+    rng = random.Random(0xCAC4E)
+    keys = [rng.randbytes(16 if i % 2 else 32) for i in range(20)]
+    for _ in range(200):
+        key, iv = rng.choice(keys), rng.randbytes(16)
+        data = rng.randbytes(rng.randrange(0, 301))
+        want = cbc_encrypt(key, iv, data)
+        roll = rng.random()
+        if roll < 0.45:
+            assert aes_cbc_encrypt(key, iv, data) == want
+        elif roll < 0.9:
+            assert aes_cbc_decrypt(key, iv, want) == data
+        elif roll < 0.95:
+            # zero the last padded byte: flip the byte chained into it
+            pad = 16 - len(data) % 16
+            bad_iv, bad = bytearray(iv), bytearray(want)
+            if len(want) == 16:
+                bad_iv[15] ^= pad
+            else:
+                bad[-17] ^= pad
+            with pytest.raises(PaddingError):
+                aes_cbc_decrypt(key, bytes(bad_iv), bytes(bad))
+        else:
+            with pytest.raises(SizeError):
+                aes_cbc_decrypt(key, iv, want[: rng.randrange(0, len(want))])
+
+
 @given(st.binary(max_size=300), st.binary(min_size=16, max_size=16))
 @settings(max_examples=60)
 def test_cbc_round_trip_property(data, iv):

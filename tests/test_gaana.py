@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from drmtestbed import cdn
 from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_gaana
 from drmtestbed.config import TestbedConfig
@@ -85,6 +86,29 @@ def test_tampered_path_never_yields_the_uri(rig):
         assert out != original
 
 
+def test_song_pages_are_rendered_once_per_asset(rig, monkeypatch):
+    svc, net, _env, _catalog = rig
+    calls = []
+    real_issue, real_encrypt = cdn.issue_grant, gaana.aes_cbc_encrypt
+    monkeypatch.setattr(
+        cdn, "issue_grant", lambda *a: calls.append("grant") or real_issue(*a)
+    )
+    monkeypatch.setattr(
+        gaana, "aes_cbc_encrypt", lambda *a: calls.append("cbc") or real_encrypt(*a)
+    )
+    first = net.get(svc.song_url("trk1"))
+    assert calls.count("grant") == 1 and calls.count("cbc") == 3
+    calls.clear()
+    second = net.get(svc.song_url("trk1"))
+    assert calls == []
+    assert first.status == second.status == 200
+    assert first.body == second.body
+    assert first is not second and first.headers is not second.headers
+    assert first.headers == second.headers == {"content-type": "text/html"}
+    assert net.get(svc.song_url("trk2")).body != first.body
+    assert calls.count("grant") == 1 and calls.count("cbc") == 3
+
+
 def test_grants_never_expire(rig):
     svc, net, env, catalog = rig
     block = _block(net, svc, "trk3")
@@ -96,26 +120,26 @@ def test_grants_never_expire(rig):
 @pytest.mark.parametrize("quality,rate", [("high", 320), ("medium", 128), ("low", 64)])
 def test_rip_client_per_quality(rig, quality, rate):
     svc, net, env, catalog = rig
-    media = rip_gaana(net, env, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality=quality)
+    media = rip_gaana(net, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality=quality)
     assert media == catalog.asset("trk1").variant(rate)
 
 
 def test_rip_premium_track_without_account(rig):
     svc, net, env, catalog = rig
-    media = rip_gaana(net, env, svc.song_url("trk3"), PAGE_KEY, PAGE_IV)
+    media = rip_gaana(net, svc.song_url("trk3"), PAGE_KEY, PAGE_IV)
     assert media == catalog.asset("trk3").variant(320)
 
 
 def test_rip_unknown_quality_fails(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure):
-        rip_gaana(net, env, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality="ultra")
+        rip_gaana(net, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality="ultra")
 
 
 def test_rip_wrong_key_cannot_follow_the_page(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(CryptoError):
-        rip_gaana(net, env, svc.song_url("trk1"), b"\x00" * 16, PAGE_IV)
+        rip_gaana(net, svc.song_url("trk1"), b"\x00" * 16, PAGE_IV)
 
 
 def test_titles_that_slugify_alike_are_rejected_at_build():

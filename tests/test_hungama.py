@@ -148,14 +148,14 @@ def test_static_asset_names_the_cookie(rig):
 
 def test_rip_client_default_and_quality(rig):
     svc, net, env, catalog = rig
-    assert rip_hungama(net, env, svc.song_url("trk1")) == catalog.asset("trk1").variant(320)
-    assert rip_hungama(net, env, svc.song_url("trk3"), quality="low") == \
+    assert rip_hungama(net, svc.song_url("trk1")) == catalog.asset("trk1").variant(320)
+    assert rip_hungama(net, svc.song_url("trk3"), quality="low") == \
         catalog.asset("trk3").variant(64)
 
 
 def test_rip_client_surfaces_refusals(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure):
-        rip_hungama(net, env, f"https://{hungama.HOST_WWW}/song/ghost/trk9")
+        rip_hungama(net, f"https://{hungama.HOST_WWW}/song/ghost/trk9")
     with pytest.raises(ProtocolFailure):
-        rip_hungama(net, env, svc.song_url("trk1"), quality="8bit")
+        rip_hungama(net, svc.song_url("trk1"), quality="8bit")
