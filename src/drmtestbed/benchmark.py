@@ -5,6 +5,12 @@ leave the CDM once installed.
 
 Every other service in the testbed exists to fail the comparisons this
 one passes.
+
+A stream is served from one ciphertext buffer the service reuses: on a
+stream switch the init header and AES-CTR of the media are written into
+it in place, and every ranged GET gets its range copied out as bytes,
+so nothing handed out aliases the buffer. The CDM decrypts each chunk as
+it arrives, through one positioned keystream per installed key.
 """
 
 from __future__ import annotations
@@ -58,8 +64,7 @@ USERS = {
     "grace": ("paper-clip-42", "free"),
 }
 
-_RANGE = re.compile(r"^bytes=(\d+)-(\d+)$")
-_CDN_PATH = re.compile(r"^/(edge[0-9]+)/enc/([^/]+)/stream\.bin$")
+_RANGE = re.compile(r"bytes=([0-9]+)-([0-9]+)")  # fullmatch only
 
 
 class LicenseError(Exception):
@@ -89,6 +94,10 @@ def extract_init_data(first_chunk: bytes) -> InitData:
     if first_chunk[:4] != INIT_MAGIC:
         raise InitDataError("missing INIT magic")
     return InitData(key_id=first_chunk[16:32], nonce=first_chunk[32:48])
+
+
+def _stream_path(edge: str, asset_id: str) -> str:
+    return f"/{edge}/enc/{asset_id}/stream.bin"
 
 
 def _seal(key: bytes, payload: bytes, iv: bytes) -> bytes:
@@ -135,6 +144,10 @@ class Cdm:
         return handle
 
     def decrypt_segment(self, handle: str, ciphertext: bytes, position: int = 0) -> bytes:
+        """Plaintext of the ciphertext found at `position` of the stream
+        the handle's key opens. A call that starts where the last one for
+        that key ended continues the same keystream instead of re-keying,
+        so a player decrypts each chunk as it arrives."""
         try:
             content_key, nonce = self._installed[handle]
         except KeyError:
@@ -159,9 +172,12 @@ class BenchmarkService:
         self._bearers: dict[str, BearerToken] = {}
         # asset_id -> (init header, content key, nonce, top catalog variant)
         self._streams: dict[str, tuple[bytes, bytes, bytes, bytes]] = {}
-        # (asset_id, header + ciphertext) of the last stream served: players
-        # read one stream front to back, so that is one AES-CTR pass a play
-        self._hot: tuple[str, bytes] | None = None
+        self._cdn_paths: dict[str, str] = {}  # stream path on any edge -> asset_id
+        # header + ciphertext of the last stream served, in one buffer every
+        # stream reuses: players read one stream front to back, so that is
+        # one AES-CTR pass a play. Only copies of it may leave the service.
+        self._buffer = bytearray()
+        self._hot: tuple[str, memoryview] | None = None  # (asset_id, blob view)
         self._license_keys: dict[bytes, tuple[bytes, bytes]] = {}
         for asset in catalog.assets.values():
             key_id = env.rand_bytes(16)
@@ -171,6 +187,8 @@ class BenchmarkService:
             header = INIT_MAGIC + bytes(12) + key_id + nonce
             self._streams[asset.asset_id] = (header, content_key, nonce, media)
             self._license_keys[key_id] = (content_key, nonce)
+            for edge in EDGES:
+                self._cdn_paths[_stream_path(edge, asset.asset_id)] = asset.asset_id
 
     def mount(self, net) -> None:
         net.register(HOST_API, self._handle_api)
@@ -260,7 +278,7 @@ class BenchmarkService:
         expires = self.env.now() + self.grant_ttl
         uris = []
         for edge in EDGES:
-            path = f"/{edge}/enc/{asset_id}/stream.bin"
+            path = _stream_path(edge, asset_id)
             grant = issue_grant(
                 self._cdn_secret, self._key_pair_id, path, expires
             )
@@ -272,39 +290,48 @@ class BenchmarkService:
     def _handle_cdn(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":
             return error_response(400, "GET only")
-        m = _CDN_PATH.match(req.path)
-        if m is None or m.group(1) not in EDGES:
-            return error_response(404, "no such object")
-        asset_id = m.group(2)
-        if asset_id not in self._streams:
+        asset_id = self._cdn_paths.get(req.path)
+        if asset_id is None:
             return error_response(404, "no such object")
         if not self._gate.admits(req.query, req.path, self.env.now()):
             return error_response(403, "grant rejected")
-        if self._hot is None or self._hot[0] != asset_id:
-            header, content_key, nonce, media = self._streams[asset_id]
-            self._hot = (asset_id, header + aes_ctr(content_key, nonce, media))
-        blob = self._hot[1]
+        blob = self._stream_blob(asset_id)
         range_header = req.headers.get("range")
         if range_header is None:
-            body = blob
-            span = f"bytes 0-{len(blob) - 1}/{len(blob)}"
+            start, body = 0, bytes(blob)
         else:
-            parsed = _RANGE.match(range_header)
+            parsed = _RANGE.fullmatch(range_header)
             if parsed is None:
                 return error_response(400, "unparseable range")
-            start, end = int(parsed.group(1)), int(parsed.group(2))
+            try:
+                start, end = int(parsed.group(1)), int(parsed.group(2))
+            except ValueError:  # past int()'s digit limit
+                return error_response(400, "unparseable range")
             if end < start:
                 return error_response(400, "inverted range")
-            body = blob[start:end + 1]
-            span = f"bytes {start}-{start + len(body) - 1}/{len(blob)}"
+            body = bytes(blob[start:end + 1])
         return HttpResponse(
             status=200,
             headers={
                 "content-type": "application/octet-stream",
-                "content-range": span,
+                "content-range": f"bytes {start}-{start + len(body) - 1}/{len(blob)}",
             },
             body=body,
         )
+
+    def _stream_blob(self, asset_id: str) -> memoryview:
+        """header + AES-CTR(media) of asset_id, in the shared buffer. The
+        view is valid until the next stream switch overwrites it."""
+        if self._hot is None or self._hot[0] != asset_id:
+            header, content_key, nonce, media = self._streams[asset_id]
+            size = HEADER_BYTES + len(media)
+            if len(self._buffer) < size:
+                self._buffer = bytearray(size)
+            blob = memoryview(self._buffer)[:size]
+            blob[:HEADER_BYTES] = header
+            aes_ctr(content_key, nonce, media, out=blob[HEADER_BYTES:])
+            self._hot = (asset_id, blob)
+        return self._hot[1]
 
     # ---- license host ---------------------------------------------------------
 

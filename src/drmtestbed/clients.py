@@ -298,7 +298,9 @@ def play_benchmark(
         raise ProtocolFailure("license refused", license_resp.status)
     handle = cdm.install(license_resp.body)
 
-    ciphertext_parts = [first.body[bench.HEADER_BYTES:]]
+    # each chunk is decrypted as it arrives; the CDM's keystream for the
+    # handle continues from one chunk to the next
+    plaintext = [cdm.decrypt_segment(handle, first.body[bench.HEADER_BYTES:])]
     offset = len(first.body)
     while True:
         nxt = net.get(
@@ -309,8 +311,10 @@ def play_benchmark(
             raise ProtocolFailure("chunk fetch refused", nxt.status)
         if not nxt.body:
             break
-        ciphertext_parts.append(nxt.body)
+        plaintext.append(
+            cdm.decrypt_segment(handle, nxt.body, offset - bench.HEADER_BYTES)
+        )
         offset += len(nxt.body)
         if len(nxt.body) < bench.SEGMENT_BYTES:
             break
-    return cdm.decrypt_segment(handle, b"".join(ciphertext_parts))
+    return b"".join(plaintext)

@@ -38,10 +38,7 @@ def _decode_text(body: bytes | memoryview) -> str | None:
 def _index_candidates(records):
     """Assemble every index playlist in the transcript whose chunks all
     crossed the wire too."""
-    last_by_path = {}
-    for rec in records:
-        if rec.response.status == 200:
-            last_by_path[rec.request.path] = rec
+    last_by_path = None  # built once the first playlist turns up
     out = []
     for rec in records:
         body = rec.response.body
@@ -58,6 +55,10 @@ def _index_candidates(records):
             continue
         if not index.segments:
             continue
+        if last_by_path is None:
+            last_by_path = {
+                r.request.path: r for r in records if r.response.status == 200
+            }
         chunks, seqs, complete = [], [rec.seq], True
         for uri, _seconds in index.segments:
             hit = last_by_path.get(urlsplit(uri).path)

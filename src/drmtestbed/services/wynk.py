@@ -69,7 +69,7 @@ CLOCK_SKEW = 120  # seconds of tk/ptot drift the servers tolerate
 
 CHECK_FIELDS = ("k", "n", "y", "w", "m", "z", "a", "p")
 
-_MIX_PATTERN = re.compile(r"^/webassets/([0-9a-f-]+)_([12])\.jpg$")
+_MIX_PATTERN = re.compile(r"/webassets/([0-9a-f-]+)_([12])\.jpg")  # fullmatch only
 _BK_HEX = re.compile(r"^[0-9a-f]{16}$")
 
 
@@ -268,7 +268,7 @@ class WynkService:
                     f"var qualities={_QUALITIES_JSON}",
                 ]
             )
-        m = _MIX_PATTERN.match(req.path)
+        m = _MIX_PATTERN.fullmatch(req.path)
         if m is None:
             return error_response(404, "no such asset")
         parsed = _parse_mix(m.group(1))

@@ -18,9 +18,10 @@ constructors.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 ALLOWED_STATUSES = (200, 400, 401, 403, 404)
@@ -91,39 +92,58 @@ class DeterministicEnv:
         return uuid_like(self.rng)
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class HttpRequest:
     method: str
     path: str
-    query: dict[str, str] = field(default_factory=dict)  # insertion-ordered
-    headers: dict[str, str] = field(default_factory=dict)  # lower-case keys
-    cookies: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+    query: dict[str, str]  # insertion-ordered
+    headers: dict[str, str]  # lower-case keys
+    cookies: dict[str, str]
+    body: bytes
 
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method {self.method!r}")
-        self.query = dict(self.query)
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        query: dict[str, str] | None = None,
+        headers: dict[str, str] | None = None,
+        cookies: dict[str, str] | None = None,
+        body: bytes = b"",
+    ):
+        if method not in _METHODS:
+            raise ValueError(f"method {method!r}")
+        self.method = method
+        self.path = path
+        self.query = dict(query) if query else {}
         # last duplicate wins, at the first one's position
-        self.headers = {k.lower(): v for k, v in self.headers.items()}
-        self.cookies = dict(self.cookies)
+        self.headers = {k.lower(): v for k, v in headers.items()} if headers else {}
+        self.cookies = dict(cookies) if cookies else {}
+        self.body = body
 
     def query_string(self) -> str:
         return query_string(self.query)
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class HttpResponse:
     status: int
-    headers: dict[str, str] = field(default_factory=dict)
-    set_cookies: dict[str, str] = field(default_factory=dict)
-    body: bytes | memoryview = b""  # CDN media chunks: read-only catalog views
+    headers: dict[str, str]
+    set_cookies: dict[str, str]
+    body: bytes | memoryview  # CDN media chunks: read-only catalog views
 
-    def __post_init__(self):
-        if self.status not in ALLOWED_STATUSES:
-            raise ValueError(f"status {self.status} not in {ALLOWED_STATUSES}")
-        self.headers = dict(self.headers)
-        self.set_cookies = dict(self.set_cookies)
+    def __init__(
+        self,
+        status: int,
+        headers: dict[str, str] | None = None,
+        set_cookies: dict[str, str] | None = None,
+        body: bytes | memoryview = b"",
+    ):
+        if status not in ALLOWED_STATUSES:
+            raise ValueError(f"status {status} not in {ALLOWED_STATUSES}")
+        self.status = status
+        self.headers = dict(headers) if headers else {}
+        self.set_cookies = dict(set_cookies) if set_cookies else {}
+        self.body = body
 
 
 def json_response(payload, status: int = 200) -> HttpResponse:
@@ -138,7 +158,7 @@ def error_response(status: int, message: str) -> HttpResponse:
     return json_response({"error": message}, status=status)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TapRecord:
     seq: int
     request: HttpRequest
@@ -165,6 +185,15 @@ def copy_response(resp: HttpResponse) -> HttpResponse:
 
 
 def split_url(url: str) -> tuple[str, str, dict[str, str]]:
+    """(host, path, query). The query dict is new on every call, so a
+    caller may update it; the split itself is memoized, because a ranged
+    player fetches one URL hundreds of times."""
+    host, path, query = _split_url(url)
+    return host, path, dict(query)
+
+
+@functools.lru_cache(maxsize=256)
+def _split_url(url: str) -> tuple[str, str, dict[str, str]]:
     # No percent-encoding layer on this fabric: query strings are split
     # raw so base64 values (with + / =) survive a round trip untouched.
     parts = urlsplit(url)
@@ -234,7 +263,7 @@ class Network:
         host, path, query = split_url(url)
         if extra_query:
             query.update(extra_query)
-        req = HttpRequest(method, path, query, headers or {}, cookies or {}, body)
+        req = HttpRequest(method, path, query, headers, cookies, body)
         return self.dispatch(host, req)
 
     def get(self, url: str, **kw) -> HttpResponse:

@@ -6,14 +6,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from drmtestbed import benchmark as bench
 from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, play_benchmark
 from drmtestbed.config import TestbedConfig
-from drmtestbed.crypto_kit import aes_ctr
 from drmtestbed.hls import AUDIO_MAGIC
-from drmtestbed.transport import DeterministicEnv, Network
+from drmtestbed.transport import DeterministicEnv, HttpRequest, Network, split_url
 
 DEVICE_KEY = bytes.fromhex("5e21b7da93c604f8ab176ce0421f98d3")
 
@@ -21,14 +24,18 @@ PREMIUM = ("ada", "correct-horse-battery")
 FREE = ("grace", "paper-clip-42")
 
 
-@pytest.fixture
-def rig():
+def _make_rig():
     env = DeterministicEnv(seed=61, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = bench.BenchmarkService(catalog, env, TestbedConfig())
     net = Network(env)
     svc.mount(net)
     return svc, net, env, catalog
+
+
+@pytest.fixture
+def rig():
+    return _make_rig()
 
 
 def _login(net, creds=PREMIUM):
@@ -210,13 +217,32 @@ def test_cdn_range_semantics(rig):
     assert net.get(uri, headers={"range": "chunk=1-2"}).status == 400
 
 
+@pytest.mark.parametrize("path_tail,range_header,status", [
+    # the newline path goes under the grant for the bare path
+    pytest.param("\n", "bytes=0-3", 404, id="path-newline"),
+    pytest.param("", "bytes=0-3\n", 400, id="range-newline"),
+    pytest.param("", "bytes=\u0660-\u0663", 400, id="arabic-indic-digits"),
+    pytest.param("", f"bytes={'1' * 5000}-{'2' * 5000}", 400, id="past-int-digit-limit"),
+])
+def test_cdn_refuses_lax_paths_and_ranges(rig, path_tail, range_header, status):
+    _svc, net, _env, _catalog = rig
+    host, path, query = split_url(_first_uri(net))
+    # dispatched directly: urlsplit would strip the newline from a URL
+    req = HttpRequest("GET", path + path_tail, query, {"range": range_header})
+    resp = net.dispatch(host, req)
+    assert resp.status == status
+    assert "content-range" not in resp.headers
+
+
 def _oracle_blob(svc, catalog, track, header):
     # header + AES-CTR of the top variant, rebuilt from the license
-    # server's keyring and the catalog, independently of the CDN path
+    # server's keyring and the catalog, independently of the CDN path and
+    # of the positioned contexts crypto_kit.aes_ctr keeps
     content_key, nonce = svc._license_keys[header[16:32]]
     assert header[32:48] == nonce
     media = catalog.asset(track).variant(catalog.asset(track).top_bitrate())
-    return header[:bench.HEADER_BYTES] + aes_ctr(content_key, nonce, media)
+    ctr = Cipher(algorithms.AES(content_key), modes.CTR(nonce)).encryptor()
+    return header[:bench.HEADER_BYTES] + ctr.update(media)
 
 
 def test_cdn_ranges_match_the_oracle(rig):
@@ -254,6 +280,105 @@ def test_cdn_ranges_match_the_oracle(rig):
     for offset in range(0, 6 * 4096, 4096):
         for track in ("trk1", "trk2", "trk1"):
             check(track, offset, offset + 4095)
+
+
+class StreamOracleMachine(RuleBasedStateMachine):
+    """Random interleavings of CDN fetches over three tracks and of CDM
+    decrypts at random positions, against blobs rebuilt off the CDN path.
+
+    The CDN encrypts each stream into one buffer it reuses across
+    streams, and aes_ctr keeps one positioned keystream per key, which
+    the CDN and the CDM share here. So a stream switch that skips the
+    re-encryption, a body that is a view of the buffer, or a keystream
+    that continues across a seek each shows as a wrong body, now or on
+    a later step."""
+
+    TRACKS = ("trk1", "trk2", "trk3")
+
+    def __init__(self):
+        super().__init__()
+        svc, self.net, _env, catalog = _make_rig()
+        bearer = _bearer(self.net)
+        self.cdm = svc.make_cdm()
+        self.uris, self.blobs, self.media, self.handles = {}, {}, {}, {}
+        self.read_to = {}  # track -> next offset a front-to-back reader wants
+        self.decrypted_to = {}  # track -> next stream position for the CDM
+        for track in self.TRACKS:
+            uri = json.loads(_resolve(self.net, bearer, track).body)["uris"][0]
+            header = self.net.get(uri, headers={"range": "bytes=0-47"}).body
+            license_resp = self.net.post(
+                bench.LICENSE_URL,
+                body=self.cdm.request_license(bench.extract_init_data(header)),
+            )
+            self.uris[track] = uri
+            self.blobs[track] = _oracle_blob(svc, catalog, track, header)
+            asset = catalog.asset(track)
+            self.media[track] = asset.variant(asset.top_bitrate())
+            self.handles[track] = self.cdm.install(license_resp.body)
+            self.read_to[track] = self.decrypted_to[track] = 0
+        self.served = []  # (response, the bytes it carried when served)
+
+    def _fetch(self, track, start=None, length=None):
+        blob = self.blobs[track]
+        if start is None:
+            resp = self.net.get(self.uris[track])
+            start, want = 0, blob
+        else:
+            end = start + length - 1
+            resp = self.net.get(self.uris[track], headers={"range": f"bytes={start}-{end}"})
+            want = blob[start:end + 1]
+        assert resp.status == 200
+        assert type(resp.body) is bytes and resp.body == want
+        span = f"bytes {start}-{start + len(want) - 1}/{len(blob)}"
+        assert resp.headers["content-range"] == span
+        self.read_to[track] = start + len(want)
+        self.served = self.served[-7:] + [(resp, want)]
+
+    @rule(track=st.sampled_from(TRACKS), length=st.integers(1, 2 * bench.SEGMENT_BYTES))
+    def read_on(self, track, length):
+        self._fetch(track, self.read_to[track], length)
+
+    @rule(track=st.sampled_from(TRACKS), start=st.integers(0, 5 * bench.SEGMENT_BYTES),
+          length=st.integers(1, 2 * bench.SEGMENT_BYTES))
+    def seek(self, track, start, length):
+        self._fetch(track, start, length)
+
+    @rule(track=st.sampled_from(TRACKS), back=st.integers(-300, 5000),
+          length=st.integers(1, 600))
+    def tail(self, track, back, length):
+        # ragged tails and starts past the end
+        self._fetch(track, max(0, len(self.blobs[track]) - back), length)
+
+    @rule(track=st.sampled_from(TRACKS))
+    def whole(self, track):
+        self._fetch(track)
+
+    def _decrypt(self, track, position, length):
+        ct = self.blobs[track][bench.HEADER_BYTES + position:][:length]
+        got = self.cdm.decrypt_segment(self.handles[track], ct, position)
+        assert got == self.media[track][position:position + len(ct)]
+        self.decrypted_to[track] = position + len(ct)
+
+    @rule(track=st.sampled_from(TRACKS), length=st.integers(0, 2 * bench.SEGMENT_BYTES))
+    def decrypt_on(self, track, length):
+        self._decrypt(track, self.decrypted_to[track], length)
+
+    @rule(track=st.sampled_from(TRACKS), position=st.integers(0, 6 * bench.SEGMENT_BYTES),
+          length=st.integers(0, 2 * bench.SEGMENT_BYTES))
+    def decrypt_at(self, track, position, length):
+        self._decrypt(track, position, length)
+
+    @invariant()
+    def served_bodies_never_change(self):
+        for resp, want in self.served:
+            assert resp.body == want
+
+
+StreamOracleMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, derandomize=True, deadline=None,
+    database=None,
+)
+test_stream_oracle_machine = StreamOracleMachine.TestCase
 
 
 def test_cdn_blob_is_ciphertext_with_init_header(rig):

@@ -411,6 +411,33 @@ def test_ctr_offset_slices_the_same_keystream():
         assert chunk == whole[off:off + length]
 
 
+def test_ctr_chunked_calls_continue_one_keystream_per_key():
+    # two streams read in interleaved chunks, each call starting where the
+    # last one under its (key, nonce) ended, plus a seek back mid-stream
+    streams = [(b"\x01" * 16, b"\x02" * 16), (b"\x03" * 16, b"\xff" * 16)]
+    data = bytes(range(256)) * 4
+    rng = random.Random(12)
+    got = [bytearray(), bytearray()]
+    while any(len(g) < len(data) for g in got):
+        i = rng.randrange(2)
+        at = len(got[i])
+        got[i] += aes_ctr(*streams[i], data[at:at + rng.randrange(1, 100)], byte_offset=at)
+    for (key, nonce), g in zip(streams, got):
+        assert bytes(g) == ctr_xor(key, nonce, data)
+        assert aes_ctr(key, nonce, data[37:90], byte_offset=37) == g[37:90]
+
+
+def test_ctr_writes_into_a_buffer_of_the_data_length():
+    key, nonce, data = b"\x07" * 16, b"\x08" * 16, b"into a caller's buffer" * 3
+    buf = bytearray(len(data) + 4)
+    view = memoryview(buf)[2:-2]
+    assert aes_ctr(key, nonce, data, byte_offset=5, out=view) is view
+    assert bytes(view) == ctr_xor(key, nonce, data, 5)
+    assert buf[:2] == buf[-2:] == b"\x00\x00"
+    with pytest.raises(SizeError):
+        aes_ctr(key, nonce, data, out=memoryview(buf))
+
+
 def test_ctr_counter_wraps_mod_2_128():
     key = b"\x42" * 16
     top = b"\xff" * 16

@@ -240,6 +240,26 @@ def test_split_url_value_free_key():
     assert query == {"flag": "", "x": "1"}
 
 
+def test_split_url_hands_out_a_fresh_query_every_call():
+    # the split is memoized; the dict a caller gets must not be the memo's
+    url = "https://memo.test/p?a=1&b=2"
+    _, _, query = split_url(url)
+    query["a"] = "tampered"
+    query["late"] = "1"
+    assert split_url(url) == ("memo.test", "/p", {"a": "1", "b": "2"})
+
+
+def test_extra_query_never_leaks_into_the_next_split():
+    seen = []
+    net = Network(DeterministicEnv(seed=3, clock_start=0))
+    net.register("leak.test", lambda req: seen.append(req.query_string()) or json_response({}))
+    url = "https://leak.test/p?a=1"
+    net.get(url, extra_query={"x": "9"})
+    net.get(url)
+    assert seen == ["a=1&x=9", "a=1"]
+    assert split_url(url)[2] == {"a": "1"}
+
+
 # ----------------------------------------------------------------- network
 
 

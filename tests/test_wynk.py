@@ -21,7 +21,7 @@ from drmtestbed.clients import (
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1, passphrase_seal, totp
 from drmtestbed.services import wynk
 from drmtestbed.testbed import Testbed
-from drmtestbed.transport import DeterministicEnv, Network, export_tap
+from drmtestbed.transport import DeterministicEnv, HttpRequest, Network, export_tap
 from drmtestbed.webassets import MINIFIED_BANNER
 from test_golden import PINNED_TAP_SHA256
 
@@ -335,6 +335,19 @@ def test_invalid_mix_names_are_404_and_create_no_state(rig):
     assert net.get(f"https://{wynk.HOST_ASSETS}/webassets/{'a' * 64}_1.jpg").status == 404
     assert net.get(f"https://{wynk.HOST_ASSETS}/webassets/photo.png").status == 404
     assert len(svc._by_bk) == before
+
+
+def test_mix_name_with_a_trailing_newline_is_404(rig):
+    # dispatched directly: urlsplit would strip the newline from a URL
+    svc, net, env, _catalog = rig
+    bk = wynk.gen_bk(env.now(), env.rng)
+    half = wynk.gen_device_id(env.rng)[:36].replace("-", "")
+    path = f"/webassets/{wynk.mix_it(half, bk)}_1.jpg"
+    resp = net.dispatch(wynk.HOST_ASSETS, HttpRequest("GET", path + "\n"))
+    assert resp.status == 404
+    assert bk not in svc._by_bk
+    assert net.dispatch(wynk.HOST_ASSETS, HttpRequest("GET", path)).status == 200
+    assert bk in svc._by_bk
 
 
 def test_check_requires_known_bk(rig):
