@@ -81,13 +81,6 @@ class InitData:
     nonce: bytes
 
 
-@dataclass
-class BearerToken:
-    value: str
-    user: str
-    expires_at: int
-
-
 def extract_init_data(first_chunk: bytes) -> InitData:
     if len(first_chunk) < HEADER_BYTES:
         raise InitDataError("first chunk shorter than the init header")
@@ -168,8 +161,8 @@ class BenchmarkService:
         self.users = dict(USERS)
         self.bearer_ttl = cfg.bearer_ttl
         self.grant_ttl = cfg.grant_ttl
-        self._sessions: dict[str, tuple[str, int]] = {}  # sid -> (user, created)
-        self._bearers: dict[str, BearerToken] = {}
+        self._sessions: dict[str, str] = {}  # sid -> user
+        self._bearers: dict[str, tuple[str, int]] = {}  # bearer -> (user, expires_at)
         # asset_id -> (init header, content key, nonce, top catalog variant)
         self._streams: dict[str, tuple[bytes, bytes, bytes, bytes]] = {}
         self._cdn_paths: dict[str, str] = {}  # stream path on any edge -> asset_id
@@ -227,17 +220,13 @@ class BenchmarkService:
         if known is None or known[0] != password:
             return error_response(401, "bad credentials")
         sid = self.env.hex_token(32)
-        self._sessions[sid] = (username, self.env.now())
+        self._sessions[sid] = username
         resp = json_response({"status": "ok", "user": username})
         resp.set_cookies[SESSION_COOKIE] = sid
         return resp
 
-    def _session_user(self, req: HttpRequest) -> str | None:
-        entry = self._sessions.get(req.cookies.get(SESSION_COOKIE, ""))
-        return entry[0] if entry else None
-
     def _token(self, req: HttpRequest) -> HttpResponse:
-        user = self._session_user(req)
+        user = self._sessions.get(req.cookies.get(SESSION_COOKIE, ""))
         if user is None:
             return error_response(401, "login first")
         value = self.env.hex_token(48)
@@ -247,23 +236,21 @@ class BenchmarkService:
         # them changes no answer unless the clock is later set back.
         bearers = self._bearers
         while bearers:
-            oldest = next(iter(bearers.values()))
-            if now < oldest.expires_at:
+            oldest, (_user, expires_at) = next(iter(bearers.items()))
+            if now < expires_at:
                 break
-            del bearers[oldest.value]
-        bearers[value] = BearerToken(
-            value=value, user=user, expires_at=now + self.bearer_ttl
-        )
+            del bearers[oldest]
+        bearers[value] = (user, now + self.bearer_ttl)
         return json_response({"bearer": value, "expires_in": self.bearer_ttl})
 
     def _bearer_user(self, req: HttpRequest) -> str | None:
         header = req.headers.get("authorization", "")
         if not header.startswith("Bearer "):
             return None
-        token = self._bearers.get(header[len("Bearer "):])
-        if token is None or self.env.now() >= token.expires_at:
+        entry = self._bearers.get(header[len("Bearer "):])
+        if entry is None or self.env.now() >= entry[1]:
             return None
-        return token.user
+        return entry[0]
 
     def _resolve(self, req: HttpRequest) -> HttpResponse:
         user = self._bearer_user(req)

@@ -147,7 +147,10 @@ def parse_master(text: str) -> MasterManifest:
         raw = tag[len(STREAM_INF):]
         if not (raw.isascii() and raw.isdigit()):
             raise ManifestError(f"bad bandwidth {raw!r}", i + 1)
-        bandwidth = int(raw)
+        try:
+            bandwidth = int(raw)
+        except ValueError:  # past int()'s digit limit
+            raise ManifestError(f"bad bandwidth {raw!r}", i + 1) from None
         if any(bw == bandwidth for bw, _uri in entries):
             raise ManifestError(f"duplicate bandwidth {bandwidth}", i + 1)
         entries.append((bandwidth, _want_uri(lines, i + 1)))

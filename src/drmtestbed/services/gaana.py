@@ -61,7 +61,6 @@ class GaanaService:
         self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
-        self.env = env
         self.page_key = cfg.gaana_key()
         self.page_iv = cfg.gaana_iv()
         self.cdn = CdnNode(

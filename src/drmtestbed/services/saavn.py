@@ -67,7 +67,6 @@ class SaavnService:
         self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
-        self.env = env
         self.cdn = CdnNode(
             HOST_CDN, cfg.saavn_cdn_secret(), "KSAAVN1", env.clock, cfg.chunk_bytes
         )

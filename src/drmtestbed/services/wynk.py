@@ -63,6 +63,7 @@ PK_SOURCE = "https://sapi.wynk.in/music"
 # song-URL producer prefix -> CDN content-provider code; the bundle
 # ships it as cpMapping
 CP_MAPPING = {"srch": "bsycdn1"}
+_CP_MAPPING_JSON = json.dumps(CP_MAPPING, separators=(",", ":"))
 
 TOTP_PARAMS = TotpParams(window_seconds=600, digits=6)
 CLOCK_SKEW = 120  # seconds of tk/ptot drift the servers tolerate
@@ -70,7 +71,7 @@ CLOCK_SKEW = 120  # seconds of tk/ptot drift the servers tolerate
 CHECK_FIELDS = ("k", "n", "y", "w", "m", "z", "a", "p")
 
 _MIX_PATTERN = re.compile(r"/webassets/([0-9a-f-]+)_([12])\.jpg")  # fullmatch only
-_BK_HEX = re.compile(r"^[0-9a-f]{16}$")
+_BK = re.compile(r"[0-9]+-[0-9a-f]{16}")  # fullmatch only
 
 
 def wynk_pk() -> str:
@@ -139,9 +140,7 @@ class WynkSession:
     token: SecretKey | None = None
     dt: str = ""
     kt: SecretKey | None = None
-    primed: bool = False
-    created_at: int = 0
-    bk: str = ""
+    created_at: int = 0  # set at login
     marks: set[str] = field(default_factory=set)
     cip: str = ""  # the x-bsy-cip login must present; empty before a check
 
@@ -158,12 +157,12 @@ class WynkService:
         self.cdn = CdnNode(
             HOST_CDN, cfg.wynk_cdn_secret(), "KWYNK01", env.clock, cfg.chunk_bytes
         )
-        self._sids: dict[str, str] = {}  # search_id -> asset_id
+        self._sids: set[str] = set()  # search ids the CDN serves
         for asset in catalog.assets.values():
             for cp_code in CP_MAPPING.values():
                 sid = f"{cp_code}_{asset.asset_id}"
                 self.cdn.add_hls_asset(sid, asset, BITRATES)
-                self._sids[sid] = asset.asset_id
+                self._sids.add(sid)
         self._by_uid: dict[str, WynkSession] = {}
         self._by_dt: dict[str, WynkSession] = {}
         self._by_bk: dict[str, WynkSession] = {}
@@ -259,12 +258,11 @@ class WynkService:
         if req.method != "GET":
             return error_response(400, "GET only")
         if req.path == ASSET_PATH:
-            mapping = json.dumps(CP_MAPPING, separators=(",", ":"))
             return script_response(
                 [
                     f'var sk="{self.sk}"',
                     f'var pk="{wynk_pk()}"',
-                    f"var cpMapping={mapping}",
+                    f"var cpMapping={_CP_MAPPING_JSON}",
                     f"var qualities={_QUALITIES_JSON}",
                 ]
             )
@@ -277,11 +275,8 @@ class WynkService:
         _half, bk = parsed
         sess = self._by_bk.get(bk)
         if sess is None:
-            sess = WynkSession(bk=bk, primed=False, created_at=self.env.now())
-            self._by_bk[bk] = sess
+            sess = self._by_bk[bk] = WynkSession()
         sess.marks.add(m.group(2))
-        if sess.marks >= {"1", "2"}:
-            sess.primed = True
         # a one-pixel placeholder; the body never matters, the request does
         return HttpResponse(
             status=200, headers={"content-type": "image/jpeg"}, body=b""
@@ -319,7 +314,7 @@ class WynkService:
         sess = self._by_cip.get(req.headers.get("x-bsy-cip", ""))
         if sess is None:
             return error_response(403, "cip mismatch")
-        if not sess.primed:
+        if not {"1", "2"} <= sess.marks:  # marks only grow: primed stays primed
             return error_response(403, "handshake not primed")
         if not _fresh_stamp(req.headers.get("x-bsy-ptot", ""), self.env.now()):
             return error_response(401, "stale ptot")
@@ -372,33 +367,26 @@ def _fresh_stamp(stamp: str, now: int) -> bool:
     would pass superscripts such as '²', which int() then rejects."""
     if not (stamp.isascii() and stamp.isdigit()):
         return False
-    return abs(now - int(stamp)) <= CLOCK_SKEW
+    try:
+        return abs(now - int(stamp)) <= CLOCK_SKEW
+    except ValueError:  # past int()'s digit limit, so stale
+        return False
 
 
 def _parse_mix(mix: str) -> tuple[str, str] | None:
     """Recover (deviceId half, BK) from an interleaved webassets name.
 
     Even offsets spell the deviceId half (32 hex chars), odd offsets walk
-    BK cyclically. BK grammar is <epoch digits>-<16 hex>; the cyclic wrap
-    check is what authenticates the string, since a random name has no
-    reason to repeat its own prefix at the BK period.
+    BK cyclically. BK is <epoch digits>-<16 hex>, and re-weaving must give
+    the name back: that cyclic wrap is what authenticates it, since a random
+    name has no reason to repeat its own prefix at the BK period.
     """
     if len(mix) != 64:
         return None
     half, woven = mix[0::2], mix[1::2]
     if not all(c in "0123456789abcdef" for c in half):
         return None
-    dash = woven.find("-")
-    if dash < 1:
+    bk = woven[:woven.find("-") + 17]
+    if not _BK.fullmatch(bk) or mix_it(half, bk) != mix:
         return None
-    bk_len = dash + 17
-    if bk_len > len(woven):
-        return None
-    bk = woven[:bk_len]
-    epoch, tail = bk[:dash], bk[dash + 1:]
-    if not epoch.isdigit() or not _BK_HEX.match(tail):
-        return None
-    for i in range(bk_len, len(woven)):
-        if woven[i] != bk[i % bk_len]:
-            return None
     return half, bk

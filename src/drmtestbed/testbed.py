@@ -123,7 +123,7 @@ class Testbed:
             self.catalog = load_catalog(cfg.catalog_dir)
         else:
             self.catalog = demo_catalog(self.env.rng)
-        self.net = Network(self.env)
+        self.net = Network()
 
         self.wynk = WynkService(self.catalog, self.env, cfg)
         self.saavn = SaavnService(self.catalog, self.env, cfg)

@@ -215,8 +215,7 @@ def query_string(query: dict[str, str]) -> str:
 class Network:
     """The wire. One instance per simulated session."""
 
-    def __init__(self, env: DeterministicEnv):
-        self.env = env
+    def __init__(self):
         self._routes: dict[str, object] = {}
         self._taps: list[Tap] = []
         self._seq = 0

@@ -28,7 +28,7 @@ def _make_rig():
     env = DeterministicEnv(seed=61, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = bench.BenchmarkService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     return svc, net, env, catalog
 

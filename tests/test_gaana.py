@@ -23,7 +23,7 @@ def rig():
     env = DeterministicEnv(seed=41, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = gaana.GaanaService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     return svc, net, env, catalog
 

@@ -120,6 +120,10 @@ def test_parse_empty_index_needs_endlist():
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=abc\nuri\n", 2),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=\nuri\n", 2),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=\u00b2\nuri\n", 2),  # isdigit() says yes
+    pytest.param(  # past int()'s digit limit
+        "#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=" + "9" * 5000 + "\nuri\n", 2,
+        id="bandwidth-of-5000-digits",
+    ),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=12\n", 3),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=12\n#comment\n", 3),
     ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=1\na\n#EXT-X-STREAM-INF:BANDWIDTH=1\nb\n", 4),

@@ -19,7 +19,7 @@ def rig():
     env = DeterministicEnv(seed=51, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = hungama.HungamaService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     return svc, net, env, catalog
 

@@ -35,7 +35,7 @@ def _build():
     env = DeterministicEnv(seed=31, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = saavn.SaavnService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     return svc, net, env, catalog
 
@@ -248,7 +248,7 @@ def test_api_variant_not_stocked_404():
         assets={"solo": MediaAsset("solo", "Solo", {128: AUDIO_MAGIC + b"only"})}
     )
     svc = saavn.SaavnService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     song = _page_token(net, svc, "solo")
     resp = _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url, bit_rate="320")

@@ -135,7 +135,7 @@ def test_hex_digits_of_nothing_draws_nothing():
 
 def _header_network():
     seen = []
-    net = Network(DeterministicEnv(seed=3, clock_start=0))
+    net = Network()
     net.register("f.test", lambda req: seen.append(req) or json_response({}))
     return net, net.attach_tap(), seen
 
@@ -251,7 +251,7 @@ def test_split_url_hands_out_a_fresh_query_every_call():
 
 def test_extra_query_never_leaks_into_the_next_split():
     seen = []
-    net = Network(DeterministicEnv(seed=3, clock_start=0))
+    net = Network()
     net.register("leak.test", lambda req: seen.append(req.query_string()) or json_response({}))
     url = "https://leak.test/p?a=1"
     net.get(url, extra_query={"x": "9"})
@@ -264,8 +264,7 @@ def test_extra_query_never_leaks_into_the_next_split():
 
 
 def _echo_network():
-    env = DeterministicEnv(seed=3, clock_start=0)
-    net = Network(env)
+    net = Network()
 
     def handler(req: HttpRequest) -> HttpResponse:
         return json_response({"path": req.path, "host": req.headers.get("host")})
@@ -295,8 +294,7 @@ def test_duplicate_host_registration_rejected():
 
 def test_extra_query_merges_after_url_query():
     captured = {}
-    env = DeterministicEnv(seed=3, clock_start=0)
-    net = Network(env)
+    net = Network()
 
     def handler(req):
         captured["qs"] = req.query_string()
@@ -317,8 +315,7 @@ def test_request_refuses_an_unknown_method():
 
 def test_request_folds_header_keys_and_owns_its_cookies():
     seen = []
-    env = DeterministicEnv(seed=3, clock_start=0)
-    net = Network(env)
+    net = Network()
 
     def handler(req):
         seen.append(req)
@@ -340,8 +337,7 @@ def test_request_folds_header_keys_and_owns_its_cookies():
 
 def test_post_carries_body():
     captured = {}
-    env = DeterministicEnv(seed=3, clock_start=0)
-    net = Network(env)
+    net = Network()
 
     def handler(req):
         captured["method"] = req.method
@@ -390,8 +386,7 @@ def test_two_taps_see_the_same_records():
 
 
 def test_tap_holds_copies_not_references():
-    env = DeterministicEnv(seed=3, clock_start=0)
-    net = Network(env)
+    net = Network()
 
     def mutating_handler(req: HttpRequest) -> HttpResponse:
         return json_response({"q": dict(req.query)})
@@ -452,7 +447,7 @@ def test_exchanges_own_their_dicts_from_construction():
     query, headers, cookies = {"k": "v"}, {"H": "v"}, {"c": "1"}
     resp_headers, set_cookies = {"x": "1"}, {"s": "1"}
     seen = []
-    net = Network(DeterministicEnv(seed=3, clock_start=0))
+    net = Network()
 
     def handler(req):
         seen.append(req)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ def rig():
     env = DeterministicEnv(seed=21, clock_start=1_700_000_000)
     catalog = demo_catalog(env.rng)
     svc = wynk.WynkService(catalog, env, TestbedConfig())
-    net = Network(env)
+    net = Network()
     svc.mount(net)
     return svc, net, env, catalog
 
@@ -127,6 +129,81 @@ def test_parse_mix_inverts_mix_it():
 def test_parse_mix_round_trip_property(epoch, tail, half):
     bk = f"{epoch}-{tail}"
     assert wynk._parse_mix(wynk.mix_it(half, bk)) == (half, bk)
+
+
+def parse_mix_by_walk(mix: str) -> tuple[str, str] | None:
+    """The reference the service's parser must agree with: BK read up to
+    its dash plus 16 characters and checked in parts, then the cyclic wrap
+    walked by hand over the rest of the odd offsets."""
+    if len(mix) != 64:
+        return None
+    half, woven = mix[0::2], mix[1::2]
+    if not all(c in "0123456789abcdef" for c in half):
+        return None
+    dash = woven.find("-")
+    if dash < 1:
+        return None
+    bk_len = dash + 17
+    if bk_len > len(woven):
+        return None
+    bk = woven[:bk_len]
+    epoch, tail = bk[:dash], bk[dash + 1:]
+    if not epoch.isdigit() or not re.match(r"^[0-9a-f]{16}$", tail):
+        return None
+    for i in range(bk_len, len(woven)):
+        if woven[i] != bk[i % bk_len]:
+            return None
+    return half, bk
+
+
+def _weave(args):
+    # what a client sends: one dashless deviceId half woven with a BK
+    now, seed, second = args
+    rng = Random(seed)
+    bk = wynk.gen_bk(now, rng)
+    device_id = wynk.gen_device_id(rng)
+    half = (device_id[36:] if second else device_id[:36]).replace("-", "")
+    return wynk.mix_it(half, bk)
+
+
+# epochs of 1 to 18 digits: BK periods of 18 to 35, those past 32 too long
+_WEAVES = st.tuples(
+    st.integers(0, 10 ** 17), st.integers(0, 2 ** 32), st.booleans()
+).map(_weave)
+
+
+def _off_grammar_weave(args):
+    # the wrap holds, but BK may have an empty epoch or a tail of the
+    # wrong length or alphabet
+    epoch, tail, half = args
+    return wynk.mix_it(half, f"{epoch}-{tail}")
+
+
+def _one_char_changed(args):
+    name, at, char = args
+    at %= len(name)
+    return name[:at] + char + name[at + 1:]
+
+
+_NAME_CHARS = "0123456789abcdef-"
+_MIX_NAMES = st.one_of(
+    _WEAVES,
+    st.tuples(
+        st.text(alphabet="0123456789", max_size=12),
+        st.text(alphabet=_NAME_CHARS, min_size=14, max_size=18),
+        st.text(alphabet="0123456789abcdef", min_size=32, max_size=32),
+    ).map(_off_grammar_weave),
+    st.tuples(_WEAVES, st.integers(0, 63), st.sampled_from(_NAME_CHARS)).map(
+        _one_char_changed
+    ),
+    st.text(alphabet=_NAME_CHARS, max_size=70),
+)
+
+
+@given(mix=_MIX_NAMES)
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+def test_parse_mix_agrees_with_the_hand_walk(mix):
+    assert wynk._parse_mix(mix) == parse_mix_by_walk(mix)
 
 
 def test_parse_mix_rejects_junk():
@@ -321,11 +398,17 @@ def _login(net, env, bs, *, ptot=None):
 
 
 def test_priming_state_needs_both_marks(rig):
-    svc, net, env, _catalog = rig
+    _svc, net, env, _catalog = rig
     bk = _prime(net, env, marks=("1",))
-    assert svc._by_bk[bk].primed is False
+    check = json.loads(_check(net, env, bk).body)
+    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    resp = _login(net, env, bs)
+    assert (resp.status, json.loads(resp.body)) == (
+        403, {"error": "handshake not primed"}
+    )
     bk2 = _prime(net, env)
-    assert svc._by_bk[bk2].primed is True
+    check = json.loads(_check(net, env, bk2).body)
+    assert _login(net, env, "".join(check[f] for f in wynk.CHECK_FIELDS)).status == 200
 
 
 def test_invalid_mix_names_are_404_and_create_no_state(rig):
@@ -374,6 +457,25 @@ def test_check_rejects_non_ascii_digits_in_tk(rig):
         headers={"tk": "\u00b2", "bk": bk[:half]},
     )
     assert resp.status == 401
+
+
+def test_stamps_past_int_digit_limit_are_stale(rig):
+    # int() refuses more than 4300 digits; such a stamp is stale, with no
+    # RNG draw, like any other
+    _svc, net, env, _catalog = rig
+    huge = "9" * 5000
+    bk = _prime(net, env)
+    state = env.rng.getstate()
+    resp = _check(net, env, bk, tk=huge)
+    assert (resp.status, json.loads(resp.body)) == (401, {"error": "stale tk"})
+    assert env.rng.getstate() == state
+    check = json.loads(_check(net, env, bk).body)
+    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    state = env.rng.getstate()
+    resp = _login(net, env, bs, ptot=huge)
+    assert (resp.status, json.loads(resp.body)) == (401, {"error": "stale ptot"})
+    assert env.rng.getstate() == state
+    assert _login(net, env, bs).status == 200
 
 
 def test_check_requires_pid(rig):
