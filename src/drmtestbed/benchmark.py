@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hmac as _hmac
 import json
-import re
 from dataclasses import dataclass
 
 from .catalog import ServiceCatalog
@@ -63,8 +62,6 @@ USERS = {
     "ada": ("correct-horse-battery", "premium"),
     "grace": ("paper-clip-42", "free"),
 }
-
-_RANGE = re.compile(r"bytes=([0-9]+)-([0-9]+)")  # fullmatch only
 
 
 class LicenseError(Exception):
@@ -212,7 +209,7 @@ class BenchmarkService:
         try:
             payload = json.loads(req.body)
             username, password = payload["username"], payload["password"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             return error_response(400, "username and password required")
         if not (isinstance(username, str) and isinstance(password, str)):
             return error_response(400, "username and password required")
@@ -287,23 +284,27 @@ class BenchmarkService:
         if range_header is None:
             start, body = 0, bytes(blob)
         else:
-            parsed = _RANGE.fullmatch(range_header)
-            if parsed is None:
+            # exactly bytes=([0-9]+)-([0-9]+): on ASCII text, isdigit()
+            # means [0-9]+
+            first, _, last = range_header[6:].partition("-")
+            if not (range_header.startswith("bytes=") and range_header.isascii()
+                    and first.isdigit() and last.isdigit()):
                 return error_response(400, "unparseable range")
             try:
-                start, end = int(parsed.group(1)), int(parsed.group(2))
+                start, end = int(first), int(last)
             except ValueError:  # past int()'s digit limit
                 return error_response(400, "unparseable range")
             if end < start:
                 return error_response(400, "inverted range")
             body = bytes(blob[start:end + 1])
         return HttpResponse(
-            status=200,
-            headers={
+            200,
+            {
                 "content-type": "application/octet-stream",
                 "content-range": f"bytes {start}-{start + len(body) - 1}/{len(blob)}",
             },
-            body=body,
+            None,
+            body,
         )
 
     def _stream_blob(self, asset_id: str) -> memoryview:

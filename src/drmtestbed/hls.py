@@ -9,7 +9,9 @@ carry the 1-based line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 AUDIO_MAGIC = b"AUD0"
 BITRATE_LADDER = (320, 128, 64, 32, 16)
@@ -107,10 +109,17 @@ def render_master(manifest: MasterManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _duration_text(seconds: float) -> str:
+    # repr, unless it has an exponent, which parse_index refuses: then the
+    # same digits written out positionally, which read back to the same float
+    text = repr(seconds)
+    return format(Decimal(text), "f") if "e" in text else text
+
+
 def render_index(manifest: IndexManifest) -> str:
     lines = [M3U_HEADER]
     for uri, seconds in manifest.segments:
-        lines.append(f"{EXTINF}{seconds!r},")
+        lines.append(f"{EXTINF}{_duration_text(seconds)},")
         lines.append(uri)
     lines.append(ENDLIST)
     return "\n".join(lines) + "\n"
@@ -158,21 +167,33 @@ def parse_master(text: str) -> MasterManifest:
     return MasterManifest(entries=entries)
 
 
+def _duration(raw: str, line: int) -> float:
+    # RFC 8216 section 4.3.2.1: a decimal-integer or a non-negative
+    # decimal-floating-point, i.e. [0-9]+(\.[0-9]+)?. float() alone would
+    # take nan, inf, signs, spaces, underscores and non-ASCII digits, and
+    # read a long enough run of digits as inf.
+    whole, dot, frac = raw.partition(".")
+    if raw.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+        seconds = float(raw)
+        if not math.isinf(seconds):
+            return seconds
+    raise ManifestError(f"bad duration {raw!r}", line)
+
+
 def parse_index(text: str) -> IndexManifest:
     lines = _lines_of(text)
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)
     segments = []
+    last_raw, seconds = None, 0.0
     i = 1
     while i < len(lines) and lines[i] != ENDLIST:
         tag = lines[i]
         if not tag.startswith(EXTINF) or not tag.endswith(","):
             raise ManifestError("expected extinf tag", i + 1)
         raw = tag[len(EXTINF):-1]
-        try:
-            seconds = float(raw)
-        except ValueError:
-            raise ManifestError(f"bad duration {raw!r}", i + 1) from None
+        if raw != last_raw:  # a tree's durations mostly repeat
+            seconds, last_raw = _duration(raw, i + 1), raw
         uri = _want_uri(lines, i + 1)
         segments.append((uri, seconds))
         i += 2

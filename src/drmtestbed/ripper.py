@@ -9,11 +9,10 @@ in the transcript decodes to catalog plaintext.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from .catalog import ServiceCatalog
 from .hls import AUDIO_MAGIC, M3U_HEADER, ManifestError, parse_index
-from .transport import TapRecord
+from .transport import TapRecord, url_path
 
 _PLAYLIST_TAG = M3U_HEADER.encode("ascii")
 
@@ -61,7 +60,7 @@ def _index_candidates(records):
             }
         chunks, seqs, complete = [], [rec.seq], True
         for uri, _seconds in index.segments:
-            hit = last_by_path.get(urlsplit(uri).path)
+            hit = last_by_path.get(url_path(uri))
             if hit is None:
                 complete = False
                 break

@@ -188,7 +188,7 @@ class WynkService:
                 payload = json.loads(req.body)
                 device_id = payload["deviceId"]
                 user_agent = payload["userAgent"]
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 return error_response(400, "deviceId and userAgent required")
             if not device_id or not user_agent:
                 return error_response(400, "deviceId and userAgent required")
@@ -287,7 +287,7 @@ class WynkService:
             return error_response(404, "no such endpoint")
         try:
             pid = json.loads(req.body)["pid"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             return error_response(400, "pid required")
         if not isinstance(pid, str):
             return error_response(400, "pid required")

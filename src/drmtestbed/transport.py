@@ -7,13 +7,14 @@ copied into any attached taps with a strictly increasing sequence
 number. Tap readers only ever see copies, so observing traffic can
 never change it.
 
-Every request and response is built one way, through its constructor,
-which checks the method or status and copies each dict it is given, so
-an exchange owns its dicts from the moment it exists. A request folds
-its header keys to lower case there and nowhere else (field names are
-case-insensitive, RFC 9110 section 5.1), so handlers read headers by
-lower-case name. Tap snapshots and replay copies go through the same
-constructors.
+Every exchange starts in its constructor, which checks the method or
+status and copies each dict it is given, so an exchange owns its dicts
+from the moment it exists. A request folds its header keys to lower
+case there and nowhere else (field names are case-insensitive, RFC 9110
+section 5.1), so handlers read headers by lower-case name. Tap snapshots
+and replay copies (copy_request, copy_response) only copy: each dict of
+an exchange its constructor already checked and folded is copied as it
+stands, and nothing is checked or folded again.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -175,13 +177,27 @@ class Tap:
 
 
 def copy_request(req: HttpRequest) -> HttpRequest:
-    """A snapshot sharing no dict with req."""
-    return HttpRequest(req.method, req.path, req.query, req.headers, req.cookies, req.body)
+    """A snapshot sharing no dict with req, which its constructor already
+    checked and folded: each dict is copied as it stands."""
+    dup = object.__new__(HttpRequest)
+    dup.method = req.method
+    dup.path = req.path
+    dup.query = req.query.copy()
+    dup.headers = req.headers.copy()
+    dup.cookies = req.cookies.copy()
+    dup.body = req.body
+    return dup
 
 
 def copy_response(resp: HttpResponse) -> HttpResponse:
-    """A snapshot sharing no dict with resp."""
-    return HttpResponse(resp.status, resp.headers, resp.set_cookies, resp.body)
+    """A snapshot sharing no dict with resp, which its constructor already
+    checked: each dict is copied as it stands."""
+    dup = object.__new__(HttpResponse)
+    dup.status = resp.status
+    dup.headers = resp.headers.copy()
+    dup.set_cookies = resp.set_cookies.copy()
+    dup.body = resp.body
+    return dup
 
 
 def split_url(url: str) -> tuple[str, str, dict[str, str]]:
@@ -189,22 +205,43 @@ def split_url(url: str) -> tuple[str, str, dict[str, str]]:
     caller may update it; the split itself is memoized, because a ranged
     player fetches one URL hundreds of times."""
     host, path, query = _split_url(url)
-    return host, path, dict(query)
+    if not host:
+        raise ValueError(f"url without host: {url!r}")
+    return host, path or "/", dict(query)
+
+
+def url_path(url: str) -> str:
+    """urlsplit(url).path, from the same memo as split_url: "" for
+    https://h, the URL itself when it is a relative path."""
+    return _split_url(url)[1]
+
+
+# https://, an ASCII DNS host, then a path and a query of printable ASCII
+# with no fragment: urlsplit strips or checks nothing in such a URL, so
+# its parts are where this finds them.
+_PLAIN_URL = re.compile(r'https://([0-9A-Za-z.-]+)(/[ -"$->@-~]*)?(?:\?([ -"$-~]*))?')
 
 
 @functools.lru_cache(maxsize=256)
 def _split_url(url: str) -> tuple[str, str, dict[str, str]]:
+    """urlsplit(url)'s netloc and path, raising where it raises, and its
+    query as a dict no caller may change. Plain URLs are split directly;
+    every other string goes through urlsplit, which alone handles what the
+    direct split refuses."""
+    plain = _PLAIN_URL.fullmatch(url)
+    if plain is not None:
+        netloc, path, raw_query = plain.groups("")
+    else:
+        parts = urlsplit(url)
+        netloc, path, raw_query = parts.netloc, parts.path, parts.query
     # No percent-encoding layer on this fabric: query strings are split
     # raw so base64 values (with + / =) survive a round trip untouched.
-    parts = urlsplit(url)
-    if not parts.netloc:
-        raise ValueError(f"url without host: {url!r}")
     query: dict[str, str] = {}
-    if parts.query:
-        for item in parts.query.split("&"):
+    if raw_query:
+        for item in raw_query.split("&"):
             key, _, value = item.partition("=")
             query[key] = value
-    return parts.netloc, parts.path or "/", query
+    return netloc, path, query
 
 
 def query_string(query: dict[str, str]) -> str:

@@ -222,6 +222,10 @@ def test_cdn_range_semantics(rig):
     pytest.param("\n", "bytes=0-3", 404, id="path-newline"),
     pytest.param("", "bytes=0-3\n", 400, id="range-newline"),
     pytest.param("", "bytes=\u0660-\u0663", 400, id="arabic-indic-digits"),
+    pytest.param("", "bytes=\u00b2-3", 400, id="superscript-digit"),  # isdigit() says yes
+    pytest.param("", "bytes=0-1-2", 400, id="two-dashes"),
+    pytest.param("", "bytes=+0-3", 400, id="signed"),
+    pytest.param("", "bytes=0_0-3", 400, id="underscore"),
     pytest.param("", f"bytes={'1' * 5000}-{'2' * 5000}", 400, id="past-int-digit-limit"),
 ])
 def test_cdn_refuses_lax_paths_and_ranges(rig, path_tail, range_header, status):

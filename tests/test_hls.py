@@ -79,13 +79,17 @@ def test_render_master_exact_bytes():
 
 
 def test_render_index_exact_bytes():
-    m = IndexManifest(segments=[("seg_00000.ts", 10.0), ("seg_00001.ts", 3.5)])
+    m = IndexManifest(segments=[
+        ("seg_00000.ts", 10.0), ("seg_00001.ts", 3.5), ("seg_00002.ts", 1e-05),
+    ])
     assert render_index(m) == (
         "#EXTM3U\n"
         "#EXTINF:10.0,\n"
         "seg_00000.ts\n"
         "#EXTINF:3.5,\n"
         "seg_00001.ts\n"
+        "#EXTINF:0.00001,\n"  # repr's 1e-05 is no RFC 8216 duration
+        "seg_00002.ts\n"
         "#EXT-X-ENDLIST\n"
     )
 
@@ -143,6 +147,16 @@ def test_parse_master_error_lines(text, line):
     ("#EXTM3U\n#EXTINF:10.0,\n\n#EXT-X-ENDLIST\n", 3),  # blank uri
     ("#EXTM3U\n#EXT-X-ENDLIST\nextra\n", 3),            # content after endlist
     ("#EXTM3U\nseg.ts\n", 2),                            # bare uri
+    # RFC 8216 4.3.2.1 durations are [0-9]+(\.[0-9]+)?; float() takes these
+    *(
+        pytest.param(f"#EXTM3U\n#EXTINF:{raw},\nseg.ts\n#EXT-X-ENDLIST\n", 2, id=f"duration-{name}")
+        for name, raw in [
+            ("nan", "nan"), ("inf", "inf"), ("1e400", "1e400"), ("negative", "-5"),
+            ("leading-space", " 10.0"), ("underscore", "1_0"),
+            ("arabic-indic-digits", "\u0661\u0660"), ("bare-point", "1."),
+            ("400-digits", "9" * 400),  # matches the grammar, reads as inf
+        ]
+    ),
 ])
 def test_parse_index_error_lines(text, line):
     with pytest.raises(ManifestError) as info:

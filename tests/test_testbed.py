@@ -15,7 +15,7 @@ from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
-from drmtestbed.transport import copy_request
+from drmtestbed.transport import HttpRequest, copy_request
 
 CLIENT_FUNCTIONS = {
     "wynk-v1": "rip_wynk_v1",
@@ -178,3 +178,17 @@ def test_build_names_the_asset_missing_a_served_rate(tmp_path):
     save_catalog(ServiceCatalog(assets={"short1": asset}), tmp_path)
     with pytest.raises(ValueError, match="short1: no 64 kbps variant"):
         Testbed(TestbedConfig(catalog_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("host,path", [
+    ("api.benchtune.sim", "/account/login"),
+    ("sapi.wynk.in", "/music/v3/account/login"),
+    ("ping.wynk.in", "/health/check"),
+])
+def test_deeply_nested_json_body_is_400(bed, host, path):
+    # json.loads raises RecursionError, not ValueError, past the nesting
+    # it can follow; the body is as unparseable as any other
+    state = bed.env.rng.getstate()
+    resp = bed.net.dispatch(host, HttpRequest("POST", path, body=b"[" * 100_000))
+    assert resp.status == 400
+    assert bed.env.rng.getstate() == state

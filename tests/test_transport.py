@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drmtestbed.services import wynk
@@ -26,7 +27,9 @@ from drmtestbed.transport import (
     json_response,
     query_string,
     split_url,
+    url_path,
     uuid_like,
+    _split_url,
 )
 
 # ----------------------------------------------------------------- clock
@@ -249,6 +252,69 @@ def test_split_url_hands_out_a_fresh_query_every_call():
     assert split_url(url) == ("memo.test", "/p", {"a": "1", "b": "2"})
 
 
+# Each part is often what a plain URL holds, else that salted with one odd
+# character, else any text at all.
+_ODD = ("\t", "\r", "\n", "\x00", "\x1f", "\x7f", " ", "#", "?", "&", "=", "@", ":",
+        "[", "]", "/", "\u00e9", "\u0660", "\uff0e", "\U0001f600")
+
+
+def _url_part(alphabet: str, size: int):
+    plain = st.text(st.sampled_from(alphabet), max_size=size)
+    return st.one_of(
+        plain,
+        st.tuples(plain, st.sampled_from(_ODD), plain).map("".join),
+        st.text(st.characters(), max_size=size),
+    )
+
+
+_URLS = st.tuples(
+    st.one_of(
+        st.just("https://"),
+        st.sampled_from(["http://", "HTTPS://", "ftp://", "https:", "//", "",
+                         " https://", "\x01https://", "ht\ttps://"]),
+    ),
+    _url_part("abXY09.-", 6),
+    st.sampled_from(["", "/", "?", "/p", "/p?a=1&b", "/?=&", "#f", "/p#"]),
+    _url_part("aZ09-._~/?&=%!$'()*+,;:@", 8),
+).map("".join)
+
+
+def _urlsplit_parts(url):
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return None
+    return parts.netloc, parts.path, parts.query
+
+
+@given(_URLS)
+@example("https://Ab.c-d/p?x=1#f")
+@example("https://h.test/p\tq?a=\n1")
+@example("https://a[b/p")  # urlsplit raises
+@example("https://h.test")
+@example("seg_00001.ts")
+@settings(derandomize=True, max_examples=1000)
+def test_splits_agree_with_urlsplit(url):
+    # urlsplit is the reference for the direct split of plain URLs and for
+    # everything handed back to urlsplit; url_path is the ripper's
+    expected = _urlsplit_parts(url)
+    if expected is None:
+        for split in (_split_url, split_url, url_path):
+            with pytest.raises(ValueError):
+                split(url)
+        return
+    netloc, path, raw_query = expected
+    pairs = [item.partition("=") for item in raw_query.split("&")] if raw_query else []
+    query = {k: v for k, _, v in pairs}
+    assert _split_url(url) == (netloc, path, query)
+    assert url_path(url) == path
+    if netloc:
+        assert split_url(url) == (netloc, path or "/", query)
+    else:
+        with pytest.raises(ValueError):
+            split_url(url)
+
+
 def test_extra_query_never_leaks_into_the_next_split():
     seen = []
     net = Network()
@@ -417,6 +483,10 @@ def test_copy_helpers_are_deep_enough():
     dup.headers["h"] = "w"
     dup.cookies["c"] = "2"
     assert req.query["a"] == "1" and req.headers["h"] == "v" and req.cookies["c"] == "1"
+
+    # a key gained after construction is copied as it stands, not folded
+    req.headers["X-Late"] = "1"
+    assert copy_request(req).headers == {"h": "v", "X-Late": "1"}
 
     resp = HttpResponse(status=200, headers={"x": "1"}, set_cookies={"s": "1"}, body=b"z")
     dup2 = copy_response(resp)
