@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .catalog import ServiceCatalog
-from .cdn import GrantGate, issue_grant
+from .cdn import GrantGate
 from .config import TestbedConfig
 from .crypto_kit import (
     CryptoError,
@@ -36,7 +36,6 @@ from .transport import (
     HttpResponse,
     error_response,
     json_response,
-    query_string,
 )
 from .webassets import script_response
 
@@ -151,9 +150,7 @@ class BenchmarkService:
     ):
         self.catalog = catalog
         self.env = env
-        self._cdn_secret = cfg.benchmark_cdn_secret()
-        self._key_pair_id = "KBENCH1"
-        self._gate = GrantGate(self._cdn_secret, self._key_pair_id)
+        self._gate = GrantGate(cfg.benchmark_cdn_secret(), "KBENCH1")
         self.device_key = SecretKey(cfg.device_key())
         self.users = dict(USERS)
         self.bearer_ttl = cfg.bearer_ttl
@@ -260,13 +257,10 @@ class BenchmarkService:
         if asset.premium and self.users[user][1] != "premium":
             return error_response(403, "premium account required")
         expires = self.env.now() + self.grant_ttl
-        uris = []
-        for edge in EDGES:
-            path = _stream_path(edge, asset_id)
-            grant = issue_grant(
-                self._cdn_secret, self._key_pair_id, path, expires
-            )
-            uris.append(f"https://{HOST_CDN}{path}?{query_string(grant)}")
+        uris = [
+            self._gate.signed_url(HOST_CDN, _stream_path(edge, asset_id), expires)
+            for edge in EDGES
+        ]
         return json_response({"uris": uris, "license_url": LICENSE_URL})
 
     # ---- cdn host -----------------------------------------------------------

@@ -94,9 +94,10 @@ def verify_grant(
 
 
 class GrantGate:
-    """Admits a request exactly when `verify_grant` would. The terms of
-    the last grant whose signature checked out are kept, so a player
-    fetching a stream chunk by chunk under one grant pays for the
+    """The one holder of a CDN host's key pair: it issues that host's
+    grants and admits a request exactly when `verify_grant` would. The
+    terms of the last grant whose signature checked out are kept, so a
+    player fetching a stream chunk by chunk under one grant pays for the
     signature once. One slot, because players read one stream front to
     back and server state stays bounded; it never holds a decision, so
     expiry and path are judged on every request."""
@@ -106,6 +107,13 @@ class GrantGate:
         self._key_pair_id = key_pair_id
         # (policy, signature, terms) of the last grant that checked out
         self._last: tuple[str, str, tuple[str, int]] | None = None
+
+    def grant(self, resource_prefix: str, expires_at: int) -> dict[str, str]:
+        return issue_grant(self._secret, self._key_pair_id, resource_prefix, expires_at)
+
+    def signed_url(self, host: str, path: str, expires_at: int) -> str:
+        """https://host/path carrying a grant for exactly that path."""
+        return f"https://{host}{path}?{query_string(self.grant(path, expires_at))}"
 
     def admits(self, query: dict[str, str], resource_path: str, now: int) -> bool:
         last = self._last
@@ -139,8 +147,6 @@ class CdnNode:
         chunk_bytes: int,
     ):
         self.host = host
-        self._secret = secret
-        self._key_pair_id = key_pair_id
         self._gate = GrantGate(secret, key_pair_id)
         self._clock = clock
         self._chunk_bytes = chunk_bytes
@@ -153,6 +159,7 @@ class CdnNode:
 
     def add_hls_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
         rates = sorted(bitrates or asset.variants, reverse=True)
+        origin = len(self.url(""))  # each chunk lives at its index URI's path
         master_entries = []
         for rate in rates:
             base = f"/hls/{key}/{rate}/"
@@ -161,8 +168,8 @@ class CdnNode:
                 self._chunk_bytes,
                 uri_prefix=self.url(base),
             )
-            for i, chunk in enumerate(chunks):
-                self._put(f"{base}seg_{i:05d}.ts", chunk, "video/mp2t")
+            for chunk, (uri, _seconds) in zip(chunks, index.segments):
+                self._put(uri[origin:], chunk, "video/mp2t")
             self._put(
                 f"{base}index.m3u8",
                 render_index(index).encode("utf-8"),
@@ -196,14 +203,10 @@ class CdnNode:
     # ---- grant issuance (service side) -------------------------------------
 
     def hls_grant(self, key: str, expires_at: int) -> dict[str, str]:
-        return issue_grant(
-            self._secret, self._key_pair_id, f"/hls/{key}/", expires_at
-        )
+        return self._gate.grant(f"/hls/{key}/", expires_at)
 
     def signed_file_url(self, key: str, rate: int, expires_at: int) -> str:
-        path = f"/file/{key}/{rate}.aud"
-        grant = issue_grant(self._secret, self._key_pair_id, path, expires_at)
-        return f"{self.url(path)}?{query_string(grant)}"
+        return self._gate.signed_url(self.host, f"/file/{key}/{rate}.aud", expires_at)
 
     def master_url(self, key: str) -> str:
         return self.url(f"/hls/{key}/master.m3u8")

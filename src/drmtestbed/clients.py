@@ -38,34 +38,33 @@ class ProtocolFailure(Exception):
         self.status = status
 
 
-def _expect_json(resp, detail: str) -> dict:
+def _expect_ok(resp, detail: str):
+    """The response, if the service answered 200; else the protocol stops."""
     if resp.status != 200:
         raise ProtocolFailure(detail, resp.status)
-    try:
-        return json.loads(resp.body)
+    return resp
+
+
+def _expect_json(resp, detail: str) -> dict:
+    try:  # a ProtocolFailure is no ValueError, so it passes through
+        return json.loads(_expect_ok(resp, detail).body)
     except ValueError as exc:
         raise ProtocolFailure(f"{detail}: unparseable body") from exc
 
 
 def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> bytes:
     """master (or single-variant master) -> best index -> chunks."""
-    resp = net.get(entry_url, extra_query=grant_query)
-    if resp.status != 200:
-        raise ProtocolFailure("manifest fetch refused", resp.status)
+    resp = _expect_ok(net.get(entry_url, extra_query=grant_query), "manifest fetch refused")
     master = parse_master(resp.body.decode("utf-8"))
     if not master.entries:
         raise ProtocolFailure("manifest lists no variants")
     _bw, index_url = master.best()
-    resp = net.get(index_url, extra_query=grant_query)
-    if resp.status != 200:
-        raise ProtocolFailure("index fetch refused", resp.status)
+    resp = _expect_ok(net.get(index_url, extra_query=grant_query), "index fetch refused")
     index = parse_index(resp.body.decode("utf-8"))
-    chunks = []
-    for seg_url, _seconds in index.segments:
-        seg = net.get(seg_url, extra_query=grant_query)
-        if seg.status != 200:
-            raise ProtocolFailure("chunk fetch refused", seg.status)
-        chunks.append(seg.body)
+    chunks = [
+        _expect_ok(net.get(seg_url, extra_query=grant_query), "chunk fetch refused").body
+        for seg_url, _seconds in index.segments
+    ]
     return assemble(chunks)
 
 
@@ -131,8 +130,7 @@ def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
     for half, mark in ((first, "1"), (second, "2")):
         name = mix_it(half.replace("-", ""), bk)
         resp = net.get(f"https://{wynk_mod.HOST_ASSETS}/webassets/{name}_{mark}.jpg")
-        if resp.status != 200:
-            raise ProtocolFailure("priming fetch refused", resp.status)
+        _expect_ok(resp, "priming fetch refused")
     half = len(bk) // 2
     check = _expect_json(
         net.post(
@@ -184,9 +182,7 @@ def rip_saavn(
     song_url: str,
     bit_rate: str | None = None,  # None or "": the top rate, "320"
 ) -> bytes:
-    page = net.get(song_url)
-    if page.status != 200:
-        raise ProtocolFailure("song page refused", page.status)
+    page = _expect_ok(net.get(song_url), "song page refused")
     song = parse_saavn_page(page.body.decode("utf-8"))
     auth = _expect_json(
         net.get(
@@ -199,10 +195,7 @@ def rip_saavn(
         ),
         "auth token refused",
     )
-    media = net.get(auth["auth_url"])
-    if media.status != 200:
-        raise ProtocolFailure("media fetch refused", media.status)
-    return media.body
+    return _expect_ok(net.get(auth["auth_url"]), "media fetch refused").body
 
 
 # ---- gaana --------------------------------------------------------------------
@@ -216,9 +209,7 @@ def rip_gaana(
     quality: str | None = None,  # None or "": "high"
 ) -> bytes:
     quality = quality or "high"
-    page = net.get(song_url)
-    if page.status != 200:
-        raise ProtocolFailure("song page refused", page.status)
+    page = _expect_ok(net.get(song_url), "song page refused")
     block = parse_gaana_page(page.body.decode("utf-8"))
     if quality not in block.path:
         raise ProtocolFailure(f"quality {quality!r} not on page")
@@ -253,10 +244,7 @@ def rip_hungama(
         ),
         "mdnurl refused",
     )
-    resp = net.get(media["media_url"])
-    if resp.status != 200:
-        raise ProtocolFailure("media fetch refused", resp.status)
-    return resp.body
+    return _expect_ok(net.get(media["media_url"]), "media fetch refused").body
 
 
 # ---- benchmark -------------------------------------------------------------------
@@ -273,8 +261,7 @@ def play_benchmark(
         f"https://{bench.HOST_API}{bench.LOGIN_PATH}",
         body=json.dumps({"username": username, "password": password}).encode(),
     )
-    if login.status != 200:
-        raise ProtocolFailure("login refused", login.status)
+    _expect_ok(login, "login refused")
     cookies = dict(login.set_cookies)
     token = _expect_json(
         net.post(f"https://{bench.HOST_API}{bench.TOKEN_PATH}", cookies=cookies),
@@ -289,14 +276,11 @@ def play_benchmark(
     )
     uri = resolved["uris"][0]
     first = net.get(uri, headers={"range": f"bytes=0-{bench.SEGMENT_BYTES - 1}"})
-    if first.status != 200:
-        raise ProtocolFailure("first chunk refused", first.status)
+    _expect_ok(first, "first chunk refused")
     init = bench.extract_init_data(first.body)
     request_blob = cdm.request_license(init)
     license_resp = net.post(resolved["license_url"], body=request_blob)
-    if license_resp.status != 200:
-        raise ProtocolFailure("license refused", license_resp.status)
-    handle = cdm.install(license_resp.body)
+    handle = cdm.install(_expect_ok(license_resp, "license refused").body)
 
     # each chunk is decrypted as it arrives; the CDM's keystream for the
     # handle continues from one chunk to the next
@@ -307,8 +291,7 @@ def play_benchmark(
             uri,
             headers={"range": f"bytes={offset}-{offset + bench.SEGMENT_BYTES - 1}"},
         )
-        if nxt.status != 200:
-            raise ProtocolFailure("chunk fetch refused", nxt.status)
+        _expect_ok(nxt, "chunk fetch refused")
         if not nxt.body:
             break
         plaintext.append(

@@ -113,6 +113,8 @@ def _duration_text(seconds: float) -> str:
     # repr, unless it has an exponent, which parse_index refuses: then the
     # same digits written out positionally, which read back to the same float
     text = repr(seconds)
+    if not text[0].isdigit():  # nan, inf or a sign, which parse_index refuses
+        raise ValueError(f"duration {seconds!r} is not finite and non-negative")
     return format(Decimal(text), "f") if "e" in text else text
 
 

@@ -60,7 +60,10 @@ def _index_candidates(records):
             }
         chunks, seqs, complete = [], [rec.seq], True
         for uri, _seconds in index.segments:
-            hit = last_by_path.get(url_path(uri))
+            try:
+                hit = last_by_path.get(url_path(uri))
+            except ValueError:  # urlsplit refuses it, so no fetch had that URL
+                hit = None
             if hit is None:
                 complete = False
                 break

@@ -1,13 +1,1 @@
-from .wynk import WynkService, encode_cip, search_id
-from .saavn import SaavnService
-from .gaana import GaanaService
-from .hungama import HungamaService
-
-__all__ = [
-    "WynkService",
-    "SaavnService",
-    "GaanaService",
-    "HungamaService",
-    "encode_cip",
-    "search_id",
-]
+"""The four weak streaming services, one module each."""

@@ -16,7 +16,6 @@ from . import clients
 from .catalog import demo_catalog, load_catalog
 from .config import TestbedConfig
 from .ripper import RipResult, tap_rip
-from .services import GaanaService, HungamaService, SaavnService, WynkService
 from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
 from .services import saavn as saavn_mod
@@ -57,7 +56,7 @@ SPECS = (
         "wynk-v2", "wynk-v2", _WYNK_BUNDLE,
         _path(re.escape(wynk_mod.V2_STREAM_PATH)),
         lambda tb, track, quality, principal: clients.rip_wynk_v2(
-            tb.net, tb.env, tb.wynk.song_url(track), sk=tb.config.wynk_sk
+            tb.net, tb.env, tb.wynk.song_url(track), sk=tb.wynk.sk
         ),
     ),
     ServiceSpec(
@@ -74,7 +73,7 @@ SPECS = (
         _path(r".*/master\.m3u8"),
         lambda tb, track, quality, principal: clients.rip_gaana(
             tb.net, tb.gaana.song_url(track),
-            tb.config.gaana_key(), tb.config.gaana_iv(), quality=quality,
+            tb.gaana.page_key, tb.gaana.page_iv, quality=quality,
         ),
     ),
     ServiceSpec(
@@ -125,10 +124,10 @@ class Testbed:
             self.catalog = demo_catalog(self.env.rng)
         self.net = Network()
 
-        self.wynk = WynkService(self.catalog, self.env, cfg)
-        self.saavn = SaavnService(self.catalog, self.env, cfg)
-        self.gaana = GaanaService(self.catalog, self.env, cfg)
-        self.hungama = HungamaService(self.catalog, self.env, cfg)
+        self.wynk = wynk_mod.WynkService(self.catalog, self.env, cfg)
+        self.saavn = saavn_mod.SaavnService(self.catalog, self.env, cfg)
+        self.gaana = gaana_mod.GaanaService(self.catalog, self.env, cfg)
+        self.hungama = hungama_mod.HungamaService(self.catalog, self.env, cfg)
         # draws a content key per track from the rng as it is built
         self.benchmark = bench.BenchmarkService(self.catalog, self.env, cfg)
         for service in (self.wynk, self.saavn, self.gaana, self.hungama, self.benchmark):

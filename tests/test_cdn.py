@@ -220,6 +220,18 @@ def test_gate_hit_refuses_a_dropped_parameter(param):
     assert gate.admits(dict(_GATE_A), path, now)
 
 
+def test_gate_issues_the_grants_it_admits():
+    gate = GrantGate(SECRET, KPID)
+    assert gate.grant("/hls/a/", 2000) == _grant()
+    url = gate.signed_url("cdn.test", "/file/a/320.aud", 2000)
+    assert url == (
+        f"https://cdn.test/file/a/320.aud?{query_string(_grant('/file/a/320.aud'))}"
+    )
+    _host, path, query = split_url(url)
+    assert gate.admits(query, path, 1999)
+    assert not gate.admits(query, "/file/a/64.aud", 1999)
+
+
 def test_far_future_constant():
     assert FAR_FUTURE == 4102444800
 
@@ -260,6 +272,12 @@ def test_cdn_serves_granted_hls_tree(node):
     # chunks are read-only views of the catalog variant, not copies of it
     first = _get(cdn, "/hls/a1/320/seg_00000.ts", query).body
     assert first.obj is asset.variant(320) and first.readonly
+
+
+def test_only_the_gate_holds_a_key_pair(node, bed):
+    cdn, _clock, _asset = node
+    for holder in (cdn, bed.benchmark):
+        assert not {"_secret", "_cdn_secret", "_key_pair_id"} & set(vars(holder))
 
 
 def test_cdn_single_variant_masters(node):

@@ -94,6 +94,13 @@ def test_render_index_exact_bytes():
     )
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, -0.0])
+def test_render_index_refuses_durations_parse_refuses(seconds):
+    # render and parse stay inverses: no bed may write what no player reads
+    with pytest.raises(ValueError, match="duration"):
+        render_index(IndexManifest(segments=[("seg_00000.ts", seconds)]))
+
+
 def test_parse_master_round_trip():
     m = MasterManifest(entries=[(320, "a.m3u8"), (16, "b.m3u8")])
     assert parse_master(render_master(m)) == m

@@ -64,6 +64,12 @@ class TestIndexCandidates:
         # chunks still carry the magic, so bodies match instead
         assert result.matched_catalog is False
 
+    def test_unsplittable_segment_uri_is_a_missing_chunk(self):
+        # urlsplit refuses the URI, so no fetch in the tap can have had it
+        body = b"#EXTM3U\n#EXTINF:10.0,\nhttps://[x/seg.ts\n#EXT-X-ENDLIST\n"
+        result = tap_rip([_rec(1, "/a/index.m3u8", body)], _catalog(), "svc", "trk")
+        assert not result.succeeded and not result.matched_catalog
+
     def test_chunk_views_rip_like_bytes(self):
         # CDN nodes serve HLS chunks as memoryviews of the catalog variant
         whole = tap_rip(_tree(memoryview(MEDIA)), _catalog(), "svc", "trk")

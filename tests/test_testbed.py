@@ -127,6 +127,26 @@ class TestServiceSpecs:
         assert calls == [name]
 
 
+def test_adapters_pass_the_services_own_key_material(bed, monkeypatch):
+    seen = {}
+
+    def gaana(net, song_url, page_key, page_iv, quality=None):
+        seen["gaana"] = (page_key, page_iv)
+        return b""
+
+    def wynk_v2(net, env, song_url, sk):
+        seen["wynk-v2"] = sk
+        return b""
+
+    monkeypatch.setattr(clients, "rip_gaana", gaana)
+    monkeypatch.setattr(clients, "rip_wynk_v2", wynk_v2)
+    bed.run_client("gaana", "trk1")
+    bed.run_client("wynk-v2", "trk1")
+    page_key, page_iv = seen["gaana"]
+    assert page_key is bed.gaana.page_key and page_iv is bed.gaana.page_iv
+    assert seen["wynk-v2"] is bed.wynk.sk
+
+
 @pytest.mark.parametrize("service", ["wynk-v1", "gaana"])
 def test_config_chunk_bytes_reaches_every_hls_tree(service):
     # wynk and gaana both serve HLS; each CDN chunks by the config it was
