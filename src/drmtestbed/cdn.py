@@ -56,7 +56,8 @@ def _signed_terms(
     secret: bytes, key_pair_id: str, query: dict[str, str]
 ) -> tuple[str, int] | None:
     """(resource prefix, expiry) of the grant in a query whose key-pair
-    id and signature check out, else None."""
+    id and signature check out, else None: never an exception, whatever
+    a correctly signed policy holds."""
     if query.get(KEY_PAIR_PARAM) != key_pair_id:
         return None
     try:
@@ -70,7 +71,9 @@ def _signed_terms(
         policy = json.loads(policy_doc)
         resource = policy["resource"]
         expires = int(policy["expires"])
-    except (ValueError, KeyError, TypeError):
+    # OverflowError: an infinite expiry (json reads 1e400 as inf);
+    # RecursionError: a deeply nested policy
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
     if not isinstance(resource, str):
         return None

@@ -9,6 +9,7 @@ carry the 1-based line number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -183,6 +184,16 @@ def _duration(raw: str, line: int) -> float:
 
 
 def parse_index(text: str) -> IndexManifest:
+    """A new IndexManifest on every call, so a caller may change it."""
+    return IndexManifest(segments=list(_parse_index(text)))
+
+
+# A client parses the index playlist it fetched, then the ripper parses
+# the same text off the tap: the memo makes the second parse a lookup. It
+# holds tuples no caller can change, and a ManifestError passes through
+# uncached, so a bad text raises anew, at its line, on every call.
+@functools.lru_cache(maxsize=16)
+def _parse_index(text: str) -> tuple[tuple[str, float], ...]:
     lines = _lines_of(text)
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)
@@ -203,4 +214,4 @@ def parse_index(text: str) -> IndexManifest:
         raise ManifestError(f"missing {ENDLIST}", len(lines) + 1)
     if i != len(lines) - 1:
         raise ManifestError(f"content after {ENDLIST}", i + 2)
-    return IndexManifest(segments=segments)
+    return tuple(segments)

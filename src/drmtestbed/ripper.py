@@ -4,6 +4,10 @@ The ripper never talks to anything. It reads tap records, reassembles
 whatever HLS trees or whole files crossed the wire, and checks the
 result against the catalog. A service defeats it exactly when nothing
 in the transcript decodes to catalog plaintext.
+
+A candidate stays the list of bodies the tap holds and is compared with
+each catalog variant in place, chunk by chunk, so a rip that matches
+copies nothing: its result carries the catalog's own variant object.
 """
 
 from __future__ import annotations
@@ -12,13 +16,17 @@ from dataclasses import dataclass, field
 
 from .catalog import ServiceCatalog
 from .hls import AUDIO_MAGIC, M3U_HEADER, ManifestError, parse_index
-from .transport import TapRecord, url_path
+from .transport import TapRecord, url_host_path
 
 _PLAYLIST_TAG = M3U_HEADER.encode("ascii")
 
 
 @dataclass
 class RipResult:
+    """On a match, `recovered` is the catalog's own variant object: its
+    bytes are the ones the tap spelled out, and a result holds no copy
+    of them. Otherwise it is the first candidate, joined into bytes."""
+
     service: str
     track: str
     succeeded: bool
@@ -35,9 +43,11 @@ def _decode_text(body: bytes | memoryview) -> str | None:
 
 
 def _index_candidates(records):
-    """Assemble every index playlist in the transcript whose chunks all
-    crossed the wire too."""
-    last_by_path = None  # built once the first playlist turns up
+    """(chunk bodies in playlist order, seqs) of every index playlist in
+    the transcript whose chunks all crossed the wire too. A segment is
+    its URI's host and path (a URI with no host is on its playlist's
+    host, RFC 8216 section 4.1), and the last fetch of it wins."""
+    last_by_uri = None  # built once the first playlist turns up
     out = []
     for rec in records:
         body = rec.response.body
@@ -54,23 +64,26 @@ def _index_candidates(records):
             continue
         if not index.segments:
             continue
-        if last_by_path is None:
-            last_by_path = {
-                r.request.path: r for r in records if r.response.status == 200
+        if last_by_uri is None:
+            last_by_uri = {
+                (r.request.headers["host"], r.request.path): r
+                for r in records
+                if r.response.status == 200
             }
-        chunks, seqs, complete = [], [rec.seq], True
+        origin = rec.request.headers["host"]
+        chunks, seqs = [], [rec.seq]
         for uri, _seconds in index.segments:
             try:
-                hit = last_by_path.get(url_path(uri))
+                host, path = url_host_path(uri)
             except ValueError:  # urlsplit refuses it, so no fetch had that URL
-                hit = None
+                break
+            hit = last_by_uri.get((host or origin, path))
             if hit is None:
-                complete = False
                 break
             chunks.append(hit.response.body)
             seqs.append(hit.seq)
-        if complete:
-            out.append((b"".join(chunks), sorted(set(seqs))))
+        else:
+            out.append((chunks, sorted(set(seqs))))
     return out
 
 
@@ -81,7 +94,27 @@ def _body_candidates(records):
         if rec.response.status == 200 and rec.response.body[:len(AUDIO_MAGIC)] == AUDIO_MAGIC
     ]
     hits.sort(key=lambda rec: (-len(rec.response.body), rec.seq))
-    return [(bytes(rec.response.body), [rec.seq]) for rec in hits]
+    return [([rec.response.body], [rec.seq]) for rec in hits]
+
+
+def _matched_variant(chunks, variants):
+    """The variant the chunks spell out, read in place, else None."""
+    size = sum(map(len, chunks))
+    for variant in variants:
+        if len(variant) != size:
+            continue
+        # a whole-file CDN (saavn, hungama) serves the catalog's own
+        # object, which needs no compare
+        if chunks[0] is variant:
+            return variant
+        offset = 0
+        for chunk in chunks:
+            if not variant.startswith(chunk, offset):
+                break
+            offset += len(chunk)
+        else:
+            return variant
+    return None
 
 
 def tap_rip(
@@ -91,28 +124,27 @@ def tap_rip(
     track: str,
 ) -> RipResult:
     asset = catalog.assets.get(track)
-    # a list, not a set: `in` then compares lengths before contents,
-    # where a set would hash every MB-sized candidate first
-    variants = list(asset.variants.values()) if asset else []
+    variants = asset.variants.values() if asset else ()
     candidates = _index_candidates(records) + _body_candidates(records)
-    for blob, seqs in candidates:
-        if blob in variants:
+    for chunks, seqs in candidates:
+        variant = _matched_variant(chunks, variants)
+        if variant is not None:
             return RipResult(
                 service=service,
                 track=track,
                 succeeded=True,
                 matched_catalog=True,
-                recovered=blob,
+                recovered=variant,
                 evidence=seqs,
             )
     if candidates:
-        blob, seqs = candidates[0]
+        chunks, seqs = candidates[0]
         return RipResult(
             service=service,
             track=track,
             succeeded=True,
             matched_catalog=False,
-            recovered=blob,
+            recovered=b"".join(chunks),
             evidence=seqs,
         )
     return RipResult(

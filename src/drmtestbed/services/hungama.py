@@ -75,7 +75,10 @@ class HungamaService:
         want = b64(hmac_sha1(self._token_secret, (song_id + expiry).encode("ascii")))
         if not _hmac.compare_digest(tag.encode(), want.encode()):
             return False
-        return self.env.now() < int(expiry)
+        try:
+            return self.env.now() < int(expiry)
+        except ValueError:  # past int()'s digit limit
+            return False
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method == "GET" and req.path == ASSET_PATH:

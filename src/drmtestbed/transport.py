@@ -210,10 +210,12 @@ def split_url(url: str) -> tuple[str, str, dict[str, str]]:
     return host, path or "/", dict(query)
 
 
-def url_path(url: str) -> str:
-    """urlsplit(url).path, from the same memo as split_url: "" for
-    https://h, the URL itself when it is a relative path."""
-    return _split_url(url)[1]
+def url_host_path(url: str) -> tuple[str, str]:
+    """urlsplit(url)'s netloc and path, from the same memo as split_url:
+    no host for a URL without one, no path for https://h, and the URL
+    itself as the path when it is a relative path."""
+    host, path, _query = _split_url(url)
+    return host, path
 
 
 # https://, an ASCII DNS host, then a path and a query of printable ASCII

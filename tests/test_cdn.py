@@ -116,6 +116,43 @@ def test_garbage_grants_fail_closed():
         assert not GrantGate(SECRET, KPID).admits(bad, "/hls/a/x", 0)
 
 
+def _signed(policy_doc: bytes) -> dict[str, str]:
+    """A grant carrying any policy bytes, correctly signed."""
+    return {
+        POLICY_PARAM: b64(policy_doc),
+        SIGNATURE_PARAM: b64(hmac_sha1(SECRET, policy_doc)),
+        KEY_PAIR_PARAM: KPID,
+    }
+
+
+_NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "policy_doc",
+    [
+        b'{"expires":1e400,"resource":"/"}',  # json reads inf
+        b'{"expires":-1e400,"resource":"/"}',
+        b'{"expires":NaN,"resource":"/"}',
+        b'{"expires":"' + b"9" * 5000 + b'","resource":"/"}',
+        _NESTED,
+        b'{"expires":2000,"resource":' + _NESTED + b"}",
+    ],
+    ids=["inf", "minus-inf", "nan", "5000-digits", "nested", "nested-resource"],
+)
+def test_signed_but_unreadable_policy_fails_closed(policy_doc):
+    grant = _signed(policy_doc)
+    assert cdn_mod._signed_terms(SECRET, KPID, grant) is None
+    assert not verify_grant(SECRET, KPID, grant, "/hls/a/x", 0)
+    assert not GrantGate(SECRET, KPID).admits(grant, "/hls/a/x", 0)
+
+
+def test_signed_helper_signs_as_issue_grant():
+    doc = b'{"expires":2000,"resource":"/hls/a/"}'
+    assert _signed(doc) == _grant("/hls/a/", expires=2000)
+    assert cdn_mod._signed_terms(SECRET, KPID, _signed(doc)) == ("/hls/a/", 2000)
+
+
 def test_policy_mutation_fuzz_never_verifies():
     grant = _grant("/hls/a/", expires=FAR_FUTURE)
     raw = b64_decode(grant[POLICY_PARAM])

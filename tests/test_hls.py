@@ -121,6 +121,17 @@ def test_parse_empty_index_needs_endlist():
     assert parse_index("#EXTM3U\n#EXT-X-ENDLIST\n") == IndexManifest(segments=[])
 
 
+def test_parse_index_hands_out_a_new_list_every_call():
+    # the parse is memoized; the manifest handed out is not
+    text = render_index(IndexManifest(segments=[("s0.ts", 10.0), ("s1.ts", 0.25)]))
+    first = parse_index(text)
+    first.segments.append(("extra.ts", 1.0))
+    first.segments[0] = ("changed.ts", 2.0)
+    second = parse_index(text)
+    assert second.segments == [("s0.ts", 10.0), ("s1.ts", 0.25)]
+    assert second is not first and second.segments is not first.segments
+
+
 # ------------------------------------------------- parse errors with lines
 
 
@@ -166,9 +177,12 @@ def test_parse_master_error_lines(text, line):
     ),
 ])
 def test_parse_index_error_lines(text, line):
-    with pytest.raises(ManifestError) as info:
-        parse_index(text)
-    assert info.value.line == line
+    # the parse is memoized but its errors are not: a repeated bad text
+    # fails at the same line again
+    for _ in range(2):
+        with pytest.raises(ManifestError) as info:
+            parse_index(text)
+        assert info.value.line == line
 
 
 def test_cr_rejected_with_line_number():

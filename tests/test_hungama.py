@@ -9,6 +9,7 @@ import pytest
 from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_hungama
 from drmtestbed.config import TestbedConfig
+from drmtestbed.crypto_kit import b64, hmac_sha1
 from drmtestbed.services import hungama
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER
@@ -112,6 +113,17 @@ def test_mdnurl_rejects_tampered_tokens(rig):
     assert _mdnurl(net, "trk1", token[:27]).status == 403
     # '²' passes str.isdigit() but is no ASCII expiry digit
     assert _mdnurl(net, "trk1", token[:28] + "\u00b2").status == 403
+
+
+def test_over_long_expiry_is_rejected(rig):
+    # a correctly tagged expiry past int()'s 4,300-digit limit
+    svc, net, _env, _catalog = rig
+    expiry = "9" * 5000
+    tag = b64(hmac_sha1(svc._token_secret, ("trk1" + expiry).encode("ascii")))
+    assert not svc._token_valid("trk1", tag + expiry)
+    resp = _mdnurl(net, "trk1", tag + expiry)
+    assert resp.status == 403
+    assert json.loads(resp.body) == {"error": "token rejected"}
 
 
 def test_token_is_bound_to_the_song(rig):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rip_reference import reference_rip
 
 import drmtestbed.ripper as ripper_mod
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.config import TestbedConfig
-from drmtestbed.hls import AUDIO_MAGIC, MediaAsset, render_index, segment
+from drmtestbed.hls import AUDIO_MAGIC, IndexManifest, MediaAsset, render_index, segment
 from drmtestbed.ripper import _index_candidates, tap_rip
 from drmtestbed.testbed import Testbed
 from drmtestbed.transport import HttpRequest, HttpResponse, TapRecord
@@ -19,10 +23,17 @@ def _catalog() -> ServiceCatalog:
     return ServiceCatalog(assets={"trk": MediaAsset("trk", "Tracked", {320: MEDIA})})
 
 
-def _rec(seq: int, path: str, body: bytes | memoryview, status: int = 200) -> TapRecord:
+def _rec(
+    seq: int,
+    path: str,
+    body: bytes | memoryview,
+    status: int = 200,
+    host: str = "cdn.example",
+) -> TapRecord:
+    # dispatch sets the host header on every request it taps
     return TapRecord(
         seq=seq,
-        request=HttpRequest("GET", path),
+        request=HttpRequest("GET", path, headers={"host": host}),
         response=HttpResponse(status, body=body),
     )
 
@@ -92,6 +103,38 @@ class TestIndexCandidates:
         result = tap_rip(recs, _catalog(), "svc", "trk")
         assert result.matched_catalog is False
 
+    def test_chunks_are_keyed_by_host_and_path(self):
+        # a chunk fetched from another host at the same path is no segment
+        # of a.example's playlist, only a loose body
+        index = b"#EXTM3U\n#EXTINF:10.0,\nhttps://a.example/p/seg0.ts\n#EXT-X-ENDLIST\n"
+        recs = [
+            _rec(1, "/p/index.m3u8", index, host="a.example"),
+            _rec(2, "/p/seg0.ts", MEDIA, host="b.example"),
+        ]
+        assert _index_candidates(recs) == []
+        result = tap_rip(recs, _catalog(), "svc", "trk")
+        assert result.matched_catalog and result.evidence == [2]
+        recs.append(_rec(3, "/p/seg0.ts", MEDIA, host="a.example"))
+        assert tap_rip(recs, _catalog(), "svc", "trk").evidence == [1, 3]
+
+    def test_host_less_uri_is_on_its_playlists_host(self):
+        # RFC 8216 section 4.1: a URI is resolved against its playlist's URI
+        index = b"#EXTM3U\n#EXTINF:10.0,\n/p/seg0.ts\n#EXT-X-ENDLIST\n"
+        recs = [
+            _rec(1, "/p/index.m3u8", index, host="a.example"),
+            _rec(2, "/p/seg0.ts", MEDIA, host="a.example"),
+            _rec(3, "/p/seg0.ts", b"other-host", host="b.example"),
+        ]
+        result = tap_rip(recs, _catalog(), "svc", "trk")
+        assert result.matched_catalog and result.evidence == [1, 2]
+
+    def test_match_recovers_the_catalog_variant_itself(self):
+        # the chunks are compared in place and nothing is joined
+        cat = _catalog()
+        result = tap_rip(_tree(MEDIA), cat, "svc", "trk")
+        assert result.matched_catalog
+        assert result.recovered is cat.asset("trk").variant(320)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -121,6 +164,19 @@ class TestBodyCandidates:
         assert result.succeeded and result.matched_catalog
         assert result.recovered == MEDIA and result.evidence == [4]
 
+    def test_match_recovers_the_catalog_variant_itself(self):
+        cat = _catalog()
+        for body in (MEDIA, bytes(bytearray(MEDIA)), memoryview(MEDIA)):
+            result = tap_rip([_rec(4, "/file", body)], cat, "svc", "trk")
+            assert result.matched_catalog
+            assert result.recovered is cat.asset("trk").variant(320)
+
+    def test_unmatched_body_is_recovered_as_bytes(self):
+        body = memoryview(AUDIO_MAGIC + b"no-such-variant")
+        result = tap_rip([_rec(4, "/file", body)], _catalog(), "svc", "trk")
+        assert not result.matched_catalog
+        assert type(result.recovered) is bytes and result.recovered == body
+
     def test_largest_body_is_preferred(self):
         small = _rec(1, "/s", AUDIO_MAGIC + b"a" * 10)
         big = _rec(2, "/b", AUDIO_MAGIC + b"b" * 20)
@@ -149,6 +205,106 @@ class TestBodyCandidates:
         real = _rec(2, "/real", MEDIA)
         result = tap_rip([junk, real], _catalog(), "svc", "trk")
         assert result.matched_catalog and result.recovered == MEDIA
+
+
+# ------------------------------------------------- against the reference
+
+_HOSTS = ("a.example", "b.example")
+_LOW = AUDIO_MAGIC + bytes(range(255, -1, -1)) * 3
+_REF_CATALOG = ServiceCatalog(
+    assets={"trk": MediaAsset("trk", "Tracked", {320: MEDIA, 64: _LOW})}
+)
+# what a tree or a loose body carries: each variant, an equal copy, a near
+# miss, and a blob without the media magic
+_BLOBS = (MEDIA, _LOW, bytes(bytearray(MEDIA)), MEDIA[:-1] + b"\x00", b"MP4\x00" + MEDIA[4:])
+_STRAYS = st.tuples(
+    st.sampled_from(_HOSTS),
+    st.sampled_from(("/f", "/p/seg_00000.ts", "/p/index.m3u8")),
+    st.sampled_from(_BLOBS + (AUDIO_MAGIC, b"#EXTM3U\nbroken")),
+    st.just(200),
+)
+_EDITS = st.tuples(
+    st.sampled_from(("drop", "refetch", "refuse", "cut", "swap")),
+    st.integers(0, 99),
+    st.integers(0, 99),
+)
+
+
+@st.composite
+def _fetches(draw):
+    """(host, path, body, status) in fetch order: up to three HLS trees on
+    either host, naming segments on either host or on none, once or
+    twice, then stray bodies, then fetches dropped, refetched, refused,
+    cut or swapped."""
+    fetches = []
+    for _ in range(draw(st.integers(0, 3))):
+        host = draw(st.sampled_from(_HOSTS))
+        seg_host = draw(st.sampled_from(_HOSTS + ("",)))
+        folder = draw(st.sampled_from(("p", "q")))
+        prefix = f"https://{seg_host}/{folder}/" if seg_host else f"/{folder}/"
+        chunks, index = segment(
+            draw(st.sampled_from(_BLOBS)), draw(st.sampled_from((300, 1000, 4096))),
+            uri_prefix=prefix,
+        )
+        # a playlist may name its segments twice: its evidence names each once
+        twice = IndexManifest(index.segments * 2) if draw(st.booleans()) else index
+        fetches.append((host, f"/{folder}/index.m3u8", render_index(twice).encode(), 200))
+        for chunk, (uri, _seconds) in zip(chunks, index.segments):
+            fetches.append((seg_host or host, f"/{folder}/{uri[len(prefix):]}", chunk, 200))
+    fetches += draw(st.lists(_STRAYS, max_size=3))
+    for edit, at, to in draw(st.lists(_EDITS, max_size=6)):
+        if not fetches:
+            break
+        i, j = at % len(fetches), to % len(fetches)
+        host, path, body, status = fetches[i]
+        if edit == "drop":
+            del fetches[i]
+        elif edit == "refetch":
+            fetches.insert(j, fetches[i])
+        elif edit == "refuse":
+            fetches[i] = (host, path, b'{"error": "refused"}', draw(st.sampled_from((403, 404))))
+        elif edit == "cut":
+            fetches[i] = (host, path, body[:len(body) // 2], status)
+        else:
+            fetches[i], fetches[j] = fetches[j], fetches[i]
+    return fetches
+
+
+@st.composite
+def _transcripts(draw):
+    """Tap records of drawn fetches, each body bytes or a memoryview, with
+    one record sometimes tapped twice and the records sometimes out of
+    seq order."""
+    fetches = draw(_fetches())
+    views = draw(st.lists(st.booleans(), min_size=len(fetches), max_size=len(fetches)))
+    records = [
+        TapRecord(
+            seq,
+            HttpRequest("GET", path, headers={"host": host}),
+            HttpResponse(status, body=memoryview(body) if view else body),
+        )
+        for seq, ((host, path, body, status), view) in enumerate(zip(fetches, views), 1)
+    ]
+    if records and draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(st.sampled_from(records)))
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    return records
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_transcripts(), st.sampled_from(("trk", "trk", "ghost")))
+def test_tap_rip_agrees_with_the_reference(records, track):
+    got = tap_rip(records, _REF_CATALOG, "svc", track)
+    want = reference_rip(records, _REF_CATALOG, "svc", track)
+    assert (got.succeeded, got.matched_catalog, bytes(got.recovered), got.evidence) == (
+        want.succeeded, want.matched_catalog, want.recovered, want.evidence
+    )
+    if got.matched_catalog:
+        variants = _REF_CATALOG.asset(track).variants.values()
+        assert any(got.recovered is variant for variant in variants)
+    else:
+        assert type(got.recovered) is bytes
 
 
 class TestOutcomes:
@@ -231,6 +387,12 @@ class TestAgainstLiveServices:
         assert result.succeeded and result.matched_catalog
         assert result.recovered == bed.catalog.asset("trk1").variant(320)
         assert result.evidence
+
+    @pytest.mark.parametrize("service", ["wynk-v1", "hungama"])  # HLS, whole file
+    def test_match_recovers_the_catalog_variant_itself(self, bed, service):
+        result, client_error = bed.rip(service, "trk1")
+        assert client_error == "" and result.matched_catalog
+        assert result.recovered is bed.catalog.asset("trk1").variant(320)
 
     def test_benchmark_yields_no_candidates(self, bed):
         result, client_error = bed.rip("benchmark", "trk1")

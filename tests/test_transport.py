@@ -27,7 +27,7 @@ from drmtestbed.transport import (
     json_response,
     query_string,
     split_url,
-    url_path,
+    url_host_path,
     uuid_like,
     _split_url,
 )
@@ -296,10 +296,10 @@ def _urlsplit_parts(url):
 @settings(derandomize=True, max_examples=1000)
 def test_splits_agree_with_urlsplit(url):
     # urlsplit is the reference for the direct split of plain URLs and for
-    # everything handed back to urlsplit; url_path is the ripper's
+    # everything handed back to urlsplit; url_host_path is the ripper's
     expected = _urlsplit_parts(url)
     if expected is None:
-        for split in (_split_url, split_url, url_path):
+        for split in (_split_url, split_url, url_host_path):
             with pytest.raises(ValueError):
                 split(url)
         return
@@ -307,7 +307,7 @@ def test_splits_agree_with_urlsplit(url):
     pairs = [item.partition("=") for item in raw_query.split("&")] if raw_query else []
     query = {k: v for k, _, v in pairs}
     assert _split_url(url) == (netloc, path, query)
-    assert url_path(url) == path
+    assert url_host_path(url) == (netloc, path)
     if netloc:
         assert split_url(url) == (netloc, path or "/", query)
     else:
