@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from .benchmark import LICENSE_PATH
 from .clients import ProtocolFailure
 from .ripper import tap_rip
-from .testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, SPECS, ServiceSpec, Testbed
+from .testbed import ANONYMOUS, FREE_TIER, SPECS, ServiceSpec, Testbed
 from .transport import copy_request
 from .webassets import MINIFIED_BANNER
 
@@ -91,15 +91,8 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
 
     mandatory_id = not _attempt(tb, spec, track, ANONYMOUS)
 
-    tap = tb.net.attach_tap()
-    try:
-        try:
-            tb.run_client(spec.name, track, principal=DEFAULT_PRINCIPAL)
-        except ProtocolFailure:
-            pass  # audit whatever did cross the wire
-    finally:
-        tb.net.detach_tap(tap)
-    records = tap.records()
+    # audit whatever did cross the wire, whether or not the client got through
+    records, _client_error = tb.tapped_run(spec.name, track)
 
     rip = tap_rip(records, tb.catalog, spec.audit_name, track)
     encrypted = not rip.matched_catalog

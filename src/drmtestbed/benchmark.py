@@ -150,8 +150,8 @@ class BenchmarkService:
     ):
         self.catalog = catalog
         self.env = env
-        self._gate = GrantGate(cfg.benchmark_cdn_secret(), "KBENCH1")
-        self.device_key = SecretKey(cfg.device_key())
+        self._gate = GrantGate(cfg.key("benchmark_cdn_secret_hex"), "KBENCH1")
+        self.device_key = SecretKey(cfg.key("device_key_hex"))
         self.users = dict(USERS)
         self.bearer_ttl = cfg.bearer_ttl
         self.grant_ttl = cfg.grant_ttl

@@ -97,13 +97,16 @@ def verify_grant(
 
 
 class GrantGate:
-    """The one holder of a CDN host's key pair: it issues that host's
-    grants and admits a request exactly when `verify_grant` would. The
-    terms of the last grant whose signature checked out are kept, so a
-    player fetching a stream chunk by chunk under one grant pays for the
-    signature once. One slot, because players read one stream front to
-    back and server state stays bounded; it never holds a decision, so
-    expiry and path are judged on every request."""
+    """The one holder of a CDN host's key pair, and the only object on
+    the CDN side that sees a secret: the service that owns the host
+    builds it from its config, issues the host's grants through it and
+    hands it to the `CdnNode` that serves them. It admits a request
+    exactly when `verify_grant` would. The terms of the last grant whose
+    signature checked out are kept, so a player fetching a stream chunk
+    by chunk under one grant pays for the signature once. One slot,
+    because players read one stream front to back and server state stays
+    bounded; it never holds a decision, so expiry and path are judged on
+    every request."""
 
     def __init__(self, secret: bytes, key_pair_id: str):
         self._secret = secret
@@ -139,18 +142,12 @@ class GrantGate:
 
 class CdnNode:
     """One media host: pre-rendered HLS trees and whole-file variants,
-    every path gated by a grant for that path."""
+    every path gated by a grant for that path. The node holds no secret:
+    it signs and checks grants through the `GrantGate` it is given."""
 
-    def __init__(
-        self,
-        host: str,
-        secret: bytes,
-        key_pair_id: str,
-        clock: Clock,
-        chunk_bytes: int,
-    ):
+    def __init__(self, host: str, gate: GrantGate, clock: Clock, chunk_bytes: int):
         self.host = host
-        self._gate = GrantGate(secret, key_pair_id)
+        self._gate = gate
         self._clock = clock
         self._chunk_bytes = chunk_bytes
         self._content: dict[str, tuple[bytes | memoryview, str]] = {}  # path -> (body, ctype)

@@ -41,53 +41,32 @@ class TestbedConfig:
     gaana_iv_hex: str = "0cf3a871469de2b5871e90cd5336ab14"
     device_key_hex: str = "5e21b7da93c604f8ab176ce0421f98d3"
 
-    # -- decoded accessors ---------------------------------------------------
-
-    def _hex(self, name: str, want_len: int | None = None) -> bytes:
+    def key(self, name: str) -> bytes:
+        """The bytes of the `*_hex` field `name`, whose hex may be in any
+        case with spaces between bytes. A ConfigError naming the field
+        when the hex is bad, empty, or not the length KEY_BYTES sets."""
         raw = getattr(self, name)
         try:
             data = bytes.fromhex(raw)
         except ValueError as exc:
             raise ConfigError(f"{name} is not hex: {raw!r}") from exc
+        want_len = KEY_BYTES.get(name)
         if want_len is not None and len(data) != want_len:
             raise ConfigError(f"{name} must be {want_len} bytes, got {len(data)}")
         if not data:
             raise ConfigError(f"{name} is empty")
         return data
 
-    def wynk_cdn_secret(self) -> bytes:
-        return self._hex("wynk_cdn_secret_hex")
 
-    def saavn_cdn_secret(self) -> bytes:
-        return self._hex("saavn_cdn_secret_hex")
-
-    def gaana_cdn_secret(self) -> bytes:
-        return self._hex("gaana_cdn_secret_hex")
-
-    def hungama_cdn_secret(self) -> bytes:
-        return self._hex("hungama_cdn_secret_hex")
-
-    def benchmark_cdn_secret(self) -> bytes:
-        return self._hex("benchmark_cdn_secret_hex")
-
-    def hungama_token_secret(self) -> bytes:
-        return self._hex("hungama_token_secret_hex")
-
-    def saavn_seal_key(self) -> bytes:
-        return self._hex("saavn_seal_key_hex", 16)
-
-    def saavn_seal_iv(self) -> bytes:
-        return self._hex("saavn_seal_iv_hex", 16)
-
-    def gaana_key(self) -> bytes:
-        return self._hex("gaana_key_hex", 16)
-
-    def gaana_iv(self) -> bytes:
-        return self._hex("gaana_iv_hex", 16)
-
-    def device_key(self) -> bytes:
-        return self._hex("device_key_hex", 16)
-
+# the byte length of each sized key; every other key is any length but zero
+KEY_BYTES = {
+    "saavn_seal_key_hex": 16,
+    "saavn_seal_iv_hex": 16,
+    "gaana_key_hex": 16,
+    "gaana_iv_hex": 16,
+    "device_key_hex": 16,
+}
+KEY_FIELDS = tuple(f.name for f in fields(TestbedConfig) if f.name.endswith("_hex"))
 
 _FIELDS = {f.name for f in fields(TestbedConfig)}
 _INT_FIELDS = {

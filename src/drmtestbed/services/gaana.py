@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from ..catalog import ServiceCatalog, slugify
-from ..cdn import FAR_FUTURE, CdnNode
+from ..cdn import FAR_FUTURE, CdnNode, GrantGate
 from ..config import TestbedConfig
 from ..crypto_kit import aes_cbc_encrypt, b64
 from ..transport import (
@@ -61,11 +61,10 @@ class GaanaService:
         self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
-        self.page_key = cfg.gaana_key()
-        self.page_iv = cfg.gaana_iv()
-        self.cdn = CdnNode(
-            HOST_CDN, cfg.gaana_cdn_secret(), "KGAANA1", env.clock, cfg.chunk_bytes
-        )
+        self.page_key = cfg.key("gaana_key_hex")
+        self.page_iv = cfg.key("gaana_iv_hex")
+        gate = GrantGate(cfg.key("gaana_cdn_secret_hex"), "KGAANA1")
+        self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         self._by_slug: dict[str, str] = {}
         for asset in catalog.assets.values():
             self.cdn.add_hls_asset(

@@ -9,7 +9,7 @@ import hmac as _hmac
 import json
 
 from ..catalog import ServiceCatalog, slugify
-from ..cdn import CdnNode
+from ..cdn import CdnNode, GrantGate
 from ..config import TestbedConfig
 from ..crypto_kit import b64, hmac_sha1
 from ..transport import (
@@ -42,12 +42,11 @@ class HungamaService:
     ):
         self.catalog = catalog
         self.env = env
-        self._token_secret = cfg.hungama_token_secret()
+        self._token_secret = cfg.key("hungama_token_secret_hex")
         self.token_ttl = cfg.hungama_token_ttl
         self.grant_ttl = cfg.grant_ttl
-        self.cdn = CdnNode(
-            HOST_CDN, cfg.hungama_cdn_secret(), "KHNGMA1", env.clock, cfg.chunk_bytes
-        )
+        gate = GrantGate(cfg.key("hungama_cdn_secret_hex"), "KHNGMA1")
+        self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         for asset in catalog.assets.values():
             self.cdn.add_file_asset(
                 asset.asset_id, asset, sorted(QUALITY_RATES.values(), reverse=True)

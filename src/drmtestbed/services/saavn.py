@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from ..catalog import ServiceCatalog, slugify
-from ..cdn import FAR_FUTURE, CdnNode
+from ..cdn import FAR_FUTURE, CdnNode, GrantGate
 from ..config import TestbedConfig
 from ..crypto_kit import DecodeError, aes_cbc_encrypt, b64, b64_decode
 from ..hls import DEFAULT_CHUNK_BYTES
@@ -67,14 +67,14 @@ class SaavnService:
         self, catalog: ServiceCatalog, env: DeterministicEnv, cfg: TestbedConfig
     ):
         self.catalog = catalog
-        self.cdn = CdnNode(
-            HOST_CDN, cfg.saavn_cdn_secret(), "KSAAVN1", env.clock, cfg.chunk_bytes
-        )
+        gate = GrantGate(cfg.key("saavn_cdn_secret_hex"), "KSAAVN1")
+        self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         # The seal is AES-CBC under a fixed key and IV, and PKCS#7 padding
         # is unique, so exactly one ciphertext opens to each asset id: the
         # seal is a table. Keyed by the decoded bytes, not the token text,
         # because b64 decoding accepts non-canonical trailing bits.
-        seal_key, seal_iv = cfg.saavn_seal_key(), cfg.saavn_seal_iv()
+        seal_key = cfg.key("saavn_seal_key_hex")
+        seal_iv = cfg.key("saavn_seal_iv_hex")
         self._tokens: dict[str, str] = {}
         self._by_sealed: dict[bytes, str] = {}
         for asset_id, asset in catalog.assets.items():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from ..catalog import ServiceCatalog, slugify
-from ..cdn import CdnNode
+from ..cdn import CdnNode, GrantGate
 from ..config import TestbedConfig
 from ..crypto_kit import (
     DecodeError,
@@ -154,9 +154,8 @@ class WynkService:
         self.sk = cfg.wynk_sk
         self.session_ttl = cfg.wynk_session_ttl
         self.grant_ttl = cfg.grant_ttl
-        self.cdn = CdnNode(
-            HOST_CDN, cfg.wynk_cdn_secret(), "KWYNK01", env.clock, cfg.chunk_bytes
-        )
+        gate = GrantGate(cfg.key("wynk_cdn_secret_hex"), "KWYNK01")
+        self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         self._sids: set[str] = set()  # search ids the CDN serves
         for asset in catalog.assets.values():
             for cp_code in CP_MAPPING.values():

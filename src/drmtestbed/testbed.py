@@ -8,19 +8,19 @@ and the auditor drive the exact same wiring.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog
-from .config import TestbedConfig
+from .config import KEY_FIELDS, TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
 from .services import saavn as saavn_mod
 from .services import wynk as wynk_mod
-from .transport import DeterministicEnv, Network
+from .transport import DeterministicEnv, Network, TapRecord
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,11 @@ class Testbed:
 
     def secret_material(self) -> list[str]:
         """Strings that must never show up in client-visible static assets
-        unless the service really does hardcode them."""
+        unless the service really does hardcode them: `wynk_sk`, and each
+        key as the lower-case hex of its decoded bytes, the form a bundle
+        ships it in, however the config spells it."""
         cfg = self.config
-        hexes = [getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_hex")]
-        return [cfg.wynk_sk, *hexes]
+        return [cfg.wynk_sk, *(cfg.key(name).hex() for name in KEY_FIELDS)]
 
     def benchmark_credentials(self, principal: str) -> tuple[str, str]:
         if principal == ANONYMOUS:
@@ -173,20 +174,32 @@ class Testbed:
             raise clients.ProtocolFailure(f"unknown track {track!r}")
         return spec.client(self, track, quality, principal)
 
+    def tapped_run(
+        self,
+        service: str,
+        track: str,
+        quality: str | None = None,
+        principal: str = DEFAULT_PRINCIPAL,
+    ) -> tuple[list[TapRecord], str]:
+        """Run the reference client under a fresh tap. Returns (records,
+        client_error), client_error empty when the client itself got
+        through; the records hold whatever did cross the wire."""
+        tap = self.net.attach_tap()
+        client_error = ""
+        try:
+            self.run_client(service, track, quality, principal)
+        except clients.ProtocolFailure as exc:
+            client_error = str(exc)
+        finally:
+            self.net.detach_tap(tap)
+        return tap.records(), client_error
+
     def rip(
         self, service: str, track: str, quality: str | None = None
     ) -> tuple[RipResult, str]:
         """Run the reference client under a fresh tap and rip the
         transcript. Returns (result, client_error), client_error empty
         when the client itself got through."""
-        tap = self.net.attach_tap()
-        client_error = ""
-        try:
-            self.run_client(service, track, quality=quality)
-        except clients.ProtocolFailure as exc:
-            client_error = str(exc)
-        finally:
-            self.net.detach_tap(tap)
-        result = tap_rip(tap.records(), self.catalog, service, track)
-        return result, client_error
+        records, client_error = self.tapped_run(service, track, quality)
+        return tap_rip(records, self.catalog, service, track), client_error
 

@@ -273,7 +273,9 @@ class Network:
         self._taps.remove(tap)
 
     def dispatch(self, host: str, request: HttpRequest) -> HttpResponse:
-        request.headers.setdefault("host", host)
+        # the host that answers, whatever Host the caller sent: taps, the
+        # replay probe and the ripper read it
+        request.headers["host"] = host
         handler = self._routes.get(host)
         if handler is None:
             response = error_response(404, f"no route to {host}")

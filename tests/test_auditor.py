@@ -13,6 +13,9 @@ from drmtestbed.auditor import (
     audit_all,
     canonical_audit_name,
 )
+from drmtestbed.testbed import Testbed
+
+from test_config import spaced_hex
 # one row per service, in PRACTICE_FIELDS order
 EXPECTED = {
     "spotify-benchmark": (True, True, False, True, True, True, True),
@@ -89,6 +92,13 @@ class TestProbeMechanics:
             asset.premium = True
         with pytest.raises(ValueError):
             audit(bed, "gaana")
+
+    @pytest.mark.parametrize("spell", [str.upper, spaced_hex], ids=["upper", "spaced"])
+    def test_hardcoded_keys_do_not_hang_on_the_config_spelling(self, config, spell):
+        # the bundle ships the key's bytes, so the verdict follows them
+        config.gaana_key_hex = spell(config.gaana_key_hex)
+        config.gaana_iv_hex = spell(config.gaana_iv_hex)
+        assert audit(Testbed(config), "gaana").hardcoded_keys is True
 
     def test_benchmark_encryption_score_comes_from_the_tap(self, bed):
         # the probe must fail to reconstruct plaintext, not consult config

@@ -279,7 +279,7 @@ def test_far_future_constant():
 @pytest.fixture
 def node():
     clock = Clock(1000)
-    cdn = CdnNode("cdn.test", SECRET, KPID, clock, chunk_bytes=100)
+    cdn = CdnNode("cdn.test", GrantGate(SECRET, KPID), clock, chunk_bytes=100)
     asset = MediaAsset("a1", "Asset", {320: b"\xaa" * 250, 64: b"\xbb" * 120})
     cdn.add_hls_asset("a1", asset)
     cdn.add_file_asset("f1", asset)

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from drmtestbed.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, run
+from drmtestbed.config import TestbedConfig
 
-from test_config import UNSIZED_SECRETS
+from test_config import UNSIZED_SECRETS, spaced_hex
 
 
 class TestRip:
@@ -69,6 +70,22 @@ class TestAudit:
         doc = json.loads(capsys.readouterr().out)
         assert [a["service"] for a in doc["audits"]] == ["spotify-benchmark"]
         assert doc["audits"][0]["practices"]["drm_scheme"] is True
+
+    @pytest.mark.parametrize("spell", [str.upper, spaced_hex], ids=["upper", "spaced"])
+    def test_gaana_keys_read_hardcoded_however_the_config_spells_them(
+        self, tmp_path, capsys, spell
+    ):
+        cfg = TestbedConfig()
+        conf = tmp_path / "t.conf"
+        conf.write_text(
+            f"gaana_key_hex = {spell(cfg.gaana_key_hex)}\n"
+            f"gaana_iv_hex = {spell(cfg.gaana_iv_hex)}\n",
+            encoding="utf-8",
+        )
+        argv = ["audit", "--config", str(conf), "--service", "gaana", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["audits"][0]["practices"]["hardcoded_keys"] is True
 
     def test_unknown_service_is_a_usage_error(self, capsys):
         assert main(["audit", "--service", "tidal"]) == EXIT_USAGE

@@ -5,8 +5,17 @@ from __future__ import annotations
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drmtestbed.config import ConfigError, TestbedConfig, load_config, parse_config
+from drmtestbed.config import (
+    KEY_BYTES,
+    KEY_FIELDS,
+    ConfigError,
+    TestbedConfig,
+    load_config,
+    parse_config,
+)
 
 # the *_hex secrets of any length but zero
 UNSIZED_SECRETS = (
@@ -17,6 +26,11 @@ UNSIZED_SECRETS = (
     "benchmark_cdn_secret_hex",
     "hungama_token_secret_hex",
 )
+
+
+def spaced_hex(text: str) -> str:
+    """The same hex with a space between bytes."""
+    return " ".join(text[i:i + 2] for i in range(0, len(text), 2))
 
 
 class TestDefaults:
@@ -32,18 +46,24 @@ class TestDefaults:
         assert cfg.bearer_ttl == 3600
         assert cfg.wynk_sk == "51ymYn1MS"
 
-    def test_secret_accessors_decode(self):
+    def test_keys_decode(self):
         cfg = TestbedConfig()
-        assert cfg.wynk_cdn_secret() == bytes.fromhex(cfg.wynk_cdn_secret_hex)
-        assert cfg.hungama_token_secret().hex() == cfg.hungama_token_secret_hex
-        for accessor in (
-            cfg.saavn_seal_key,
-            cfg.saavn_seal_iv,
-            cfg.gaana_key,
-            cfg.gaana_iv,
-            cfg.device_key,
+        assert cfg.key("wynk_cdn_secret_hex") == bytes.fromhex(cfg.wynk_cdn_secret_hex)
+        assert cfg.key("hungama_token_secret_hex").hex() == cfg.hungama_token_secret_hex
+        for name in (
+            "saavn_seal_key_hex",
+            "saavn_seal_iv_hex",
+            "gaana_key_hex",
+            "gaana_iv_hex",
+            "device_key_hex",
         ):
-            assert len(accessor()) == 16
+            assert len(cfg.key(name)) == 16
+
+    def test_default_hex_is_canonical(self):
+        # so decoding each key and re-encoding it moves no audited string
+        cfg = TestbedConfig()
+        for name in KEY_FIELDS:
+            assert cfg.key(name).hex() == getattr(cfg, name)
 
     def test_default_secrets_are_distinct(self):
         cfg = TestbedConfig()
@@ -80,9 +100,9 @@ class TestParsing:
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == TestbedConfig()
 
-    def test_hex_override_reaches_accessor(self):
+    def test_hex_override_reaches_key(self):
         cfg = parse_config("gaana_key_hex = " + "ab" * 16)
-        assert cfg.gaana_key() == b"\xab" * 16
+        assert cfg.key("gaana_key_hex") == b"\xab" * 16
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -101,23 +121,23 @@ class TestParsing:
     def test_bad_hex_fails_at_access_time(self):
         cfg = parse_config("gaana_key_hex = zzzz")
         with pytest.raises(ConfigError):
-            cfg.gaana_key()
+            cfg.key("gaana_key_hex")
 
     def test_wrong_hex_length_rejected(self):
         cfg = parse_config("saavn_seal_iv_hex = abcd")
         with pytest.raises(ConfigError) as err:
-            cfg.saavn_seal_iv()
+            cfg.key("saavn_seal_iv_hex")
         assert "16 bytes" in str(err.value)
 
     def test_variable_length_secret_allows_any_size(self):
         cfg = parse_config("wynk_cdn_secret_hex = ff00")
-        assert cfg.wynk_cdn_secret() == b"\xff\x00"
+        assert cfg.key("wynk_cdn_secret_hex") == b"\xff\x00"
 
     @pytest.mark.parametrize("field", UNSIZED_SECRETS)
     def test_empty_secret_rejected(self, field):
         cfg = parse_config(f"{field} =")
         with pytest.raises(ConfigError, match=f"{field} is empty"):
-            getattr(cfg, field.removesuffix("_hex"))()
+            cfg.key(field)
 
     def test_every_other_hex_field_is_sized(self):
         hexes = {f.name for f in fields(TestbedConfig) if f.name.endswith("_hex")}
@@ -125,12 +145,50 @@ class TestParsing:
             for value in ("00", ""):
                 cfg = parse_config(f"{name} = {value}")
                 with pytest.raises(ConfigError, match="must be 16 bytes"):
-                    getattr(cfg, name.removesuffix("_hex"))()
+                    cfg.key(name)
 
-    @pytest.mark.parametrize("key", ["gaana_key", "__class__", "_hex", "__dict__"])
+    @pytest.mark.parametrize("key", ["gaana_key", "__class__", "_hex", "key", "__dict__"])
     def test_keys_that_are_not_fields_rejected(self, key):
         with pytest.raises(ConfigError, match=f"line 1: unknown key {key!r}"):
             parse_config(f"{key} = 00")
+
+
+@st.composite
+def _key_spellings(draw):
+    """Hex as a config file might spell a key, and spellings near it: upper
+    case, spaces between bytes, an odd digit count, a non-ASCII character,
+    and keys of 2,500 bytes (5,000 digits or more)."""
+    data = draw(
+        st.one_of(
+            st.binary(min_size=16, max_size=16),
+            st.binary(max_size=24),
+            st.binary(min_size=1, max_size=8).map(lambda b: (b * 2500)[:2500]),
+        )
+    )
+    text = data.hex()
+    if draw(st.booleans()):
+        text = text.upper()
+    if draw(st.booleans()):
+        text = spaced_hex(text)
+    if text and draw(st.booleans()):
+        text = text[:-1]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("\u0660\u00e9\uff10\u2003")) + text[at:]
+    return text
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(KEY_FIELDS), st.one_of(_key_spellings(), st.text(max_size=40)))
+def test_key_decodes_or_raises_config_error(name, value):
+    """parse_config then key() yields bytes of the table length or raises
+    ConfigError: never a bare ValueError or TypeError."""
+    try:
+        data = parse_config(f"{name} = {value}").key(name)
+    except ConfigError:
+        return
+    assert data and len(data) == KEY_BYTES.get(name, len(data))
+    assert data.hex() == "".join(value.split()).lower()
 
 
 class TestLoading:

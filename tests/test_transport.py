@@ -346,6 +346,14 @@ def test_dispatch_routes_and_sets_host_header():
     assert json.loads(resp.body) == {"path": "/hello", "host": "echo.test"}
 
 
+def test_host_header_names_the_host_that_answered():
+    net, tap, seen = _header_network()
+    net.get("https://f.test/a", headers={"X": "1", "Host": "b.test", "Range": "2"})
+    want = [("x", "1"), ("host", "f.test"), ("range", "2")]  # keeps its place
+    assert list(seen[0].headers.items()) == want
+    assert list(tap.records()[0].request.headers.items()) == want
+
+
 def test_unknown_host_is_404():
     net = _echo_network()
     resp = net.get("https://nowhere.test/x")
