@@ -32,6 +32,7 @@ from .crypto_kit import (
 )
 from .transport import (
     DeterministicEnv,
+    ExpiringStore,
     HttpRequest,
     HttpResponse,
     error_response,
@@ -156,7 +157,7 @@ class BenchmarkService:
         self.bearer_ttl = cfg.bearer_ttl
         self.grant_ttl = cfg.grant_ttl
         self._sessions: dict[str, str] = {}  # sid -> user
-        self._bearers: dict[str, tuple[str, int]] = {}  # bearer -> (user, expires_at)
+        self._bearers = ExpiringStore(self.bearer_ttl)  # bearer -> user
         # asset_id -> (init header, content key, nonce, top catalog variant)
         self._streams: dict[str, tuple[bytes, bytes, bytes, bytes]] = {}
         self._cdn_paths: dict[str, str] = {}  # stream path on any edge -> asset_id
@@ -224,27 +225,14 @@ class BenchmarkService:
         if user is None:
             return error_response(401, "login first")
         value = self.env.hex_token(48)
-        now = self.env.now()
-        # Bearers go in in clock order with one lifetime, so the expired
-        # ones lead the dict. `_bearer_user` refuses them already; dropping
-        # them changes no answer unless the clock is later set back.
-        bearers = self._bearers
-        while bearers:
-            oldest, (_user, expires_at) = next(iter(bearers.items()))
-            if now < expires_at:
-                break
-            del bearers[oldest]
-        bearers[value] = (user, now + self.bearer_ttl)
+        self._bearers.put(value, user, self.env.now())
         return json_response({"bearer": value, "expires_in": self.bearer_ttl})
 
     def _bearer_user(self, req: HttpRequest) -> str | None:
         header = req.headers.get("authorization", "")
         if not header.startswith("Bearer "):
             return None
-        entry = self._bearers.get(header[len("Bearer "):])
-        if entry is None or self.env.now() >= entry[1]:
-            return None
-        return entry[0]
+        return self._bearers.live(header[len("Bearer "):], self.env.now())
 
     def _resolve(self, req: HttpRequest) -> HttpResponse:
         user = self._bearer_user(req)

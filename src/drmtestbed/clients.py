@@ -68,11 +68,6 @@ def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> byt
     return assemble(chunks)
 
 
-def _grant_query_of(url: str) -> dict[str, str]:
-    _host, _path, query = split_url(url)
-    return query
-
-
 # ---- wynk ------------------------------------------------------------------
 
 
@@ -216,7 +211,7 @@ def rip_gaana(
     uri = aes_cbc_decrypt(
         page_key, page_iv, b64_decode(block.path[quality])
     ).decode("utf-8")
-    return _fetch_hls(net, uri, _grant_query_of(uri))
+    return _fetch_hls(net, uri, split_url(uri)[2])
 
 
 # ---- hungama --------------------------------------------------------------------
@@ -232,7 +227,7 @@ def rip_hungama(
         net.get(f"https://{hungama_mod.HOST_WWW}{hungama_mod.PLAYER_DATA_PREFIX}{song_id}"),
         "player data refused",
     )
-    token = _grant_query_of(data["file"]).get("token", "")
+    token = split_url(data["file"])[2].get("token", "")
     if not token:
         raise ProtocolFailure("file url carries no token")
     cookies = {hungama_mod.QUALITY_COOKIE: quality} if quality else {}

@@ -31,6 +31,7 @@ from ..crypto_kit import (
 )
 from ..transport import (
     DeterministicEnv,
+    ExpiringStore,
     HttpRequest,
     HttpResponse,
     error_response,
@@ -134,15 +135,18 @@ def stream_message(method: str, path: str, query_string: str, body_text: str) ->
     return f"{method}{path}?{query_string}{body_text}"
 
 
-@dataclass
-class WynkSession:
-    uid: str = ""
-    token: SecretKey | None = None
-    dt: str = ""
-    kt: SecretKey | None = None
-    created_at: int = 0  # set at login
+@dataclass(slots=True)
+class Handshake:
     marks: set[str] = field(default_factory=set)
     cip: str = ""  # the x-bsy-cip login must present; empty before a check
+
+
+@dataclass(frozen=True, slots=True)
+class Login:
+    uid: str
+    token: SecretKey
+    dt: str = ""  # a v1 login has no dt or kt
+    kt: SecretKey | None = None
 
 
 class WynkService:
@@ -162,10 +166,11 @@ class WynkService:
                 sid = f"{cp_code}_{asset.asset_id}"
                 self.cdn.add_hls_asset(sid, asset, BITRATES)
                 self._sids.add(sid)
-        self._by_uid: dict[str, WynkSession] = {}
-        self._by_dt: dict[str, WynkSession] = {}
-        self._by_bk: dict[str, WynkSession] = {}
-        self._by_cip: dict[str, WynkSession] = {}
+        # handshakes have no lifetime of their own, so they borrow this one
+        self._by_uid = ExpiringStore(self.session_ttl)  # uid -> Login
+        self._by_dt = ExpiringStore(self.session_ttl)  # dt -> v2 Login
+        self._by_bk = ExpiringStore(self.session_ttl)  # bk -> Handshake
+        self._by_cip = ExpiringStore(self.session_ttl)  # cip -> Handshake
 
     def mount(self, net) -> None:
         net.register(HOST_ACCOUNT, self._handle_account)
@@ -191,27 +196,22 @@ class WynkService:
                 return error_response(400, "deviceId and userAgent required")
             if not device_id or not user_agent:
                 return error_response(400, "deviceId and userAgent required")
-            sess = WynkSession(
+            login = Login(
                 uid=self.env.hex_token(12),
                 token=SecretKey(self.env.hex_token(40).encode("ascii")),
-                created_at=self.env.now(),
             )
-            self._by_uid[sess.uid] = sess
+            self._by_uid.put(login.uid, login, self.env.now())
             return json_response(
-                {"uid": sess.uid, "token": sess.token.data.decode("ascii")}
+                {"uid": login.uid, "token": login.token.data.decode("ascii")}
             )
         return error_response(404, "no such endpoint")
 
-    def _utkn_rejection(
-        self, req: HttpRequest, sess: WynkSession
-    ) -> HttpResponse | None:
-        """The x-bsy-utkn check both stream calls share, on the session
-        each found its own way: a live session, then <uid>:<b64 HMAC of
-        the request under the session token>. None when it holds."""
-        if self.env.now() - sess.created_at >= self.session_ttl:
-            return error_response(401, "session expired")
+    def _utkn_rejection(self, req: HttpRequest, login: Login) -> HttpResponse | None:
+        """The x-bsy-utkn check both stream calls share, on the live login
+        each found its own way: <uid>:<b64 HMAC of the request under the
+        login's token>. None when it holds."""
         uid, sep, given = req.headers.get("x-bsy-utkn", "").partition(":")
-        if not sep or uid != sess.uid:
+        if not sep or uid != login.uid:
             return error_response(403, "utkn mismatch")
         try:
             body_text = req.body.decode("utf-8")
@@ -219,7 +219,7 @@ class WynkService:
         except (UnicodeDecodeError, DecodeError):
             return error_response(403, "utkn mismatch")
         msg = stream_message(req.method, req.path, req.query_string(), body_text)
-        want = hmac_sha1(sess.token.data, msg.encode("utf-8"))
+        want = hmac_sha1(login.token.data, msg.encode("utf-8"))
         if not _hmac.compare_digest(given_digest, want):
             return error_response(403, "utkn mismatch")
         return None
@@ -239,10 +239,10 @@ class WynkService:
             uid, sep, _given = req.headers.get("x-bsy-utkn", "").partition(":")
             if not sep:
                 return error_response(403, "utkn malformed")
-            sess = self._by_uid.get(uid)
-            if sess is None:
+            login = self._by_uid.live(uid, self.env.now())
+            if login is None:
                 return error_response(401, "unknown uid")
-            err = self._utkn_rejection(req, sess)
+            err = self._utkn_rejection(req, login)
             if err is not None:
                 return err
             sid = req.path[len(V1_STREAM_PREFIX):-len(V1_STREAM_SUFFIX)]
@@ -272,10 +272,11 @@ class WynkService:
         if parsed is None:
             return error_response(404, "no such asset")
         _half, bk = parsed
-        sess = self._by_bk.get(bk)
-        if sess is None:
-            sess = self._by_bk[bk] = WynkSession()
-        sess.marks.add(m.group(2))
+        handshake = self._by_bk.live(bk, self.env.now())
+        if handshake is None:
+            handshake = Handshake()
+            self._by_bk.put(bk, handshake, self.env.now())
+        handshake.marks.add(m.group(2))
         # a one-pixel placeholder; the body never matters, the request does
         return HttpResponse(
             status=200, headers={"content-type": "image/jpeg"}, body=b""
@@ -291,73 +292,80 @@ class WynkService:
         if not isinstance(pid, str):
             return error_response(400, "pid required")
         bk = req.headers.get("bk", "") + pid
-        sess = self._by_bk.get(bk)
-        if sess is None:
+        now = self.env.now()
+        handshake = self._by_bk.live(bk, now)
+        if handshake is None:
             return error_response(403, "unknown handshake")
-        if not _fresh_stamp(req.headers.get("tk", ""), self.env.now()):
+        if not _fresh_stamp(req.headers.get("tk", ""), now):
             return error_response(401, "stale tk")
         values = {
             f: format(self.env.rng.randrange(10000), "04d") for f in CHECK_FIELDS
         }
         # a re-check retires the old puzzle; a puzzle another handshake
         # already holds (a 32-digit collision) stays with that handshake
-        if self._by_cip.get(sess.cip) is sess:
-            del self._by_cip[sess.cip]
-        sess.cip = encode_cip("".join(values.values()))
-        self._by_cip.setdefault(sess.cip, sess)
+        if self._by_cip.live(handshake.cip, now) is handshake:
+            self._by_cip.pop(handshake.cip)
+        handshake.cip = encode_cip("".join(values.values()))
+        if self._by_cip.live(handshake.cip, now) is None:
+            self._by_cip.put(handshake.cip, handshake, now)
         return json_response(values)
 
     def _handle_login(self, req: HttpRequest) -> HttpResponse:
         if req.method != "POST" or req.path != V2_LOGIN_PATH:
             return error_response(404, "no such endpoint")
-        sess = self._by_cip.get(req.headers.get("x-bsy-cip", ""))
-        if sess is None:
+        now = self.env.now()
+        handshake = self._by_cip.live(req.headers.get("x-bsy-cip", ""), now)
+        if handshake is None:
             return error_response(403, "cip mismatch")
-        if not {"1", "2"} <= sess.marks:  # marks only grow: primed stays primed
+        if not {"1", "2"} <= handshake.marks:  # marks only grow: primed stays primed
             return error_response(403, "handshake not primed")
-        if not _fresh_stamp(req.headers.get("x-bsy-ptot", ""), self.env.now()):
+        if not _fresh_stamp(req.headers.get("x-bsy-ptot", ""), now):
             return error_response(401, "stale ptot")
-        sess.dt = self.env.hex_token(32)
-        sess.uid = self.env.hex_token(12)
-        sess.token = SecretKey(self.env.hex_token(40).encode("ascii"))
-        sess.kt = SecretKey(self.env.hex_token(32).encode("ascii"))
-        sess.created_at = self.env.now()
-        self._by_uid[sess.uid] = sess
-        self._by_dt[sess.dt] = sess
+        # keyword order is the pinned draw order: dt, uid, token, kt, sid
+        login = Login(
+            dt=self.env.hex_token(32),
+            uid=self.env.hex_token(12),
+            token=SecretKey(self.env.hex_token(40).encode("ascii")),
+            kt=SecretKey(self.env.hex_token(32).encode("ascii")),
+        )
+        self._by_uid.put(login.uid, login, now)
+        self._by_dt.put(login.dt, login, now)
         return json_response(
             {
-                "dt": sess.dt,
-                "uid": sess.uid,
-                "token": sess.token.data.decode("ascii"),
-                "kt": sess.kt.data.decode("ascii"),
+                "dt": login.dt,
+                "uid": login.uid,
+                "token": login.token.data.decode("ascii"),
+                "kt": login.kt.data.decode("ascii"),
                 "sid": self.env.hex_token(16),
             }
         )
 
     def _v2_stream(self, req: HttpRequest) -> HttpResponse:
-        sess = self._by_dt.get(req.headers.get("x-bsy-uuid", ""))
-        if sess is None:
+        login = self._by_dt.live(req.headers.get("x-bsy-uuid", ""), self.env.now())
+        if login is None:
             return error_response(403, "unknown device token")
-        err = self._utkn_rejection(req, sess)
+        err = self._utkn_rejection(req, login)
         if err is not None:
             return err
-        if not self._fresh_otp(req.headers.get("x-bsy-t", ""), sess):
+        if not self._fresh_otp(req.headers.get("x-bsy-t", ""), login):
             return error_response(401, "stale or unreadable otp")
         sid = req.query.get("id", "")
         return self._grant_response(sid)
 
-    def _fresh_otp(self, header: str, sess: WynkSession) -> bool:
+    def _fresh_otp(self, header: str, login: Login) -> bool:
         try:
             sealed = b64_decode(header)
-            digits = passphrase_open(sess.kt.data, sealed).decode("ascii")
+            digits = passphrase_open(login.kt.data, sealed).decode("ascii")
         except (DecodeError, SealError, UnicodeDecodeError):
             return False
-        secret = (sess.dt + self.sk).encode("utf-8")
+        secret = (login.dt + self.sk).encode("utf-8")
         now = self.env.now()
-        accepted = (
-            totp(secret, TOTP_PARAMS, now),
-            totp(secret, TOTP_PARAMS, now - TOTP_PARAMS.window_seconds),
-        )
+        # this window's code and the last one's; no window starts before t0
+        accepted = [
+            totp(secret, TOTP_PARAMS, at)
+            for at in (now, now - TOTP_PARAMS.window_seconds)
+            if at >= TOTP_PARAMS.t0
+        ]
         return digits in accepted
 
 

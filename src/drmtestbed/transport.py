@@ -72,6 +72,27 @@ class Clock:
         self._now = int(epoch)
 
 
+class ExpiringStore(dict):
+    """An insertion-ordered dict of key -> (value, expires_at), each entry
+    living `ttl` seconds from its put; no timer, no rng draw. `put` sweeps
+    expired entries from the front up to the first live one, as
+    Clock.set_to into the past breaks clock order, so `live` judges expiry itself."""
+
+    def __init__(self, ttl: int):
+        super().__init__()
+        self.ttl = ttl
+
+    def put(self, key, value, now: int) -> None:
+        while self and now >= next(iter(self.values()))[1]:
+            del self[next(iter(self))]
+        self.pop(key, None)  # a re-put goes to the back
+        self[key] = (value, now + self.ttl)
+
+    def live(self, key, now: int):
+        value, expires_at = self.get(key, (None, now))
+        return value if now < expires_at else None
+
+
 class DeterministicEnv:
     """Clock plus rng. Two envs built from the same (seed, start) produce
     identical draws in identical call order, which is what makes whole

@@ -117,6 +117,15 @@ class TestDemo:
         assert main(["demo", "--seed", "4"]) == EXIT_OK
         assert capsys.readouterr().out != first
 
+    @pytest.mark.parametrize("clock", ["0", "300", "599"])
+    def test_demo_on_a_clock_below_one_otp_window(self, capsys, clock):
+        # wynk-v2's previous-window check starts at the TOTP epoch, so the
+        # report reads as it does on the default clock
+        assert main(["demo"]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["demo", "--clock", clock]) == EXIT_OK
+        assert capsys.readouterr() == (want, "")
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from drmtestbed.transport import (
     ALLOWED_STATUSES,
     Clock,
     DeterministicEnv,
+    ExpiringStore,
     HttpRequest,
     HttpResponse,
     Network,
@@ -43,6 +44,65 @@ def test_clock_moves_only_when_told():
     assert clock.now() == 1025
     clock.set_to(99)
     assert clock.now() == 99
+
+
+# --------------------------------------------------------- expiring store
+
+
+def test_store_sweeps_expired_entries_from_the_front():
+    clock = Clock(1000)
+    store = ExpiringStore(ttl=100)
+    for key in "abc":
+        store.put(key, key.upper(), clock.now())
+        clock.advance(40)  # a at 1000, b at 1040, c at 1080
+    assert len(store) == 3
+    assert store.live("a", 1099) == "A"
+    assert store.live("a", 1100) is None  # dead at put time + ttl
+    assert "a" in store  # refused, but not yet swept
+    store.put("d", "D", 1145)  # a and b expired by now; c lives to 1180
+    assert "a" not in store and "b" not in store
+    assert len(store) == 2
+    assert [store.live(k, 1145) for k in "cd"] == ["C", "D"]
+    assert store.live("never", 1145) is None
+
+
+def test_store_set_back_clock_stops_the_sweep_at_the_first_live_entry():
+    clock = Clock(5000)
+    store = ExpiringStore(ttl=100)
+    store.put("late", 1, clock.now())  # lives to 5100
+    clock.set_to(1000)
+    store.put("early", 2, clock.now())  # lives to 1100, behind "late"
+    clock.set_to(2000)
+    store.put("next", 3, clock.now())
+    # "late" is live at 2000, so "early" stays stored behind it...
+    assert "early" in store and len(store) == 3
+    # ...yet is refused as expired
+    assert store.live("early", clock.now()) is None
+    assert store.live("late", clock.now()) == 1
+    clock.set_to(6000)
+    store.put("last", 4, clock.now())
+    assert len(store) == 1 and store.live("last", 6000) == 4
+
+
+def test_store_repeat_put_renews_the_entry_at_the_back():
+    store = ExpiringStore(ttl=100)
+    store.put("a", 1, 0)
+    store.put("b", 2, 50)
+    store.put("a", 3, 60)  # a now lives to 160, behind b
+    assert store.live("a", 120) == 3
+    store.put("c", 4, 155)  # b expired at 150 and leads: swept
+    assert "b" not in store and store.live("a", 155) == 3
+    assert list(store) == ["a", "c"]  # put order
+    del store["a"]
+    assert "a" not in store and store.live("a", 155) is None
+
+
+def test_store_with_zero_ttl_never_holds_a_live_entry():
+    store = ExpiringStore(ttl=0)
+    store.put("a", 1, 10)
+    assert "a" in store and store.live("a", 10) is None
+    store.put("b", 2, 10)
+    assert "a" not in store and len(store) == 1
 
 
 def test_env_determinism_and_shapes():

@@ -333,6 +333,16 @@ def test_v1_session_expires_after_ttl(rig):
     assert resp.status == 401
 
 
+def test_v1_expired_login_answers_as_an_unknown_uid(rig):
+    svc, net, env, _catalog = rig
+    reg = _v1_register(net, env)
+    env.clock.advance(svc.session_ttl)
+    expired = _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])
+    unknown = _v1_stream_response(net, "bsycdn1_trk1", "0" * 12, reg["token"])
+    assert (expired.status, expired.body) == (unknown.status, unknown.body)
+    assert json.loads(expired.body) == {"error": "unknown uid"}
+
+
 def test_v1_signature_binds_the_query_string(rig):
     _svc, net, env, _catalog = rig
     reg = _v1_register(net, env)
@@ -579,7 +589,24 @@ def test_login_finds_its_handshake_without_recomputing_cips(rig, monkeypatch):
     )
     assert resp.status == 200
     assert calls == []
-    assert svc._by_dt[json.loads(resp.body)["dt"]] is svc._by_bk[bk]
+    # the cip named puzzle 149's handshake, and the login it made is live
+    # under both its device token and its uid
+    body, now = json.loads(resp.body), env.now()
+    assert svc._by_cip.live(cip, now) is svc._by_bk.live(bk, now)
+    assert svc._by_dt.live(body["dt"], now) is svc._by_uid.live(body["uid"], now)
+
+
+def test_second_login_on_one_cip_gets_its_own_login(rig):
+    # two logins on one puzzle: the second issues fresh material and the
+    # first login's uid, token and device token keep working
+    _svc, net, env, _catalog = rig
+    check = json.loads(_check(net, env, _prime(net, env)).body)
+    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    first = json.loads(_login(net, env, bs).body)
+    second = json.loads(_login(net, env, bs).body)
+    assert first["uid"] != second["uid"] and first["dt"] != second["dt"]
+    for session in (first, second):
+        assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
 
 
 def test_login_without_check_fails(rig):
@@ -697,11 +724,73 @@ def test_v2_rejects_uid_not_matching_device(rig):
 
 
 def test_v2_session_expires(rig):
+    # an expired login answers as an unknown device token, as an evicted
+    # one does
     svc, net, env, _catalog = rig
     session = wynk_v2_handshake(net, env)
     env.clock.advance(svc.session_ttl)
-    resp = _v2_stream_response(net, env, session, "bsycdn1_trk1")
-    assert resp.status == 401
+    expired = _v2_stream_response(net, env, session, "bsycdn1_trk1")
+    unknown = _v2_stream_response(net, env, session, "bsycdn1_trk1", uuid="0" * 32)
+    assert (expired.status, expired.body) == (unknown.status, unknown.body)
+    assert json.loads(expired.body) == {"error": "unknown device token"}
+
+
+@pytest.mark.parametrize("clock", [0, 300, 599])
+def test_v2_stream_on_a_clock_below_one_otp_window(clock):
+    # there is no previous TOTP window before t0 to accept, and checking
+    # for one must not raise
+    env = DeterministicEnv(seed=21, clock_start=clock)
+    catalog = demo_catalog(env.rng)
+    svc = wynk.WynkService(catalog, env, TestbedConfig())
+    net = Network()
+    svc.mount(net)
+    session = wynk_v2_handshake(net, env)
+    assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
+    assert _v2_stream_response(net, env, session, "bsycdn1_trk1", otp="000000").status == 401
+    assert rip_wynk_v2(net, env, svc.song_url("trk1"), sk=svc.sk) == (
+        catalog.asset("trk1").variant(320)
+    )
+    result, client_error = Testbed(TestbedConfig(clock=clock)).rip("wynk-v2", "trk1")
+    assert client_error == "" and result.matched_catalog
+
+
+def test_wynk_stores_hold_only_the_live_window():
+    # 2,000 v1 logins and 500 v2 handshakes, the clock stepped 300 s after
+    # each v1 login: a store entry lives wynk_session_ttl (3600 s), so a
+    # store holds at most the puts of the last 3600 / 300 = 12 steps
+    env = DeterministicEnv(seed=21, clock_start=1_700_000_000)
+    svc = wynk.WynkService(demo_catalog(env.rng), env, TestbedConfig(wynk_session_ttl=3600))
+    net = Network()
+    svc.mount(net)
+    step, every = 300, 4  # a v2 handshake every 4th step
+    v1_window = svc.session_ttl // step
+    v2_window = v1_window // every
+    first_v1 = first_v2 = None
+    for i in range(2_000):
+        reg = _v1_register(net, env)
+        first_v1 = first_v1 or reg
+        if i % every == 0:
+            session = wynk_v2_handshake(net, env)
+            first_v2 = first_v2 or session
+        assert len(svc._by_uid) <= v1_window + v2_window
+        for store in (svc._by_dt, svc._by_bk, svc._by_cip):
+            assert len(store) <= v2_window
+        env.clock.advance(step)
+    assert len(svc._by_uid) == v1_window + v2_window
+    assert len(svc._by_dt) == len(svc._by_bk) == len(svc._by_cip) == v2_window
+    # an evicted login answers exactly as an expired one still stored
+    assert first_v1["uid"] not in svc._by_uid and first_v2["dt"] not in svc._by_dt
+    reg, session = _v1_register(net, env), wynk_v2_handshake(net, env)
+    env.clock.advance(svc.session_ttl)
+    assert reg["uid"] in svc._by_uid and session["dt"] in svc._by_dt
+    for evicted, expired in (
+        (_v1_stream_response(net, "bsycdn1_trk1", first_v1["uid"], first_v1["token"]),
+         _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])),
+        (_v2_stream_response(net, env, first_v2, "bsycdn1_trk1"),
+         _v2_stream_response(net, env, session, "bsycdn1_trk1")),
+    ):
+        assert (evicted.status, evicted.body) == (expired.status, expired.body)
+        assert evicted.status in (401, 403)
 
 
 def test_v2_full_rip_matches_catalog(rig):
