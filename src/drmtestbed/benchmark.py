@@ -10,7 +10,7 @@ A stream is served from one ciphertext buffer the service reuses: on a
 stream switch the init header and AES-CTR of the media are written into
 it in place, and every ranged GET gets its range copied out as bytes,
 so nothing handed out aliases the buffer. The CDM decrypts each chunk as
-it arrives, through one positioned keystream per installed key.
+it arrives, through the keystream the CDM keeps for that handle.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .crypto_kit import (
     aes_cbc_decrypt,
     aes_cbc_encrypt,
     aes_ctr,
+    ctr_keystream,
     hmac_sha1,
 )
 from .transport import (
@@ -116,7 +117,9 @@ class Cdm:
     def __init__(self, device_key: SecretKey, env: DeterministicEnv):
         self._device_key = device_key
         self._env = env
-        self._installed: dict[str, tuple[bytes, bytes]] = {}
+        # handle -> [content key, nonce, keystream, the stream position
+        # it is at]; the keystream is built on the first decrypt
+        self._installed: dict[str, list] = {}
         self._counter = 0
 
     def request_license(self, init: InitData) -> bytes:
@@ -130,19 +133,23 @@ class Cdm:
         content_key, nonce = payload[16:32], payload[32:48]
         self._counter += 1
         handle = f"cdmkey{self._counter}"
-        self._installed[handle] = (content_key, nonce)
+        self._installed[handle] = [content_key, nonce, None, None]
         return handle
 
     def decrypt_segment(self, handle: str, ciphertext: bytes, position: int = 0) -> bytes:
         """Plaintext of the ciphertext found at `position` of the stream
         the handle's key opens. A call that starts where the last one for
-        that key ended continues the same keystream instead of re-keying,
+        that handle ended continues its keystream instead of re-keying,
         so a player decrypts each chunk as it arrives."""
         try:
-            content_key, nonce = self._installed[handle]
+            stream = self._installed[handle]
         except KeyError:
             raise LicenseError(f"no installed key for {handle!r}") from None
-        return aes_ctr(content_key, nonce, ciphertext, byte_offset=position)
+        content_key, nonce, keystream, at = stream
+        if at != position:
+            keystream = stream[2] = ctr_keystream(content_key, nonce, position)
+        stream[3] = position + len(ciphertext)
+        return keystream.update(ciphertext)
 
 
 class BenchmarkService:

@@ -7,10 +7,12 @@ their inputs, which is what keeps transcripts reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from . import benchmark as bench
 from .crypto_kit import (
+    CryptoError,
     aes_cbc_decrypt,
     b64,
     b64_decode,
@@ -18,7 +20,7 @@ from .crypto_kit import (
     passphrase_seal,
     totp,
 )
-from .hls import assemble, parse_index, parse_master
+from .hls import ManifestError, assemble, parse_index, parse_master
 from .services import hungama as hungama_mod
 from .services import saavn as saavn_mod
 from .services import wynk as wynk_mod
@@ -36,6 +38,32 @@ class ProtocolFailure(Exception):
     def __init__(self, detail: str, status: int = 0):
         super().__init__(detail if not status else f"{detail} (status {status})")
         self.status = status
+
+
+# What a client's decoding of a 200 body raises when the body is not
+# what the protocol continues from: text that is not UTF-8 (a
+# ValueError), a page or playlist that does not parse, JSON that is not
+# an object or lacks a field the client reads (a field of the wrong type
+# fails as whatever its first use raises), a short first chunk, and a
+# page cipher or license that does not open.
+_DECODE_REFUSALS = (
+    ValueError, LookupError, TypeError, AttributeError, RecursionError,
+    ManifestError, CryptoError, bench.InitDataError, bench.LicenseError,
+)
+
+
+def _protocol(client):
+    """client, stopping with ProtocolFailure where a decoder refused an
+    answer; every other ProtocolFailure passes through as it was."""
+
+    @functools.wraps(client)
+    def run(*args, **kwargs):
+        try:
+            return client(*args, **kwargs)
+        except _DECODE_REFUSALS as exc:
+            raise ProtocolFailure(f"unreadable answer: {exc!r}") from exc
+
+    return run
 
 
 def _expect_ok(resp, detail: str):
@@ -89,6 +117,7 @@ def _wynk_stream_call(net, *, path, sid, uid, token, extra_headers):
     return _expect_json(resp, "stream authorization refused")
 
 
+@_protocol
 def rip_wynk_v1(
     net: Network,
     env: DeterministicEnv,
@@ -115,6 +144,7 @@ def rip_wynk_v1(
     return _fetch_hls(net, stream["url"], stream["cookies"])
 
 
+@_protocol
 def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
     """The priming dance: interleaved webassets fetches, the number
     exchange, then login. Returns the session material M."""
@@ -146,6 +176,7 @@ def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
     )
 
 
+@_protocol
 def rip_wynk_v2(
     net: Network,
     env: DeterministicEnv,
@@ -172,6 +203,7 @@ def rip_wynk_v2(
 # ---- jiosaavn ----------------------------------------------------------------
 
 
+@_protocol
 def rip_saavn(
     net: Network,
     song_url: str,
@@ -196,6 +228,7 @@ def rip_saavn(
 # ---- gaana --------------------------------------------------------------------
 
 
+@_protocol
 def rip_gaana(
     net: Network,
     song_url: str,
@@ -217,6 +250,7 @@ def rip_gaana(
 # ---- hungama --------------------------------------------------------------------
 
 
+@_protocol
 def rip_hungama(
     net: Network,
     song_url: str,
@@ -245,6 +279,7 @@ def rip_hungama(
 # ---- benchmark -------------------------------------------------------------------
 
 
+@_protocol
 def play_benchmark(
     net: Network,
     track_id: str,

@@ -15,15 +15,13 @@ ciphertext block L it emitted (NIST SP 800-38A 6.2); XORing iv xor L
 into the first plaintext block makes that chain start from iv instead.
 Either way the result is a pure function of (key, iv, data).
 
-AES-CTR keeps one positioned context per (key, nonce), in an LRU of the
-same size: a call that starts where the last one under that pair ended
-continues its keystream, and any other offset re-positions it. So the
-CDM, decrypting a ranged stream chunk by chunk, walks each installed
-key's keystream front to back once, with no MB-sized temporaries; and
-the benchmark CDN encrypts each stream straight into its reused buffer
-through aes_ctr's `out`. Results stay a pure function of (key, nonce,
-data, offset). Neither cache is thread-safe: the testbed is
-single-threaded.
+AES-CTR keeps no state here: ctr_keystream returns an encryptor
+positioned at any byte of a (key, nonce) stream, and aes_ctr runs one
+per call, so its result is a pure function of (key, nonce, data,
+offset). A caller that reads a stream in pieces holds its keystream
+itself, as the benchmark CDM does for each installed key, so no content
+key outlives its holder. The CBC cache is not thread-safe: the testbed
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -178,20 +176,23 @@ def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     return padded[:-pad]
 
 
-class _CtrContext:
-    """A CTR encryptor and the stream offset of the next byte it
-    encrypts; -1 before its first call."""
-
-    __slots__ = ("encryptor", "position")
-
-    def __init__(self):
-        self.encryptor = None
-        self.position = -1
-
-
-@functools.lru_cache(maxsize=16)
-def _ctr_context(key: bytes, nonce: bytes) -> _CtrContext:
-    return _CtrContext()
+def ctr_keystream(key: bytes, nonce: bytes, byte_offset: int = 0):
+    """A cryptography CTR encryptor for (key, nonce), positioned at
+    byte_offset of the stream: the counter starts at block
+    nonce + offset//16 and the first offset%16 keystream bytes of that
+    block are discarded. Each update() continues where the last ended."""
+    _check_aes_key(key, (16,))
+    if len(nonce) != 16:
+        raise SizeError("nonce must be 16 bytes")
+    if byte_offset < 0:
+        raise ValueError("negative offset")
+    block, skip = divmod(byte_offset, 16)
+    counter = (int.from_bytes(nonce, "big") + block) % (1 << 128)
+    keystream = Cipher(
+        algorithms.AES(key), modes.CTR(counter.to_bytes(16, "big"))
+    ).encryptor()
+    keystream.update(bytes(skip))
+    return keystream
 
 
 def aes_ctr(
@@ -201,42 +202,20 @@ def aes_ctr(
     byte_offset: int = 0,
     out: memoryview | None = None,
 ) -> bytes | memoryview:
-    """CTR keystream XOR, addressable at any byte offset into the stream.
-
-    byte_offset lets a caller decrypt a slice of a long stream without
-    walking the keystream from zero: the counter starts at block
-    nonce + offset//16 and the first offset%16 keystream bytes of that
-    block are discarded. A call that starts where the last call under
-    the same (key, nonce) ended continues that call's context instead.
+    """CTR keystream XOR, addressable at any byte offset into the stream,
+    so a caller can decrypt a slice of a long stream without walking the
+    keystream from zero.
 
     With `out` (a writable buffer of exactly len(data) bytes) the result
     is written there and `out` is returned; otherwise new bytes are.
     """
-    _check_aes_key(key, (16,))
-    if len(nonce) != 16:
-        raise SizeError("nonce must be 16 bytes")
-    if byte_offset < 0:
-        raise ValueError("negative offset")
-    if out is not None and len(out) != len(data):
-        raise SizeError("output buffer must be as long as the data")
-    if not data:
-        return b"" if out is None else out
-    ctx = _ctr_context(key, nonce)
-    if ctx.position != byte_offset:
-        block, skip = divmod(byte_offset, 16)
-        counter = (int.from_bytes(nonce, "big") + block) % (1 << 128)
-        ctx.encryptor = Cipher(
-            algorithms.AES(key), modes.CTR(counter.to_bytes(16, "big"))
-        ).encryptor()
-        ctx.encryptor.update(bytes(skip))
-        ctx.position = byte_offset
+    keystream = ctr_keystream(key, nonce, byte_offset)
     if out is None:
-        result = ctx.encryptor.update(data)
-    else:
-        ctx.encryptor.update_into(data, out)
-        result = out
-    ctx.position = byte_offset + len(data)
-    return result
+        return keystream.update(data)
+    if len(out) != len(data):
+        raise SizeError("output buffer must be as long as the data")
+    keystream.update_into(data, out)
+    return out
 
 
 SALT_MAGIC = b"Salted__"

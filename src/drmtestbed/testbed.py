@@ -14,7 +14,7 @@ from typing import Callable
 from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog
-from .config import KEY_FIELDS, TestbedConfig
+from .config import KEY_FIELDS, ConfigError, TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
@@ -117,6 +117,9 @@ class Testbed:
     def __init__(self, config: TestbedConfig | None = None):
         self.config = config or TestbedConfig()
         cfg = self.config
+        # wynk-v2's stamps are unsigned decimals and TOTP counts from t0 = 0
+        if cfg.clock < 0:
+            raise ConfigError(f"clock must be 0 or later, got {cfg.clock}")
         self.env = DeterministicEnv(cfg.seed, cfg.clock)
         if cfg.catalog_dir:
             self.catalog = load_catalog(cfg.catalog_dir)

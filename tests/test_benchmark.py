@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from drmtestbed import benchmark as bench
+from drmtestbed import crypto_kit
 from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, play_benchmark
 from drmtestbed.config import TestbedConfig
@@ -241,7 +242,7 @@ def test_cdn_refuses_lax_paths_and_ranges(rig, path_tail, range_header, status):
 def _oracle_blob(svc, catalog, track, header):
     # header + AES-CTR of the top variant, rebuilt from the license
     # server's keyring and the catalog, independently of the CDN path and
-    # of the positioned contexts crypto_kit.aes_ctr keeps
+    # of the keystreams the CDM keeps
     content_key, nonce = svc._license_keys[header[16:32]]
     assert header[32:48] == nonce
     media = catalog.asset(track).variant(catalog.asset(track).top_bitrate())
@@ -291,11 +292,11 @@ class StreamOracleMachine(RuleBasedStateMachine):
     decrypts at random positions, against blobs rebuilt off the CDN path.
 
     The CDN encrypts each stream into one buffer it reuses across
-    streams, and aes_ctr keeps one positioned keystream per key, which
-    the CDN and the CDM share here. So a stream switch that skips the
-    re-encryption, a body that is a view of the buffer, or a keystream
-    that continues across a seek each shows as a wrong body, now or on
-    a later step."""
+    streams, and the CDM keeps one positioned keystream per installed
+    key, over the same keys the CDN encrypts with. So a stream switch
+    that skips the re-encryption, a body that is a view of the buffer,
+    or a keystream that continues across a seek each shows as a wrong
+    body, now or on a later step."""
 
     TRACKS = ("trk1", "trk2", "trk3")
 
@@ -476,6 +477,46 @@ def test_cdm_never_exposes_key_bytes(rig):
     assert isinstance(handle, str)
     with pytest.raises(bench.LicenseError):
         cdm.decrypt_segment("cdmkey999", b"x")
+
+
+def test_each_cdm_walks_its_own_keystream(rig, monkeypatch):
+    """Two CDMs hold one stream's key and take turns decrypting its
+    chunks front to back. Each keys its own keystream once, whatever the
+    CDN encrypted between the fetches and whatever the other CDM read."""
+    svc, net, _env, catalog = rig
+    bearer = _bearer(net)
+    uri, other = (
+        json.loads(_resolve(net, bearer, track).body)["uris"][0]
+        for track in ("trk1", "trk2")
+    )
+    cdms = (svc.make_cdm(), svc.make_cdm())
+    header = net.get(uri, headers={"range": f"bytes=0-{bench.HEADER_BYTES - 1}"}).body
+    request = cdms[0].request_license(bench.extract_init_data(header))
+    license_blob = net.post(bench.LICENSE_URL, body=request).body
+    handles = [cdm.install(license_blob) for cdm in cdms]
+    media = catalog.asset("trk1").variant(catalog.asset("trk1").top_bitrate())
+    chunks = []
+    for start in range(bench.HEADER_BYTES, bench.HEADER_BYTES + len(media), bench.SEGMENT_BYTES):
+        end = start + bench.SEGMENT_BYTES - 1
+        chunks.append(net.get(uri, headers={"range": f"bytes={start}-{end}"}).body)
+        net.get(other, headers={"range": "bytes=0-0"})  # the CDN switches streams
+
+    builds = []
+    real_cipher = crypto_kit.Cipher
+
+    def counted_cipher(*args, **kwargs):
+        builds.append(args)
+        return real_cipher(*args, **kwargs)
+
+    monkeypatch.setattr(crypto_kit, "Cipher", counted_cipher)
+    position = 0
+    for chunk in chunks:
+        for cdm, handle in zip(cdms, handles):
+            got = cdm.decrypt_segment(handle, chunk, position)
+            assert got == media[position:position + len(chunk)]
+        position += len(chunk)
+    assert position == len(media)
+    assert len(builds) == len(cdms)
 
 
 def test_make_cdm_uses_the_provisioned_device_key(rig):

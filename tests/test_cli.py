@@ -186,6 +186,14 @@ class TestUsage:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()[:12]
         assert digest in demo_out  # same seed, same catalog bytes
 
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_negative_clock_exits_64(self, tmp_path, capsys, route):
+        conf = tmp_path / "t.conf"
+        conf.write_text("clock = -1\n", encoding="utf-8")
+        argv = ["demo", "--clock", "-1"] if route == "flag" else ["demo", "--config", str(conf)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "testbed: clock must be 0 or later, got -1\n")
+
     def test_console_entry_raises_system_exit(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["testbed", "audit", "--service", "gaana"])
         with pytest.raises(SystemExit) as err:

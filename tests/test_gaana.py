@@ -138,8 +138,9 @@ def test_rip_unknown_quality_fails(rig):
 
 def test_rip_wrong_key_cannot_follow_the_page(rig):
     svc, net, env, _catalog = rig
-    with pytest.raises(CryptoError):
+    with pytest.raises(ProtocolFailure) as err:
         rip_gaana(net, svc.song_url("trk1"), b"\x00" * 16, PAGE_IV)
+    assert isinstance(err.value.__cause__, CryptoError)
 
 
 def test_titles_that_slugify_alike_are_rejected_at_build():

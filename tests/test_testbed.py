@@ -12,7 +12,7 @@ import pytest
 from drmtestbed import clients
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
-from drmtestbed.config import TestbedConfig
+from drmtestbed.config import ConfigError, TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
 from drmtestbed.transport import HttpRequest, copy_request
@@ -188,6 +188,12 @@ def test_build_holds_about_one_catalog_of_memory(tmp_path):
         tracemalloc.stop()
     assert bed.catalog.track_ids() == ["trk0", "trk1", "trk2", "trk3"]
     assert held <= 1.25 * catalog_bytes, held / catalog_bytes
+
+
+@pytest.mark.parametrize("clock", [-1, -1700000000])
+def test_build_refuses_a_clock_before_the_epoch(clock):
+    with pytest.raises(ConfigError, match=f"^clock must be 0 or later, got {clock}$"):
+        Testbed(TestbedConfig(clock=clock))
 
 
 def test_build_names_the_asset_missing_a_served_rate(tmp_path):
