@@ -19,13 +19,7 @@ import hmac as _hmac
 import json
 
 from .crypto_kit import DecodeError, b64, b64_decode, hmac_sha1
-from .hls import (
-    MasterManifest,
-    MediaAsset,
-    render_index,
-    render_master,
-    segment,
-)
+from .hls import MediaAsset, render_index, render_master, segment
 from .transport import Clock, HttpRequest, HttpResponse, error_response, query_string
 
 POLICY_PARAM = "Policy"
@@ -160,7 +154,7 @@ class CdnNode:
     def add_hls_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
         rates = sorted(bitrates or asset.variants, reverse=True)
         origin = len(self.url(""))  # each chunk lives at its index URI's path
-        master_entries = []
+        master = []
         for rate in rates:
             base = f"/hls/{key}/{rate}/"
             chunks, index = segment(
@@ -168,7 +162,7 @@ class CdnNode:
                 self._chunk_bytes,
                 uri_prefix=self.url(base),
             )
-            for chunk, (uri, _seconds) in zip(chunks, index.segments):
+            for chunk, (uri, _seconds) in zip(chunks, index):
                 self._put(uri[origin:], chunk, "video/mp2t")
             self._put(
                 f"{base}index.m3u8",
@@ -177,16 +171,13 @@ class CdnNode:
             )
             # single-variant master, for services that hand out one URI
             # per quality instead of a combined ladder
-            solo = MasterManifest(
-                entries=[(rate * 1000, self.url(f"{base}index.m3u8"))]
-            )
+            entry = (rate * 1000, self.url(f"{base}index.m3u8"))
             self._put(
                 f"{base}master.m3u8",
-                render_master(solo).encode("utf-8"),
+                render_master([entry]).encode("utf-8"),
                 "application/vnd.apple.mpegurl",
             )
-            master_entries.append((rate * 1000, self.url(f"{base}index.m3u8")))
-        master = MasterManifest(entries=master_entries)
+            master.append(entry)
         self._put(
             f"/hls/{key}/master.m3u8",
             render_master(master).encode("utf-8"),

@@ -20,7 +20,7 @@ from .crypto_kit import (
     passphrase_seal,
     totp,
 )
-from .hls import ManifestError, assemble, parse_index, parse_master
+from .hls import ManifestError, parse_index, parse_master
 from .services import hungama as hungama_mod
 from .services import saavn as saavn_mod
 from .services import wynk as wynk_mod
@@ -84,16 +84,15 @@ def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> byt
     """master (or single-variant master) -> best index -> chunks."""
     resp = _expect_ok(net.get(entry_url, extra_query=grant_query), "manifest fetch refused")
     master = parse_master(resp.body.decode("utf-8"))
-    if not master.entries:
+    if not master:
         raise ProtocolFailure("manifest lists no variants")
-    _bw, index_url = master.best()
+    _bw, index_url = max(master)  # parse_master refuses duplicate bandwidths
     resp = _expect_ok(net.get(index_url, extra_query=grant_query), "index fetch refused")
-    index = parse_index(resp.body.decode("utf-8"))
     chunks = [
         _expect_ok(net.get(seg_url, extra_query=grant_query), "chunk fetch refused").body
-        for seg_url, _seconds in index.segments
+        for seg_url, _seconds in parse_index(resp.body.decode("utf-8"))
     ]
-    return assemble(chunks)
+    return b"".join(chunks)
 
 
 # ---- wynk ------------------------------------------------------------------

@@ -2,16 +2,20 @@
 
 The grammar is a deliberately small subset: a master playlist is
 #EXTM3U followed by BANDWIDTH/uri pairs, an index playlist is #EXTM3U,
-EXTINF/uri pairs and #EXT-X-ENDLIST. Rendering and parsing are exact
-inverses over that subset, newline is always LF, and parse failures
-carry the 1-based line number.
+EXTINF/uri pairs and #EXT-X-ENDLIST. A playlist is a plain sequence of
+pairs: a master is `(bandwidth, uri)` pairs and an index is
+`(uri, seconds)` pairs. Rendering and parsing are exact inverses over
+that subset, `parse(render(x)) == tuple(x)`: each renderer refuses with
+ValueError what its parser would refuse. Newline is always LF, and
+parse failures carry the 1-based line number.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from decimal import Decimal
 
 AUDIO_MAGIC = b"AUD0"
@@ -61,50 +65,29 @@ class MediaAsset:
             raise ValueError(f"{self.asset_id}: no {rate} kbps variant") from None
 
 
-@dataclass
-class MasterManifest:
-    entries: list[tuple[int, str]] = field(default_factory=list)  # (bandwidth, uri)
-
-    def __post_init__(self):
-        seen = set()
-        for bw, _uri in self.entries:
-            if bw in seen:
-                raise ValueError(f"duplicate bandwidth {bw}")
-            seen.add(bw)
-
-    def best(self) -> tuple[int, str]:
-        return max(self.entries, key=lambda e: e[0])
-
-
-@dataclass
-class IndexManifest:
-    segments: list[tuple[str, float]] = field(default_factory=list)  # (uri, seconds)
-
-
 def segment(
     media: bytes | memoryview,
     chunk_bytes: int,
     *,
     uri_prefix: str = "",
-) -> tuple[list[bytes | memoryview], IndexManifest]:
+) -> tuple[list[bytes | memoryview], list[tuple[str, float]]]:
     """Split media into fixed-size chunks (last one ragged) and build the
-    matching index. assemble() over the chunks gives the media back."""
+    matching index. Joining the chunks gives the media back."""
     if chunk_bytes < 1:
         raise ValueError("chunk_bytes must be >= 1")
     chunks = [media[i:i + chunk_bytes] for i in range(0, len(media), chunk_bytes)]
-    segs = [
+    return chunks, [
         (f"{uri_prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(len(chunks))
     ]
-    return chunks, IndexManifest(segments=segs)
 
 
-def assemble(chunks: list[bytes]) -> bytes:
-    return b"".join(chunks)
-
-
-def render_master(manifest: MasterManifest) -> str:
+def render_master(entries: Sequence[tuple[int, str]]) -> str:
     lines = [M3U_HEADER]
-    for bw, uri in manifest.entries:
+    seen = set()
+    for bw, uri in entries:
+        if bw in seen:  # parse_master refuses it
+            raise ValueError(f"duplicate bandwidth {bw}")
+        seen.add(bw)
         lines.append(f"{STREAM_INF}{bw}")
         lines.append(uri)
     return "\n".join(lines) + "\n"
@@ -119,9 +102,9 @@ def _duration_text(seconds: float) -> str:
     return format(Decimal(text), "f") if "e" in text else text
 
 
-def render_index(manifest: IndexManifest) -> str:
+def render_index(segments: Sequence[tuple[str, float]]) -> str:
     lines = [M3U_HEADER]
-    for uri, seconds in manifest.segments:
+    for uri, seconds in segments:
         lines.append(f"{EXTINF}{_duration_text(seconds)},")
         lines.append(uri)
     lines.append(ENDLIST)
@@ -146,7 +129,7 @@ def _want_uri(lines: list[str], i: int) -> str:
     return uri
 
 
-def parse_master(text: str) -> MasterManifest:
+def parse_master(text: str) -> tuple[tuple[int, str], ...]:
     lines = _lines_of(text)
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)
@@ -167,7 +150,7 @@ def parse_master(text: str) -> MasterManifest:
             raise ManifestError(f"duplicate bandwidth {bandwidth}", i + 1)
         entries.append((bandwidth, _want_uri(lines, i + 1)))
         i += 2
-    return MasterManifest(entries=entries)
+    return tuple(entries)
 
 
 def _duration(raw: str, line: int) -> float:
@@ -183,17 +166,13 @@ def _duration(raw: str, line: int) -> float:
     raise ManifestError(f"bad duration {raw!r}", line)
 
 
-def parse_index(text: str) -> IndexManifest:
-    """A new IndexManifest on every call, so a caller may change it."""
-    return IndexManifest(segments=list(_parse_index(text)))
-
-
 # A client parses the index playlist it fetched, then the ripper parses
-# the same text off the tap: the memo makes the second parse a lookup. It
-# holds tuples no caller can change, and a ManifestError passes through
-# uncached, so a bad text raises anew, at its line, on every call.
+# the same text off the tap: the memo makes the second parse a lookup and
+# hands out the same tuple, which no caller can change. A ManifestError
+# passes through uncached, so a bad text raises anew, at its line, on
+# every call.
 @functools.lru_cache(maxsize=16)
-def _parse_index(text: str) -> tuple[tuple[str, float], ...]:
+def parse_index(text: str) -> tuple[tuple[str, float], ...]:
     lines = _lines_of(text)
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)

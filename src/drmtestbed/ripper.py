@@ -62,7 +62,7 @@ def _index_candidates(records):
             index = parse_index(text)
         except ManifestError:
             continue
-        if not index.segments:
+        if not index:
             continue
         if last_by_uri is None:
             last_by_uri = {
@@ -72,7 +72,7 @@ def _index_candidates(records):
             }
         origin = rec.request.headers["host"]
         chunks, seqs = [], [rec.seq]
-        for uri, _seconds in index.segments:
+        for uri, _seconds in index:
             try:
                 host, path = url_host_path(uri)
             except ValueError:  # urlsplit refuses it, so no fetch had that URL

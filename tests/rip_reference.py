@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from urllib.parse import urlsplit
 
-from drmtestbed.hls import ManifestError, _parse_index
+from drmtestbed.hls import ManifestError, parse_index
 from drmtestbed.ripper import RipResult
 
-_parse_index_unmemoized = _parse_index.__wrapped__
+_parse_index_unmemoized = parse_index.__wrapped__
 
 
 def _last_fetch(records, playlist, uri):

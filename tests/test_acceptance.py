@@ -33,8 +33,6 @@ from drmtestbed.crypto_kit import (
 from drmtestbed.hls import (
     AUDIO_MAGIC,
     BITRATE_LADDER,
-    MasterManifest,
-    assemble,
     parse_index,
     parse_master,
     render_index,
@@ -423,14 +421,13 @@ def test_manifest_and_segmentation_round_trip():
         media = rng.randbytes(rng.randint(1, 4000))
         chunk = rng.randint(1, len(media) + 100)
         chunks, index = segment(media, chunk, uri_prefix="v/")
-        ok = ok and assemble(chunks) == media
-        ok = ok and parse_index(render_index(index)) == index
+        ok = ok and b"".join(chunks) == media
+        ok = ok and parse_index(render_index(index)) == tuple(index)
         entries = [
             (r * 1000, f"https://cdn.example/{r}/index.m3u8")
             for r in sorted(rng.sample(BITRATE_LADDER, rng.randint(1, 5)))
         ]
-        master = MasterManifest(entries=entries)
-        ok = ok and parse_master(render_master(master)) == master
+        ok = ok and parse_master(render_master(entries)) == tuple(entries)
         if not ok:
             break
     _verdict(

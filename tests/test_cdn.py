@@ -296,11 +296,11 @@ def test_cdn_serves_granted_hls_tree(node):
 
     master = _get(cdn, "/hls/a1/master.m3u8", query)
     assert master.status == 200
-    entries = parse_master(master.body.decode()).entries
+    entries = parse_master(master.body.decode())
     assert [bw for bw, _ in entries] == [320000, 64000]
 
     index = _get(cdn, "/hls/a1/320/index.m3u8", query)
-    segs = parse_index(index.body.decode()).segments
+    segs = parse_index(index.body.decode())
     assert len(segs) == 3  # 250 bytes at 100-byte chunks
     body = b"".join(
         _get(cdn, f"/hls/a1/320/seg_{i:05d}.ts", query).body for i in range(3)
@@ -321,8 +321,8 @@ def test_cdn_single_variant_masters(node):
     cdn, _clock, _asset = node
     query = cdn.hls_grant("a1", expires_at=2000)
     solo = _get(cdn, "/hls/a1/64/master.m3u8", query)
-    entries = parse_master(solo.body.decode()).entries
-    assert entries == [(64000, "https://cdn.test/hls/a1/64/index.m3u8")]
+    entries = parse_master(solo.body.decode())
+    assert entries == ((64000, "https://cdn.test/hls/a1/64/index.m3u8"),)
     assert cdn.variant_master_url("a1", 64) == "https://cdn.test/hls/a1/64/master.m3u8"
 
 

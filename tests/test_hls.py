@@ -13,11 +13,8 @@ from drmtestbed.hls import (
     BITRATE_LADDER,
     DEFAULT_CHUNK_BYTES,
     SEGMENT_SECONDS,
-    IndexManifest,
     ManifestError,
-    MasterManifest,
     MediaAsset,
-    assemble,
     parse_index,
     parse_master,
     render_index,
@@ -58,17 +55,15 @@ def test_ladder_and_defaults_are_pinned():
 
 
 def test_master_rejects_duplicate_bandwidth():
-    with pytest.raises(ValueError):
-        MasterManifest(entries=[(128, "a.m3u8"), (128, "b.m3u8")])
-
-
-def test_master_best_picks_highest_bandwidth():
-    m = MasterManifest(entries=[(64, "a"), (320, "b"), (128, "c")])
-    assert m.best() == (320, "b")
+    # render refuses what parse refuses, so a master's bandwidths are
+    # unique and max() of its pairs is the highest bandwidth's
+    with pytest.raises(ValueError, match="duplicate bandwidth 128"):
+        render_master([(128, "a.m3u8"), (128, "b.m3u8")])
+    assert max(parse_master(render_master([(64, "a"), (320, "b"), (128, "c")]))) == (320, "b")
 
 
 def test_render_master_exact_bytes():
-    m = MasterManifest(entries=[(320000, "hi/index.m3u8"), (64000, "lo/index.m3u8")])
+    m = [(320000, "hi/index.m3u8"), (64000, "lo/index.m3u8")]
     assert render_master(m) == (
         "#EXTM3U\n"
         "#EXT-X-STREAM-INF:BANDWIDTH=320000\n"
@@ -79,9 +74,7 @@ def test_render_master_exact_bytes():
 
 
 def test_render_index_exact_bytes():
-    m = IndexManifest(segments=[
-        ("seg_00000.ts", 10.0), ("seg_00001.ts", 3.5), ("seg_00002.ts", 1e-05),
-    ])
+    m = [("seg_00000.ts", 10.0), ("seg_00001.ts", 3.5), ("seg_00002.ts", 1e-05)]
     assert render_index(m) == (
         "#EXTM3U\n"
         "#EXTINF:10.0,\n"
@@ -98,38 +91,38 @@ def test_render_index_exact_bytes():
 def test_render_index_refuses_durations_parse_refuses(seconds):
     # render and parse stay inverses: no bed may write what no player reads
     with pytest.raises(ValueError, match="duration"):
-        render_index(IndexManifest(segments=[("seg_00000.ts", seconds)]))
+        render_index([("seg_00000.ts", seconds)])
 
 
 def test_parse_master_round_trip():
-    m = MasterManifest(entries=[(320, "a.m3u8"), (16, "b.m3u8")])
+    m = ((320, "a.m3u8"), (16, "b.m3u8"))
     assert parse_master(render_master(m)) == m
 
 
 def test_parse_index_round_trip_with_out_of_band_bitrate():
     # the wire format has no bitrate tag: the rate is known only from the
     # CDN path an index was fetched from
-    m = IndexManifest(segments=[("s0.ts", 10.0), ("s1.ts", 0.25)])
+    m = (("s0.ts", 10.0), ("s1.ts", 0.25))
     assert parse_index(render_index(m)) == m
 
 
 def test_parse_empty_master_is_legal():
-    assert parse_master("#EXTM3U\n") == MasterManifest(entries=[])
+    assert parse_master("#EXTM3U\n") == ()
 
 
 def test_parse_empty_index_needs_endlist():
-    assert parse_index("#EXTM3U\n#EXT-X-ENDLIST\n") == IndexManifest(segments=[])
+    assert parse_index("#EXTM3U\n#EXT-X-ENDLIST\n") == ()
 
 
-def test_parse_index_hands_out_a_new_list_every_call():
-    # the parse is memoized; the manifest handed out is not
-    text = render_index(IndexManifest(segments=[("s0.ts", 10.0), ("s1.ts", 0.25)]))
+def test_parse_index_hands_out_its_immutable_memo():
+    # the parse is memoized and hands out the memo itself, which is a
+    # tuple of tuples, so no caller can change what the next one reads
+    text = render_index([("s0.ts", 10.0), ("s1.ts", 0.25)])
     first = parse_index(text)
-    first.segments.append(("extra.ts", 1.0))
-    first.segments[0] = ("changed.ts", 2.0)
-    second = parse_index(text)
-    assert second.segments == [("s0.ts", 10.0), ("s1.ts", 0.25)]
-    assert second is not first and second.segments is not first.segments
+    assert parse_index(text) is first
+    assert first == (("s0.ts", 10.0), ("s1.ts", 0.25))
+    assert type(first) is tuple and all(type(pair) is tuple for pair in first)
+    assert type(parse_master(render_master([(1, "a")]))) is tuple
 
 
 # ------------------------------------------------- parse errors with lines
@@ -200,7 +193,7 @@ def test_cr_rejected_with_line_number():
 def test_segment_exact_chunking():
     chunks, index = segment(b"abcdefghij", 4, uri_prefix="p/")
     assert chunks == [b"abcd", b"efgh", b"ij"]
-    assert index.segments == [
+    assert index == [
         ("p/seg_00000.ts", SEGMENT_SECONDS),
         ("p/seg_00001.ts", SEGMENT_SECONDS),
         ("p/seg_00002.ts", SEGMENT_SECONDS),
@@ -209,8 +202,7 @@ def test_segment_exact_chunking():
 
 def test_segment_empty_media():
     chunks, index = segment(b"", 16)
-    assert chunks == [] and index.segments == []
-    assert assemble(chunks) == b""
+    assert chunks == [] and index == []
 
 
 def test_segment_rejects_nonpositive_chunk():
@@ -218,14 +210,14 @@ def test_segment_rejects_nonpositive_chunk():
         segment(b"x", 0)
 
 
-def test_assemble_inverts_segment():
+def test_joined_chunks_invert_segment():
     rng = random.Random(77)
     for _ in range(50):
         media = rng.randbytes(rng.randrange(0, 5000))
         chunk = rng.randrange(1, 700)
         chunks, index = segment(media, chunk)
-        assert assemble(chunks) == media
-        assert len(chunks) == len(index.segments)
+        assert b"".join(chunks) == media
+        assert len(chunks) == len(index)
         # every chunk but the last is exactly chunk bytes
         assert all(len(c) == chunk for c in chunks[:-1])
 
@@ -243,8 +235,7 @@ uri_chars = st.text(
                 max_size=8, unique_by=lambda e: e[0]))
 @settings(max_examples=80)
 def test_master_render_parse_identity(entries):
-    m = MasterManifest(entries=entries)
-    assert parse_master(render_master(m)) == m
+    assert parse_master(render_master(entries)) == tuple(entries)
 
 
 @given(st.lists(st.tuples(uri_chars, st.floats(min_value=0.0, max_value=10 ** 6,
@@ -252,5 +243,4 @@ def test_master_render_parse_identity(entries):
                 max_size=8))
 @settings(max_examples=80)
 def test_index_render_parse_identity(segments):
-    m = IndexManifest(segments=segments)
-    assert parse_index(render_index(m)) == m
+    assert parse_index(render_index(segments)) == tuple(segments)

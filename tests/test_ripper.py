@@ -11,7 +11,7 @@ from rip_reference import reference_rip
 import drmtestbed.ripper as ripper_mod
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.config import TestbedConfig
-from drmtestbed.hls import AUDIO_MAGIC, IndexManifest, MediaAsset, render_index, segment
+from drmtestbed.hls import AUDIO_MAGIC, MediaAsset, render_index, segment
 from drmtestbed.ripper import _index_candidates, tap_rip
 from drmtestbed.testbed import Testbed
 from drmtestbed.transport import HttpRequest, HttpResponse, TapRecord
@@ -42,7 +42,7 @@ def _tree(media: bytes | memoryview, *, chunk: int = 500, start: int = 1, prefix
     """Tap records for one full HLS fetch: index playlist then chunks."""
     chunks, idx = segment(media, chunk, uri_prefix=f"https://cdn.example/{prefix}/")
     recs = [_rec(start, f"/{prefix}/index.m3u8", render_index(idx).encode())]
-    for off, (uri, _sec) in enumerate(idx.segments):
+    for off, (uri, _sec) in enumerate(idx):
         path = uri.removeprefix("https://cdn.example")
         recs.append(_rec(start + 1 + off, path, chunks[off]))
     return recs
@@ -247,9 +247,9 @@ def _fetches(draw):
             uri_prefix=prefix,
         )
         # a playlist may name its segments twice: its evidence names each once
-        twice = IndexManifest(index.segments * 2) if draw(st.booleans()) else index
+        twice = index * 2 if draw(st.booleans()) else index
         fetches.append((host, f"/{folder}/index.m3u8", render_index(twice).encode(), 200))
-        for chunk, (uri, _seconds) in zip(chunks, index.segments):
+        for chunk, (uri, _seconds) in zip(chunks, index):
             fetches.append((seg_host or host, f"/{folder}/{uri[len(prefix):]}", chunk, 200))
     fetches += draw(st.lists(_STRAYS, max_size=3))
     for edit, at, to in draw(st.lists(_EDITS, max_size=6)):
