@@ -163,7 +163,8 @@ class BenchmarkService:
         self.users = dict(USERS)
         self.bearer_ttl = cfg.bearer_ttl
         self.grant_ttl = cfg.grant_ttl
-        self._sessions: dict[str, str] = {}  # sid -> user
+        # sid -> user, living bearer_ttl from its login or last grant
+        self._sessions = ExpiringStore(self.bearer_ttl)
         self._bearers = ExpiringStore(self.bearer_ttl)  # bearer -> user
         # asset_id -> (init header, content key, nonce, top catalog variant)
         self._streams: dict[str, tuple[bytes, bytes, bytes, bytes]] = {}
@@ -222,17 +223,19 @@ class BenchmarkService:
         if known is None or known[0] != password:
             return error_response(401, "bad credentials")
         sid = self.env.hex_token(32)
-        self._sessions[sid] = username
+        self._sessions.put(sid, username, self.env.now())
         resp = json_response({"status": "ok", "user": username})
         resp.set_cookies[SESSION_COOKIE] = sid
         return resp
 
     def _token(self, req: HttpRequest) -> HttpResponse:
-        user = self._sessions.get(req.cookies.get(SESSION_COOKIE, ""))
+        sid, now = req.cookies.get(SESSION_COOKIE, ""), self.env.now()
+        user = self._sessions.live(sid, now)
         if user is None:
             return error_response(401, "login first")
+        self._sessions.put(sid, user, now)
         value = self.env.hex_token(48)
-        self._bearers.put(value, user, self.env.now())
+        self._bearers.put(value, user, now)
         return json_response({"bearer": value, "expires_in": self.bearer_ttl})
 
     def _bearer_user(self, req: HttpRequest) -> str | None:

@@ -5,15 +5,19 @@ The grammar is a deliberately small subset: a master playlist is
 EXTINF/uri pairs and #EXT-X-ENDLIST. A playlist is a plain sequence of
 pairs: a master is `(bandwidth, uri)` pairs and an index is
 `(uri, seconds)` pairs. Rendering and parsing are exact inverses over
-that subset, `parse(render(x)) == tuple(x)`: each renderer refuses with
-ValueError what its parser would refuse. Newline is always LF, and
-parse failures carry the 1-based line number.
+that subset, `parse(render(x)) == tuple(x)` for every x whose uris are
+non-empty lines not starting with # and whose bandwidths are
+non-negative ints; the renderers refuse with ValueError what the parsers
+would refuse beyond that, a duplicate bandwidth and a duration that is
+not a finite non-negative number. Newline is always LF, and parse
+failures carry the 1-based line number.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
@@ -27,6 +31,8 @@ M3U_HEADER = "#EXTM3U"
 STREAM_INF = "#EXT-X-STREAM-INF:BANDWIDTH="
 EXTINF = "#EXTINF:"
 ENDLIST = "#EXT-X-ENDLIST"
+
+_ASSET_ID = re.compile(r"[A-Za-z0-9._~-]+")
 
 
 class ManifestError(Exception):
@@ -45,8 +51,12 @@ class MediaAsset:
     premium: bool = False
 
     def __post_init__(self):
-        if not self.asset_id:
-            raise ValueError("empty asset id")
+        # every service puts the id in a URL path or query, so it may hold
+        # only RFC 3986 section 2.3 unreserved characters
+        if not _ASSET_ID.fullmatch(self.asset_id):
+            raise ValueError(
+                f"asset id {self.asset_id!r} is not one or more of A-Z a-z 0-9 - . _ ~"
+            )
         if not self.variants:
             raise ValueError(f"{self.asset_id}: no variants")
         for rate, blob in self.variants.items():

@@ -45,6 +45,9 @@ class GaanaPathBlock:
 
 
 def parse_song_page(html: str) -> GaanaPathBlock:
+    """The playSong block of a song page: a string title and an object
+    of string paths, or ValueError for any page that does not carry
+    them, and no other exception."""
     start = html.find(_SPAN_OPEN)
     if start < 0:
         raise ValueError("no playSong span on page")
@@ -52,8 +55,15 @@ def parse_song_page(html: str) -> GaanaPathBlock:
     end = html.find(_SPAN_CLOSE, start)
     if end < 0:
         raise ValueError("unterminated playSong span")
-    data = json.loads(html[start:end])
-    return GaanaPathBlock(title=data["title"], path=dict(data["path"]))
+    try:
+        data = json.loads(html[start:end])
+        title, path = data["title"], data["path"]
+    except (ValueError, LookupError, TypeError, RecursionError):
+        raise ValueError("playSong span lacks a title and paths") from None
+    if not (isinstance(title, str) and isinstance(path, dict)
+            and all(isinstance(value, str) for value in path.values())):
+        raise ValueError("playSong span lacks a title and paths")
+    return GaanaPathBlock(title=title, path=path)
 
 
 class GaanaService:

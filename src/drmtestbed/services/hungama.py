@@ -69,10 +69,10 @@ class HungamaService:
 
     def _token_valid(self, song_id: str, token: str) -> bool:
         tag, expiry = token[:_TAG_CHARS], token[_TAG_CHARS:]
-        if not (expiry.isascii() and expiry.isdigit()):
+        if not (token.isascii() and expiry.isdigit()):
             return False
         want = b64(hmac_sha1(self._token_secret, (song_id + expiry).encode("ascii")))
-        if not _hmac.compare_digest(tag.encode(), want.encode()):
+        if not _hmac.compare_digest(tag, want):
             return False
         try:
             return self.env.now() < int(expiry)

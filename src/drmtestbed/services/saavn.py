@@ -46,7 +46,9 @@ class SaavnSongData:
 
 def parse_song_page(html: str) -> SaavnSongData:
     """Pull the data blob out of a song page the way a scraper would:
-    find the assignment, slice to the closing script tag, json-load."""
+    find the assignment, slice to the closing script tag, json-load.
+    The contract: the song's three string fields, or ValueError for
+    any page that does not carry them, and no other exception."""
     start = html.find(_DATA_PREFIX)
     if start < 0:
         raise ValueError("no __INITIAL_DATA__ on page")
@@ -54,12 +56,14 @@ def parse_song_page(html: str) -> SaavnSongData:
     end = html.find(";</script>", start)
     if end < 0:
         raise ValueError("unterminated data blob")
-    song = json.loads(html[start:end])["song"]
-    return SaavnSongData(
-        perma_url=song["perma_url"],
-        encrypted_media_url=song["encrypted_media_url"],
-        title=song["title"],
-    )
+    try:
+        song = json.loads(html[start:end])["song"]
+        fields = song["perma_url"], song["encrypted_media_url"], song["title"]
+    except (ValueError, LookupError, TypeError, RecursionError):
+        raise ValueError("data blob lacks the song fields") from None
+    if not all(isinstance(value, str) for value in fields):
+        raise ValueError("data blob lacks the song fields")
+    return SaavnSongData(*fields)
 
 
 class SaavnService:

@@ -76,8 +76,8 @@ _BK = re.compile(r"[0-9]+-[0-9a-f]{16}")  # fullmatch only
 
 
 def wynk_pk() -> str:
-    # shipped in the client bundle, carried in session state, never used
-    # for anything; kept because the client stores it
+    # served in the client bundle as `var pk`; no Login or Handshake
+    # holds it, and nothing reads it back
     return b64(PK_SOURCE.encode("ascii"))
 
 

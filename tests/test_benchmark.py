@@ -154,6 +154,41 @@ def test_bearer_store_holds_only_the_live_window(rig):
     assert json.loads(evicted_resp.body) == {"error": "bearer missing or expired"}
 
 
+def test_session_store_holds_only_the_live_window(rig):
+    # 2k logins with the clock stepped 700 s after each: a session lives
+    # bearer_ttl (3600 s) from its last use, so at most 6 are live
+    svc, net, env, _catalog = rig
+    step = 700
+    window = -(-svc.bearer_ttl // step)
+    first = dict(_login(net).set_cookies)
+    env.clock.advance(step)
+    for _ in range(2_000):
+        _login(net)
+        assert len(svc._sessions) <= window
+        env.clock.advance(step)
+    assert len(svc._sessions) == window
+    # an evicted session answers byte for byte as a cookie never issued
+    token = f"https://{bench.HOST_API}{bench.TOKEN_PATH}"
+    evicted = net.post(token, cookies=first)
+    unknown = net.post(token, cookies={bench.SESSION_COOKIE: "f" * 32})
+    assert evicted.status == unknown.status == 401
+    assert evicted.body == unknown.body
+    assert json.loads(evicted.body) == {"error": "login first"}
+
+
+def test_session_lives_bearer_ttl_from_its_last_grant(rig):
+    svc, net, env, _catalog = rig
+    token = f"https://{bench.HOST_API}{bench.TOKEN_PATH}"
+    cookies = dict(_login(net).set_cookies)
+    for _ in range(5):  # each grant restarts the session's lifetime
+        env.clock.advance(svc.bearer_ttl - 1)
+        assert net.post(token, cookies=cookies).status == 200
+    # idle for bearer_ttl, the cookie is as good as one never issued
+    env.clock.advance(svc.bearer_ttl)
+    idle = net.post(token, cookies=cookies)
+    assert (idle.status, json.loads(idle.body)) == (401, {"error": "login first"})
+
+
 def test_resolve_unknown_track_404(rig):
     _svc, net, _env, _catalog = rig
     assert _resolve(net, _bearer(net), "trk9").status == 404

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from random import Random
 
 import pytest
 
+from drmtestbed.catalog import demo_catalog, save_catalog
 from drmtestbed.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, run
 from drmtestbed.config import TestbedConfig
 
@@ -156,6 +158,21 @@ class TestUsage:
         assert main(["audit", "--config", str(conf)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"testbed: catalog directory {missing} not found\n"
+
+    @pytest.mark.parametrize("asset_id", ["trk\u00e9", "trk#1", "trk?1", "trk\t1", "trk&1"])
+    def test_asset_id_a_url_cannot_carry_exits_64(self, tmp_path, capsys, asset_id):
+        # every service URL carries the id, so the catalog refuses it
+        # rather than each service failing the rip its own way
+        catalog = tmp_path / "cat"
+        save_catalog(demo_catalog(Random(0)), catalog)
+        for path in catalog.glob("trk1.*"):
+            path.rename(catalog / path.name.replace("trk1", asset_id, 1))
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"catalog_dir = {catalog}\n", encoding="utf-8")
+        code = main(["rip", "--config", str(conf), "--service", "hungama",
+                     "--track", asset_id, "--out", str(tmp_path / "x.aud")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"testbed: asset id {asset_id!r} is not ")
 
     @pytest.mark.parametrize("line", ["gaana_key=00", "__class__=x", "rip=1"])
     def test_config_key_that_is_not_a_field_exits_64(self, tmp_path, capsys, line):

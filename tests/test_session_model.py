@@ -35,6 +35,7 @@ def _stores(bed: Testbed) -> dict:
     wynk = bed.wynk
     return {
         "benchmark._bearers": bed.benchmark._bearers,
+        "benchmark._sessions": bed.benchmark._sessions,
         "wynk._by_uid": wynk._by_uid,
         "wynk._by_dt": wynk._by_dt,
         "wynk._by_bk": wynk._by_bk,
