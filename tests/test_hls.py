@@ -54,12 +54,16 @@ def test_ladder_and_defaults_are_pinned():
 # ------------------------------------------------------------- manifests
 
 
+def test_master_best_picks_highest_bandwidth():
+    # bandwidths are unique, so max() of a master's pairs is the
+    # highest bandwidth's, which is the variant the players fetch
+    assert max(parse_master(render_master([(64, "a"), (320, "b"), (128, "c")]))) == (320, "b")
+
+
 def test_master_rejects_duplicate_bandwidth():
-    # render refuses what parse refuses, so a master's bandwidths are
-    # unique and max() of its pairs is the highest bandwidth's
+    # render refuses what parse refuses, so a master's bandwidths are unique
     with pytest.raises(ValueError, match="duplicate bandwidth 128"):
         render_master([(128, "a.m3u8"), (128, "b.m3u8")])
-    assert max(parse_master(render_master([(64, "a"), (320, "b"), (128, "c")]))) == (320, "b")
 
 
 def test_render_master_exact_bytes():
