@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 from .benchmark import LICENSE_PATH
+from .cdn import REPLAY_HORIZON
 from .clients import ProtocolFailure
 from .ripper import tap_rip
 from .testbed import ANONYMOUS, FREE_TIER, SPECS, ServiceSpec, Testbed
@@ -19,8 +20,6 @@ from .webassets import MINIFIED_BANNER
 # which is auditable but was already retired when the table was drawn
 AUDIT_SERVICES = ("spotify-benchmark", "wynk-v2", "jiosaavn", "gaana", "hungama")
 EXTENDED_AUDIT_SERVICES = AUDIT_SERVICES + ("wynk-v1",)
-
-REPLAY_HORIZON = 7200  # seconds the replay probe jumps forward
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Reference clients, one per protocol, written the way the services
 expect to be spoken to. Each rip_* function drives its service end to
-end and returns raw audio bytes; play_benchmark does the same through
-the CDM. All of them are pure functions of the env, the network and
-their inputs, which is what keeps transcripts reproducible.
+end and returns the audio as a tuple of chunks: the bodies it fetched,
+in stream order; play_benchmark does the same through the CDM and
+returns the plaintext chunks it decrypted. No client joins a stream; a
+caller that wants one blob joins it. All of them are pure functions of
+the env, the network and their inputs, which is what keeps transcripts
+reproducible.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .services.wynk import encode_cip, mix_it, search_id
 from .transport import DeterministicEnv, Network, query_string, split_url
 
 USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) testbed-player/1.0"
+
+# what every client returns: the bodies it fetched or decrypted, in
+# stream order; HLS chunks are the CDN's read-only catalog views
+Chunks = tuple[bytes | memoryview, ...]
 
 
 class ProtocolFailure(Exception):
@@ -80,7 +87,7 @@ def _expect_json(resp, detail: str) -> dict:
         raise ProtocolFailure(f"{detail}: unparseable body") from exc
 
 
-def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> bytes:
+def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> Chunks:
     """master (or single-variant master) -> best index -> chunks."""
     resp = _expect_ok(net.get(entry_url, extra_query=grant_query), "manifest fetch refused")
     master = parse_master(resp.body.decode("utf-8"))
@@ -88,11 +95,10 @@ def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> byt
         raise ProtocolFailure("manifest lists no variants")
     _bw, index_url = max(master)  # parse_master refuses duplicate bandwidths
     resp = _expect_ok(net.get(index_url, extra_query=grant_query), "index fetch refused")
-    chunks = [
+    return tuple(
         _expect_ok(net.get(seg_url, extra_query=grant_query), "chunk fetch refused").body
         for seg_url, _seconds in parse_index(resp.body.decode("utf-8"))
-    ]
-    return b"".join(chunks)
+    )
 
 
 # ---- wynk ------------------------------------------------------------------
@@ -121,7 +127,7 @@ def rip_wynk_v1(
     net: Network,
     env: DeterministicEnv,
     song_url: str,
-) -> bytes:
+) -> Chunks:
     reg = _expect_json(
         net.post(
             f"https://{wynk_mod.HOST_ACCOUNT}{wynk_mod.V1_LOGIN_PATH}",
@@ -181,7 +187,7 @@ def rip_wynk_v2(
     env: DeterministicEnv,
     song_url: str,
     sk: str,
-) -> bytes:
+) -> Chunks:
     session = wynk_v2_handshake(net, env)
     sid = search_id(song_url)
     otp = totp(
@@ -207,7 +213,7 @@ def rip_saavn(
     net: Network,
     song_url: str,
     bit_rate: str | None = None,  # None or "": the top rate, "320"
-) -> bytes:
+) -> Chunks:
     page = _expect_ok(net.get(song_url), "song page refused")
     song = parse_saavn_page(page.body.decode("utf-8"))
     auth = _expect_json(
@@ -221,7 +227,7 @@ def rip_saavn(
         ),
         "auth token refused",
     )
-    return _expect_ok(net.get(auth["auth_url"]), "media fetch refused").body
+    return (_expect_ok(net.get(auth["auth_url"]), "media fetch refused").body,)
 
 
 # ---- gaana --------------------------------------------------------------------
@@ -234,7 +240,7 @@ def rip_gaana(
     page_key: bytes,
     page_iv: bytes,
     quality: str | None = None,  # None or "": "high"
-) -> bytes:
+) -> Chunks:
     quality = quality or "high"
     page = _expect_ok(net.get(song_url), "song page refused")
     block = parse_gaana_page(page.body.decode("utf-8"))
@@ -254,7 +260,7 @@ def rip_hungama(
     net: Network,
     song_url: str,
     quality: str | None = None,
-) -> bytes:
+) -> Chunks:
     song_id = song_url.rstrip("/").rsplit("/", 1)[-1]
     data = _expect_json(
         net.get(f"https://{hungama_mod.HOST_WWW}{hungama_mod.PLAYER_DATA_PREFIX}{song_id}"),
@@ -272,7 +278,7 @@ def rip_hungama(
         ),
         "mdnurl refused",
     )
-    return _expect_ok(net.get(media["media_url"]), "media fetch refused").body
+    return (_expect_ok(net.get(media["media_url"]), "media fetch refused").body,)
 
 
 # ---- benchmark -------------------------------------------------------------------
@@ -284,7 +290,7 @@ def play_benchmark(
     track_id: str,
     credentials: tuple[str, str],
     cdm: bench.Cdm,
-) -> bytes:
+) -> Chunks:
     username, password = credentials
     login = net.post(
         f"https://{bench.HOST_API}{bench.LOGIN_PATH}",
@@ -329,4 +335,4 @@ def play_benchmark(
         offset += len(nxt.body)
         if len(nxt.body) < bench.SEGMENT_BYTES:
             break
-    return b"".join(plaintext)
+    return tuple(plaintext)

@@ -5,12 +5,10 @@ The grammar is a deliberately small subset: a master playlist is
 EXTINF/uri pairs and #EXT-X-ENDLIST. A playlist is a plain sequence of
 pairs: a master is `(bandwidth, uri)` pairs and an index is
 `(uri, seconds)` pairs. Rendering and parsing are exact inverses over
-that subset, `parse(render(x)) == tuple(x)` for every x whose uris are
-non-empty lines not starting with # and whose bandwidths are
-non-negative ints; the renderers refuse with ValueError what the parsers
-would refuse beyond that, a duplicate bandwidth and a duration that is
-not a finite non-negative number. Newline is always LF, and parse
-failures carry the 1-based line number.
+that subset: the renderers refuse with ValueError whatever the parsers
+would refuse, so `parse(render(x)) == tuple(x)` for every x they
+render. Newline is always LF, and parse failures carry the 1-based line
+number.
 """
 
 from __future__ import annotations
@@ -91,15 +89,25 @@ def segment(
     ]
 
 
+def _uri_line(uri: str) -> str:
+    """uri, if the parsers read it back as one uri line; else ValueError."""
+    if not uri or uri[0] == "#" or "\n" in uri or "\r" in uri:
+        raise ValueError(f"uri {uri!r} is not a non-empty line that does not start with #")
+    return uri
+
+
 def render_master(entries: Sequence[tuple[int, str]]) -> str:
     lines = [M3U_HEADER]
     seen = set()
     for bw, uri in entries:
-        if bw in seen:  # parse_master refuses it
+        # parse_master reads a bandwidth as ASCII digits, and each one once
+        if type(bw) is not int or bw < 0:
+            raise ValueError(f"bandwidth {bw!r} is not a non-negative int")
+        if bw in seen:
             raise ValueError(f"duplicate bandwidth {bw}")
         seen.add(bw)
         lines.append(f"{STREAM_INF}{bw}")
-        lines.append(uri)
+        lines.append(_uri_line(uri))
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +124,7 @@ def render_index(segments: Sequence[tuple[str, float]]) -> str:
     lines = [M3U_HEADER]
     for uri, seconds in segments:
         lines.append(f"{EXTINF}{_duration_text(seconds)},")
-        lines.append(uri)
+        lines.append(_uri_line(uri))
     lines.append(ENDLIST)
     return "\n".join(lines) + "\n"
 

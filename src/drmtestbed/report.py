@@ -26,23 +26,31 @@ class RunReport:
     audits: dict[str, PracticesScorecard] = field(default_factory=dict)
 
 
-def _rip_entry(rip: RipResult) -> dict:
-    return {
-        "service": rip.service,
-        "track": rip.track,
-        "succeeded": rip.succeeded,
-        "matched_catalog": rip.matched_catalog,
-        "recovered_bytes": len(rip.recovered),
-        "recovered_sha256": hashlib.sha256(rip.recovered).hexdigest()
-        if rip.recovered
-        else "",
-        "evidence_seqs": list(rip.evidence),
-    }
+def _rip_entries(rips: list[RipResult]) -> list[dict]:
+    # a matched rip carries the catalog's own variant object, which every
+    # service that ripped the track shares, so each object is hashed once;
+    # the report holds every blob while it renders, so no id is reused
+    digests: dict[int, str] = {}
+    entries = []
+    for rip in rips:
+        blob = rip.recovered
+        if id(blob) not in digests:
+            digests[id(blob)] = hashlib.sha256(blob).hexdigest() if blob else ""
+        entries.append({
+            "service": rip.service,
+            "track": rip.track,
+            "succeeded": rip.succeeded,
+            "matched_catalog": rip.matched_catalog,
+            "recovered_bytes": len(blob),
+            "recovered_sha256": digests[id(blob)],
+            "evidence_seqs": list(rip.evidence),
+        })
+    return entries
 
 
 def _render_json(report: RunReport) -> str:
     doc = {
-        "rips": [_rip_entry(r) for r in report.rips],
+        "rips": _rip_entries(report.rips),
         "audits": [
             {"service": name, "practices": card.as_dict()}
             for name, card in report.audits.items()
@@ -65,14 +73,13 @@ def _render_text(report: RunReport) -> str:
     lines = ["== stream rip results =="]
     if report.rips:
         rows = [("service", "track", "ripped", "matched", "bytes", "sha256")]
-        for rip in report.rips:
-            entry = _rip_entry(rip)
+        for entry in _rip_entries(report.rips):
             rows.append(
                 (
-                    rip.service,
-                    rip.track,
-                    _yes_no(rip.succeeded),
-                    _yes_no(rip.matched_catalog),
+                    entry["service"],
+                    entry["track"],
+                    _yes_no(entry["succeeded"]),
+                    _yes_no(entry["matched_catalog"]),
                     str(entry["recovered_bytes"]),
                     entry["recovered_sha256"][:12] or "-",
                 )

@@ -8,6 +8,12 @@ in the transcript decodes to catalog plaintext.
 A candidate stays the list of bodies the tap holds and is compared with
 each catalog variant in place, chunk by chunk, so a rip that matches
 copies nothing: its result carries the catalog's own variant object.
+
+A segment URI is matched by its host and path: an absolute URL, or an
+absolute path on the playlist's host. A path-relative URI (RFC 8216
+section 4.1 resolves it against the playlist's URL) is not resolved, so
+a playlist naming its segments that way yields no candidate; no
+simulated CDN writes one.
 """
 
 from __future__ import annotations

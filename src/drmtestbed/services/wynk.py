@@ -216,10 +216,14 @@ class WynkService:
         try:
             body_text = req.body.decode("utf-8")
             given_digest = b64_decode(given)
-        except (UnicodeDecodeError, DecodeError):
+            # a lone surrogate in the path or query has no UTF-8 form, so
+            # no client could have signed the message
+            msg = stream_message(
+                req.method, req.path, req.query_string(), body_text
+            ).encode("utf-8")
+        except (UnicodeError, DecodeError):
             return error_response(403, "utkn mismatch")
-        msg = stream_message(req.method, req.path, req.query_string(), body_text)
-        want = hmac_sha1(login.token.data, msg.encode("utf-8"))
+        want = hmac_sha1(login.token.data, msg)
         if not _hmac.compare_digest(given_digest, want):
             return error_response(403, "utkn mismatch")
         return None

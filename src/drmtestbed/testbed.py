@@ -14,6 +14,7 @@ from typing import Callable
 from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog
+from .cdn import FAR_FUTURE, REPLAY_HORIZON
 from .config import KEY_FIELDS, ConfigError, TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import gaana as gaana_mod
@@ -33,9 +34,9 @@ class ServiceSpec:
     audit_name: str  # its column in the practices table
     bundle_url: str  # the static client script the auditor reads
     auth_path: re.Pattern  # path of the exchange that buys stream authorization
-    # (bed, track, quality, principal) -> audio; a lambda, so clients.* is
-    # looked up on every call rather than bound once
-    client: Callable[[Testbed, str, str | None, str], bytes]
+    # (bed, track, quality, principal) -> the audio as a tuple of chunks;
+    # a lambda, so clients.* is looked up on every call rather than bound once
+    client: Callable[[Testbed, str, str | None, str], clients.Chunks]
 
 
 def _path(pattern: str) -> re.Pattern:
@@ -120,6 +121,12 @@ class Testbed:
         # wynk-v2's stamps are unsigned decimals and TOTP counts from t0 = 0
         if cfg.clock < 0:
             raise ConfigError(f"clock must be 0 or later, got {cfg.clock}")
+        # the replay probe must not carry the clock to where FAR_FUTURE
+        # grants expire, or the audit would read a timeout nobody set
+        if cfg.clock + REPLAY_HORIZON >= FAR_FUTURE:
+            raise ConfigError(
+                f"clock must be before {FAR_FUTURE - REPLAY_HORIZON}, got {cfg.clock}"
+            )
         self.env = DeterministicEnv(cfg.seed, cfg.clock)
         if cfg.catalog_dir:
             self.catalog = load_catalog(cfg.catalog_dir)
@@ -171,7 +178,9 @@ class Testbed:
         track: str,
         quality: str | None = None,
         principal: str = DEFAULT_PRINCIPAL,
-    ) -> bytes:
+    ) -> clients.Chunks:
+        """The audio the service's client got, as the tuple of chunks it
+        fetched or decrypted, in stream order."""
         spec = _spec(service)
         if track not in self.catalog.assets:
             raise clients.ProtocolFailure(f"unknown track {track!r}")

@@ -565,7 +565,7 @@ def test_make_cdm_uses_the_provisioned_device_key(rig):
 def test_play_benchmark_recovers_media_through_the_cdm(rig):
     svc, net, env, catalog = rig
     for track in ("trk1", "trk2", "trk3"):
-        media = play_benchmark(net, track, PREMIUM, svc.make_cdm())
+        media = b"".join(play_benchmark(net, track, PREMIUM, svc.make_cdm()))
         assert media == catalog.asset(track).variant(320)
 
 

@@ -211,6 +211,22 @@ class TestUsage:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "testbed: clock must be 0 or later, got -1\n")
 
+    @pytest.mark.parametrize("route", ["demo-flag", "audit-file"])
+    @pytest.mark.parametrize("clock", ["4102437600", "4102444800"])
+    def test_clock_whose_replay_reaches_far_future_exits_64(
+        self, tmp_path, capsys, route, clock
+    ):
+        # FAR_FUTURE - REPLAY_HORIZON = 4102437600; from there on the
+        # replay probe would outlive the grants that never expire
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"clock = {clock}\n", encoding="utf-8")
+        argv = (["demo", "--clock", clock] if route == "demo-flag"
+                else ["audit", "--config", str(conf)])
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"testbed: clock must be before 4102437600, got {clock}\n"
+        )
+
     def test_console_entry_raises_system_exit(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["testbed", "audit", "--service", "gaana"])
         with pytest.raises(SystemExit) as err:

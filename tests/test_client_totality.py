@@ -1,5 +1,6 @@
 """Client totality: whatever a 200 body holds, every reference client
-returns bytes or stops with ProtocolFailure, the one error the harness
+returns its audio as a tuple of bytes-like chunks or stops with
+ProtocolFailure, the one error the harness
 and the auditor catch.
 
 Each play runs one client on a fresh default bed whose dispatch
@@ -21,7 +22,7 @@ from drmtestbed.testbed import RIP_SERVICES, Testbed
 from drmtestbed.transport import copy_response
 
 
-def _play(service: str, nth: int, rewrite) -> bytes:
+def _play(service: str, nth: int, rewrite) -> tuple:
     bed = Testbed()
     dispatch, answers = bed.net.dispatch, itertools.count()
 
@@ -58,7 +59,8 @@ def test_client_returns_bytes_or_protocol_failure(service, nth, mode, at, mask):
         audio = _play(service, nth, lambda body: _spoil(body, mode, at, mask))
     except ProtocolFailure:
         return
-    assert type(audio) is bytes
+    assert type(audio) is tuple
+    assert all(type(chunk) in (bytes, memoryview) for chunk in audio)
 
 
 @pytest.mark.parametrize("body", [

@@ -120,13 +120,15 @@ def test_grants_never_expire(rig):
 @pytest.mark.parametrize("quality,rate", [("high", 320), ("medium", 128), ("low", 64)])
 def test_rip_client_per_quality(rig, quality, rate):
     svc, net, env, catalog = rig
-    media = rip_gaana(net, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality=quality)
+    media = b"".join(
+        rip_gaana(net, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality=quality)
+    )
     assert media == catalog.asset("trk1").variant(rate)
 
 
 def test_rip_premium_track_without_account(rig):
     svc, net, env, catalog = rig
-    media = rip_gaana(net, svc.song_url("trk3"), PAGE_KEY, PAGE_IV)
+    media = b"".join(rip_gaana(net, svc.song_url("trk3"), PAGE_KEY, PAGE_IV))
     assert media == catalog.asset("trk3").variant(320)
 
 

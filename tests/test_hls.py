@@ -91,6 +91,25 @@ def test_render_index_exact_bytes():
     )
 
 
+@pytest.mark.parametrize("playlist", ["master", "index"])
+@pytest.mark.parametrize("uri", [
+    "", "#seg.ts", "#EXT-X-ENDLIST", "a\nb.ts", "seg.ts\n", "a\rb.ts", "seg.ts\r",
+])
+def test_renderers_refuse_a_uri_the_parsers_refuse(playlist, uri):
+    # render and parse stay inverses: no bed may write what no player reads
+    with pytest.raises(ValueError, match="is not a non-empty line"):
+        if playlist == "master":
+            render_master([(64, uri)])
+        else:
+            render_index([(uri, 10.0)])
+
+
+@pytest.mark.parametrize("bandwidth", [-1, -320000, True, 1.0, "64"])
+def test_render_master_refuses_a_bandwidth_parse_master_refuses(bandwidth):
+    with pytest.raises(ValueError, match="is not a non-negative int"):
+        render_master([(bandwidth, "a.m3u8")])
+
+
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, -0.0])
 def test_render_index_refuses_durations_parse_refuses(seconds):
     # render and parse stay inverses: no bed may write what no player reads
@@ -248,3 +267,24 @@ def test_master_render_parse_identity(entries):
 @settings(max_examples=80)
 def test_index_render_parse_identity(segments):
     assert parse_index(render_index(segments)) == tuple(segments)
+
+
+@given(st.lists(st.tuples(st.integers(-5, 10 ** 9), st.text(max_size=12)), max_size=4))
+@settings(max_examples=80, derandomize=True)
+def test_render_master_writes_only_what_parses_back(entries):
+    try:
+        text = render_master(entries)
+    except ValueError:
+        return
+    assert parse_master(text) == tuple(entries)
+
+
+@given(st.lists(st.tuples(st.text(max_size=12), st.floats(min_value=-1.0, max_value=10 ** 6)),
+                max_size=4))
+@settings(max_examples=80, derandomize=True)
+def test_render_index_writes_only_what_parses_back(segments):
+    try:
+        text = render_index(segments)
+    except ValueError:
+        return
+    assert parse_index(text) == tuple(segments)

@@ -160,9 +160,10 @@ def test_static_asset_names_the_cookie(rig):
 
 def test_rip_client_default_and_quality(rig):
     svc, net, env, catalog = rig
-    assert rip_hungama(net, svc.song_url("trk1")) == catalog.asset("trk1").variant(320)
-    assert rip_hungama(net, svc.song_url("trk3"), quality="low") == \
-        catalog.asset("trk3").variant(64)
+    assert rip_hungama(net, svc.song_url("trk1")) == (catalog.asset("trk1").variant(320),)
+    assert rip_hungama(net, svc.song_url("trk3"), quality="low") == (
+        catalog.asset("trk3").variant(64),
+    )
 
 
 def test_rip_client_surfaces_refusals(rig):

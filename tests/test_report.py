@@ -51,6 +51,22 @@ class TestJson:
         entry = json.loads(render_report(report, "json"))["rips"][0]
         assert entry["recovered_sha256"] == "" and entry["recovered_bytes"] == 0
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_each_shared_variant_is_hashed_once(self, monkeypatch, fmt):
+        # matched rips of one track carry the catalog's one variant object;
+        # an equal blob that is another object is hashed on its own
+        variant = b"AUD0" + b"x" * 64
+        twin = bytes(bytearray(variant))
+        assert twin == variant and twin is not variant
+        rips = [_rip(service=s, recovered=variant) for s in ("gaana", "hungama", "jiosaavn")]
+        rips.append(_rip(service="wynk-v1", recovered=twin))
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        out = render_report(RunReport(rips=rips), fmt)
+        assert len(hashed) == 2
+        assert out.count(sha256(variant).hexdigest()[:12]) == 4
+
     def test_pretty_printed_with_trailing_newline(self):
         out = render_report(RunReport(), "json")
         assert out.endswith("\n") and "\n  " in out

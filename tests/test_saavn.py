@@ -270,13 +270,13 @@ def test_premium_track_needs_no_account_either(rig):
     # trk3 is the premium fixture; the api hands it out all the same
     svc, net, env, catalog = rig
     media = rip_saavn(net, svc.song_url("trk3"))
-    assert media == catalog.asset("trk3").variant(320)
+    assert media == (catalog.asset("trk3").variant(320),)
 
 
 def test_rip_client_selects_bit_rate(rig):
     svc, net, env, catalog = rig
     media = rip_saavn(net, svc.song_url("trk1"), bit_rate="64")
-    assert media == catalog.asset("trk1").variant(64)
+    assert media == (catalog.asset("trk1").variant(64),)
 
 
 def test_rip_client_surfaces_refusals(rig):

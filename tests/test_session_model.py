@@ -100,7 +100,7 @@ class SessionModel(RuleBasedStateMachine):
 
         audio = self._on_both(run)
         if audio is not None:
-            assert audio in self.variants
+            assert b"".join(audio) in self.variants
         if service == "benchmark" and principal != DEFAULT_PRINCIPAL:
             # bad credentials never play; a free account never plays premium
             assert audio is None or (

@@ -76,7 +76,7 @@ class TestRunClient:
             bed.run_client("gaana", "ghost")
 
     def test_default_principal_gets_premium_benchmark_audio(self, bed):
-        blob = bed.run_client("benchmark", "trk3")
+        blob = b"".join(bed.run_client("benchmark", "trk3"))
         assert blob == bed.catalog.asset("trk3").variant(320)
 
     def test_free_tier_is_refused_premium(self, bed):

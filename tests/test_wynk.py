@@ -23,7 +23,13 @@ from drmtestbed.clients import (
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1, passphrase_seal, totp
 from drmtestbed.services import wynk
 from drmtestbed.testbed import Testbed
-from drmtestbed.transport import DeterministicEnv, HttpRequest, Network, export_tap
+from drmtestbed.transport import (
+    DeterministicEnv,
+    HttpRequest,
+    Network,
+    copy_request,
+    export_tap,
+)
 from drmtestbed.webassets import MINIFIED_BANNER
 from test_golden import PINNED_TAP_SHA256
 
@@ -369,7 +375,7 @@ def test_v1_unknown_content_id_is_404_after_auth(rig):
 def test_v1_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk2")
-    media = rip_wynk_v1(net, env, url)
+    media = b"".join(rip_wynk_v1(net, env, url))
     assert media == catalog.asset("trk2").variant(320)
 
 
@@ -747,9 +753,8 @@ def test_v2_stream_on_a_clock_below_one_otp_window(clock):
     session = wynk_v2_handshake(net, env)
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1", otp="000000").status == 401
-    assert rip_wynk_v2(net, env, svc.song_url("trk1"), sk=svc.sk) == (
-        catalog.asset("trk1").variant(320)
-    )
+    media = b"".join(rip_wynk_v2(net, env, svc.song_url("trk1"), sk=svc.sk))
+    assert media == catalog.asset("trk1").variant(320)
     result, client_error = Testbed(TestbedConfig(clock=clock)).rip("wynk-v2", "trk1")
     assert client_error == "" and result.matched_catalog
 
@@ -796,7 +801,7 @@ def test_wynk_stores_hold_only_the_live_window():
 def test_v2_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk3")
-    media = rip_wynk_v2(net, env, url, sk=svc.sk)
+    media = b"".join(rip_wynk_v2(net, env, url, sk=svc.sk))
     assert media == catalog.asset("trk3").variant(320)
 
 
@@ -805,6 +810,26 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
     url = "https://wynk.in/music/song/missing/srch_missing"
     with pytest.raises(ProtocolFailure):
         rip_wynk_v2(net, env, url, sk=svc.sk)
+
+
+@pytest.mark.parametrize("service", ["wynk-v1", "wynk-v2"])
+def test_stream_query_value_with_a_lone_surrogate_is_403(service):
+    # a lone surrogate has no UTF-8 form, so the signed message cannot be
+    # encoded; the handler answers as for any other unsigned request
+    tb = Testbed(TestbedConfig())
+    records, client_error = tb.tapped_run(service, tb.open_tracks()[0])
+    assert client_error == ""
+    replays = 0
+    for rec in records:
+        if rec.request.headers["host"] != wynk.HOST_PLAYBACK:
+            continue
+        for key in rec.request.query:
+            request = copy_request(rec.request)
+            request.query[key] += "\ud800"
+            resp = tb.net.dispatch(wynk.HOST_PLAYBACK, request)
+            assert (resp.status, json.loads(resp.body)) == (403, {"error": "utkn mismatch"})
+            replays += 1
+    assert replays == len(wynk.STREAM_QUERY) + (service == "wynk-v2")  # v2 adds id
 
 
 # Digests of one reference-client run under a tap on a fresh default bed,
