@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import hmac as _hmac
 import json
-from dataclasses import dataclass
 
 from .catalog import ServiceCatalog
 from .cdn import GrantGate
 from .config import TestbedConfig
 from .crypto_kit import (
     CryptoError,
-    SecretKey,
     aes_cbc_decrypt,
     aes_cbc_encrypt,
     aes_ctr,
@@ -73,18 +71,14 @@ class InitDataError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InitData:
-    key_id: bytes
-    nonce: bytes
-
-
-def extract_init_data(first_chunk: bytes) -> InitData:
+def extract_init_data(first_chunk: bytes) -> bytes:
+    """The key id followed by the nonce: the opaque blob a CDM puts in
+    its license request."""
     if len(first_chunk) < HEADER_BYTES:
         raise InitDataError("first chunk shorter than the init header")
     if first_chunk[:4] != INIT_MAGIC:
         raise InitDataError("missing INIT magic")
-    return InitData(key_id=first_chunk[16:32], nonce=first_chunk[32:48])
+    return first_chunk[16:HEADER_BYTES]
 
 
 def _stream_path(edge: str, asset_id: str) -> str:
@@ -114,7 +108,7 @@ class Cdm:
     Nothing here returns key bytes; callers get opaque handles and
     decrypted media, full stop."""
 
-    def __init__(self, device_key: SecretKey, env: DeterministicEnv):
+    def __init__(self, device_key: bytes, env: DeterministicEnv):
         self._device_key = device_key
         self._env = env
         # handle -> [content key, nonce, keystream, the stream position
@@ -122,12 +116,12 @@ class Cdm:
         self._installed: dict[str, list] = {}
         self._counter = 0
 
-    def request_license(self, init: InitData) -> bytes:
+    def request_license(self, init_data: bytes) -> bytes:
         iv = self._env.rand_bytes(16)
-        return _seal(self._device_key.data, init.key_id + init.nonce, iv)
+        return _seal(self._device_key, init_data, iv)
 
     def install(self, license_bytes: bytes) -> str:
-        payload = _open(self._device_key.data, license_bytes)
+        payload = _open(self._device_key, license_bytes)
         if len(payload) != 48:
             raise LicenseError("license payload malformed")
         content_key, nonce = payload[16:32], payload[32:48]
@@ -159,7 +153,7 @@ class BenchmarkService:
         self.catalog = catalog
         self.env = env
         self._gate = GrantGate(cfg.key("benchmark_cdn_secret_hex"), "KBENCH1")
-        self.device_key = SecretKey(cfg.key("device_key_hex"))
+        self.device_key = cfg.key("device_key_hex")
         self.users = dict(USERS)
         self.bearer_ttl = cfg.bearer_ttl
         self.grant_ttl = cfg.grant_ttl
@@ -319,7 +313,7 @@ class BenchmarkService:
         if req.method != "POST" or req.path != LICENSE_PATH:
             return error_response(404, "no such endpoint")
         try:
-            payload = _open(self.device_key.data, req.body)
+            payload = _open(self.device_key, req.body)
         except (LicenseError, CryptoError):
             return error_response(403, "request rejected")
         if len(payload) != 32:
@@ -333,5 +327,5 @@ class BenchmarkService:
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},
-            body=_seal(self.device_key.data, key_id + content_key + nonce, iv),
+            body=_seal(self.device_key, key_id + content_key + nonce, iv),
         )

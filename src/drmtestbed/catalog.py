@@ -3,7 +3,8 @@
 Variant files carry a 4-byte AUD0 magic so recovered streams are
 recognisable in a tap without guessing. On disk a catalog is one file
 per variant (<asset_id>.<bitrate>.aud) plus an optional <asset_id>.meta
-with title/premium, so a directory round-trips losslessly.
+with title/premium, so a directory round-trips losslessly. The meta file
+is read line by line, so save_catalog refuses a title of more than one.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ def demo_catalog(rng: Random) -> ServiceCatalog:
 
 
 def save_catalog(catalog: ServiceCatalog, dirpath) -> None:
+    # load_catalog reads a .meta file line by line
+    for asset in catalog.assets.values():
+        if "".join(asset.title.splitlines()) != asset.title:
+            raise ValueError(f"{asset.asset_id}: title {asset.title!r} is not one line")
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     for asset in catalog.assets.values():

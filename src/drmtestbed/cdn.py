@@ -32,6 +32,13 @@ FAR_FUTURE = 4102444800  # 2100-01-01T00:00:00Z
 # FAR_FUTURE would see the never-expiring grants die, so a bed refuses it
 REPLAY_HORIZON = 7200
 
+# every path a CdnNode serves ends in one of these extensions
+CONTENT_TYPES = {
+    "ts": "video/mp2t",
+    "m3u8": "application/vnd.apple.mpegurl",
+    "aud": "audio/aud",
+}
+
 
 def issue_grant(
     secret: bytes, key_pair_id: str, resource_prefix: str, expires_at: int
@@ -147,7 +154,7 @@ class CdnNode:
         self._gate = gate
         self._clock = clock
         self._chunk_bytes = chunk_bytes
-        self._content: dict[str, tuple[bytes | memoryview, str]] = {}  # path -> (body, ctype)
+        self._content: dict[str, bytes | memoryview] = {}  # path -> body
 
     def url(self, path: str) -> str:
         return f"https://{self.host}{path}"
@@ -166,33 +173,18 @@ class CdnNode:
                 uri_prefix=self.url(base),
             )
             for chunk, (uri, _seconds) in zip(chunks, index):
-                self._put(uri[origin:], chunk, "video/mp2t")
-            self._put(
-                f"{base}index.m3u8",
-                render_index(index).encode("utf-8"),
-                "application/vnd.apple.mpegurl",
-            )
+                self._content[uri[origin:]] = chunk
+            self._content[f"{base}index.m3u8"] = render_index(index).encode("utf-8")
             # single-variant master, for services that hand out one URI
             # per quality instead of a combined ladder
             entry = (rate * 1000, self.url(f"{base}index.m3u8"))
-            self._put(
-                f"{base}master.m3u8",
-                render_master([entry]).encode("utf-8"),
-                "application/vnd.apple.mpegurl",
-            )
+            self._content[f"{base}master.m3u8"] = render_master([entry]).encode("utf-8")
             master.append(entry)
-        self._put(
-            f"/hls/{key}/master.m3u8",
-            render_master(master).encode("utf-8"),
-            "application/vnd.apple.mpegurl",
-        )
+        self._content[f"/hls/{key}/master.m3u8"] = render_master(master).encode("utf-8")
 
     def add_file_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
         for rate in sorted(bitrates or asset.variants, reverse=True):
-            self._put(f"/file/{key}/{rate}.aud", asset.variant(rate), "audio/aud")
-
-    def _put(self, path: str, body: bytes | memoryview, ctype: str) -> None:
-        self._content[path] = (body, ctype)
+            self._content[f"/file/{key}/{rate}.aud"] = asset.variant(rate)
 
     # ---- grant issuance (service side) -------------------------------------
 
@@ -213,10 +205,10 @@ class CdnNode:
     def handler(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             return error_response(400, "GET only")
-        entry = self._content.get(request.path)
-        if entry is None:
+        body = self._content.get(request.path)
+        if body is None:
             return error_response(404, "no such object")
         if not self._gate.admits(request.query, request.path, self._clock.now()):
             return error_response(403, "grant rejected")
-        body, ctype = entry
+        ctype = CONTENT_TYPES[request.path.rpartition(".")[2]]
         return HttpResponse(status=200, headers={"content-type": ctype}, body=body)

@@ -67,6 +67,7 @@ KEY_BYTES = {
     "device_key_hex": 16,
 }
 KEY_FIELDS = tuple(f.name for f in fields(TestbedConfig) if f.name.endswith("_hex"))
+TTL_FIELDS = tuple(f.name for f in fields(TestbedConfig) if f.name.endswith("_ttl"))
 
 _FIELDS = {f.name for f in fields(TestbedConfig)}
 _INT_FIELDS = {

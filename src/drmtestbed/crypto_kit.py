@@ -62,17 +62,6 @@ class SealError(CryptoError):
 
 
 @dataclass(frozen=True)
-class SecretKey:
-    """Key material a service holds onto. 1..64 octets, never empty."""
-
-    data: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.data, bytes) or not 1 <= len(self.data) <= 64:
-            raise InvalidKeyError("key must be 1..64 bytes")
-
-
-@dataclass(frozen=True)
 class TotpParams:
     window_seconds: int
     digits: int = 6

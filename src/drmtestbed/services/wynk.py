@@ -21,7 +21,6 @@ from ..config import TestbedConfig
 from ..crypto_kit import (
     DecodeError,
     SealError,
-    SecretKey,
     TotpParams,
     b64,
     b64_decode,
@@ -144,9 +143,9 @@ class Handshake:
 @dataclass(frozen=True, slots=True)
 class Login:
     uid: str
-    token: SecretKey
+    token: str
     dt: str = ""  # a v1 login has no dt or kt
-    kt: SecretKey | None = None
+    kt: str = ""
 
 
 class WynkService:
@@ -198,12 +197,10 @@ class WynkService:
                 return error_response(400, "deviceId and userAgent required")
             login = Login(
                 uid=self.env.hex_token(12),
-                token=SecretKey(self.env.hex_token(40).encode("ascii")),
+                token=self.env.hex_token(40),
             )
             self._by_uid.put(login.uid, login, self.env.now())
-            return json_response(
-                {"uid": login.uid, "token": login.token.data.decode("ascii")}
-            )
+            return json_response({"uid": login.uid, "token": login.token})
         return error_response(404, "no such endpoint")
 
     def _utkn_rejection(self, req: HttpRequest, login: Login) -> HttpResponse | None:
@@ -223,7 +220,7 @@ class WynkService:
             ).encode("utf-8")
         except (UnicodeError, DecodeError):
             return error_response(403, "utkn mismatch")
-        want = hmac_sha1(login.token.data, msg)
+        want = hmac_sha1(login.token.encode("ascii"), msg)
         if not _hmac.compare_digest(given_digest, want):
             return error_response(403, "utkn mismatch")
         return None
@@ -329,8 +326,8 @@ class WynkService:
         login = Login(
             dt=self.env.hex_token(32),
             uid=self.env.hex_token(12),
-            token=SecretKey(self.env.hex_token(40).encode("ascii")),
-            kt=SecretKey(self.env.hex_token(32).encode("ascii")),
+            token=self.env.hex_token(40),
+            kt=self.env.hex_token(32),
         )
         self._by_uid.put(login.uid, login, now)
         self._by_dt.put(login.dt, login, now)
@@ -338,8 +335,8 @@ class WynkService:
             {
                 "dt": login.dt,
                 "uid": login.uid,
-                "token": login.token.data.decode("ascii"),
-                "kt": login.kt.data.decode("ascii"),
+                "token": login.token,
+                "kt": login.kt,
                 "sid": self.env.hex_token(16),
             }
         )
@@ -359,7 +356,7 @@ class WynkService:
     def _fresh_otp(self, header: str, login: Login) -> bool:
         try:
             sealed = b64_decode(header)
-            digits = passphrase_open(login.kt.data, sealed).decode("ascii")
+            digits = passphrase_open(login.kt, sealed).decode("ascii")
         except (DecodeError, SealError, UnicodeDecodeError):
             return False
         secret = (login.dt + self.sk).encode("utf-8")

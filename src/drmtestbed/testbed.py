@@ -15,7 +15,7 @@ from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog
 from .cdn import FAR_FUTURE, REPLAY_HORIZON
-from .config import KEY_FIELDS, ConfigError, TestbedConfig
+from .config import KEY_FIELDS, TTL_FIELDS, ConfigError, TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
@@ -127,6 +127,11 @@ class Testbed:
             raise ConfigError(
                 f"clock must be before {FAR_FUTURE - REPLAY_HORIZON}, got {cfg.clock}"
             )
+        # a lifetime under 1 s refuses the bed's own clients, which the
+        # audit would read as a practice the service does not have
+        for name in TTL_FIELDS:
+            if (ttl := getattr(cfg, name)) < 1:
+                raise ConfigError(f"{name} must be 1 or more, got {ttl}")
         self.env = DeterministicEnv(cfg.seed, cfg.clock)
         if cfg.catalog_dir:
             self.catalog = load_catalog(cfg.catalog_dir)

@@ -439,8 +439,8 @@ def test_extract_init_data(rig):
     _svc, net, _env, _catalog = rig
     blob = net.get(_first_uri(net)).body
     init = bench.extract_init_data(blob[:bench.HEADER_BYTES])
-    assert init.key_id == blob[16:32]
-    assert init.nonce == blob[32:48]
+    assert init[:16] == blob[16:32]  # key id
+    assert init[16:] == blob[32:48]  # nonce
 
 
 def test_extract_init_data_errors():
@@ -475,7 +475,7 @@ def test_license_rejects_unsealed_or_foreign_requests(rig):
     assert net.post(bench.LICENSE_URL, body=b"").status == 403
     assert net.post(bench.LICENSE_URL, body=b"\x00" * 64).status == 403
     # sealed under the wrong device key
-    foreign = bench.Cdm(bench.SecretKey(b"\x13" * 16), env)
+    foreign = bench.Cdm(b"\x13" * 16, env)
     blob = net.get(_first_uri(net)).body
     init = bench.extract_init_data(blob)
     assert net.post(bench.LICENSE_URL, body=foreign.request_license(init)).status == 403
@@ -486,9 +486,9 @@ def test_license_rejects_unknown_key_id_and_nonce_mismatch(rig):
     blob = net.get(_first_uri(net)).body
     init = bench.extract_init_data(blob)
     cdm = svc.make_cdm()
-    wrong_key = bench.InitData(key_id=bytes(16), nonce=init.nonce)
+    wrong_key = bytes(16) + init[16:]
     assert net.post(bench.LICENSE_URL, body=cdm.request_license(wrong_key)).status == 403
-    wrong_nonce = bench.InitData(key_id=init.key_id, nonce=bytes(16))
+    wrong_nonce = init[:16] + bytes(16)
     assert net.post(bench.LICENSE_URL, body=cdm.request_license(wrong_nonce)).status == 403
 
 
@@ -556,7 +556,7 @@ def test_each_cdm_walks_its_own_keystream(rig, monkeypatch):
 
 def test_make_cdm_uses_the_provisioned_device_key(rig):
     svc, _net, _env, _catalog = rig
-    assert svc.make_cdm()._device_key.data == DEVICE_KEY
+    assert svc.make_cdm()._device_key == DEVICE_KEY
 
 
 # ------------------------------------------------------------ player client

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drmtestbed.catalog import (
     ServiceCatalog,
@@ -13,7 +16,7 @@ from drmtestbed.catalog import (
     save_catalog,
     slugify,
 )
-from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
+from drmtestbed.hls import AUDIO_MAGIC, BITRATE_LADDER, MediaAsset
 
 
 def test_demo_catalog_shape():
@@ -91,3 +94,55 @@ def test_asset_ids_with_dots_round_trip(tmp_path):
     loaded = load_catalog(tmp_path)
     assert loaded.track_ids() == ["my.track.v2"]
     assert loaded.asset("my.track.v2").variants == {64: AUDIO_MAGIC + b"z"}
+
+
+def _one_line(title: str) -> bool:
+    return "".join(title.splitlines()) == title
+
+
+@st.composite
+def _catalogs(draw):
+    ids = draw(st.lists(
+        st.from_regex(r"[A-Za-z0-9._~-]{1,12}", fullmatch=True),
+        min_size=1, max_size=3, unique=True,
+    ))
+    assets = {}
+    for asset_id in ids:
+        rates = draw(st.sets(st.sampled_from(BITRATE_LADDER), min_size=1))
+        variants = {rate: draw(st.binary(min_size=1, max_size=8)) for rate in rates}
+        assets[asset_id] = MediaAsset(asset_id, draw(st.text()), variants, draw(st.booleans()))
+    return ServiceCatalog(assets=assets)
+
+
+def _fields(catalog: ServiceCatalog) -> dict:
+    return {
+        a.asset_id: (a.title, a.premium, a.variants) for a in catalog.assets.values()
+    }
+
+
+def _titled(title: str) -> ServiceCatalog:
+    return ServiceCatalog(assets={"t1": MediaAsset("t1", title, {64: AUDIO_MAGIC})})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_catalogs())
+@example(_titled("a\nb"))
+@example(_titled("x\u2028y"))
+@example(_titled("key=value"))
+@example(_titled(""))
+def test_save_then_load_gives_the_catalog_back_or_save_refuses(catalog):
+    with tempfile.TemporaryDirectory() as root:
+        try:
+            save_catalog(catalog, root)
+        except ValueError:
+            # only a title the line-by-line meta reader would split
+            assert not all(_one_line(a.title) for a in catalog.assets.values())
+            return
+        assert _fields(load_catalog(root)) == _fields(catalog)
+
+
+@pytest.mark.parametrize("title", ["a\nb", "x\u2028y", "trailing\r", "\x85"])
+def test_save_refuses_a_title_of_more_than_one_line(tmp_path, title):
+    with pytest.raises(ValueError, match="is not one line"):
+        save_catalog(_titled(title), tmp_path)
+    assert list(tmp_path.iterdir()) == []  # nothing half written

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drmtestbed.cdn as cdn_mod
@@ -59,6 +59,19 @@ def test_grant_query_round_trip():
     )
     url = f"https://cdn.test/hls/a/master.m3u8?{query_string(grant)}"
     assert split_url(url)[2] == grant
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    secret=st.binary(min_size=1, max_size=40),
+    prefix=st.text(),
+    expires=st.integers(),
+)
+@example(secret=SECRET, prefix="/hls/\ud800/", expires=FAR_FUTURE)
+@example(secret=SECRET, prefix="", expires=-1)
+def test_signed_terms_read_back_what_issue_grant_signed(secret, prefix, expires):
+    grant = issue_grant(secret, KPID, prefix, expires)
+    assert cdn_mod._signed_terms(secret, KPID, grant) == (prefix, expires)
 
 
 def test_verify_accepts_within_scope_and_time():

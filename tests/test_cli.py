@@ -227,6 +227,16 @@ class TestUsage:
             "", f"testbed: clock must be before 4102437600, got {clock}\n"
         )
 
+    @pytest.mark.parametrize("line", ["hungama_token_ttl = 0", "grant_ttl = -5"])
+    def test_lifetime_under_one_second_exits_64(self, tmp_path, capsys, line):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"{line}\n", encoding="utf-8")
+        assert main(["audit", "--config", str(conf)]) == EXIT_USAGE
+        field, _, ttl = line.partition(" = ")
+        assert capsys.readouterr() == (
+            "", f"testbed: {field} must be 1 or more, got {ttl}\n"
+        )
+
     def test_console_entry_raises_system_exit(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["testbed", "audit", "--service", "gaana"])
         with pytest.raises(SystemExit) as err:

@@ -24,7 +24,6 @@ from drmtestbed.crypto_kit import (
     InvalidKeyError,
     PaddingError,
     SealError,
-    SecretKey,
     SizeError,
     TotpParams,
     aes_cbc_decrypt,
@@ -123,17 +122,6 @@ def test_hmac_sha1_randomized_against_oracle():
 def test_hmac_sha1_rejects_empty_key():
     with pytest.raises(InvalidKeyError):
         hmac_sha1(b"", b"message")
-
-
-def test_secret_key_bounds():
-    assert SecretKey(b"a").data == b"a"
-    SecretKey(b"a" * 64)
-    with pytest.raises(InvalidKeyError):
-        SecretKey(b"")
-    with pytest.raises(InvalidKeyError):
-        SecretKey(b"a" * 65)
-    with pytest.raises(InvalidKeyError):
-        SecretKey("not-bytes")  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------- base64

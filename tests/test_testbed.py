@@ -12,7 +12,7 @@ import pytest
 from drmtestbed import clients
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
-from drmtestbed.config import ConfigError, TestbedConfig
+from drmtestbed.config import TTL_FIELDS, ConfigError, TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
 from drmtestbed.transport import HttpRequest, copy_request
@@ -194,6 +194,23 @@ def test_build_holds_about_one_catalog_of_memory(tmp_path):
 def test_build_refuses_a_clock_before_the_epoch(clock):
     with pytest.raises(ConfigError, match=f"^clock must be 0 or later, got {clock}$"):
         Testbed(TestbedConfig(clock=clock))
+
+
+def test_ttl_fields_are_the_four_lifetimes():
+    assert TTL_FIELDS == ("grant_ttl", "wynk_session_ttl", "hungama_token_ttl", "bearer_ttl")
+
+
+@pytest.mark.parametrize("field", TTL_FIELDS)
+@pytest.mark.parametrize("ttl", [0, -5])
+def test_build_refuses_a_lifetime_under_one_second(field, ttl):
+    # such a bed refuses its own reference clients, and the audit would
+    # read that as user identification and premium restrictions
+    with pytest.raises(ConfigError, match=f"^{field} must be 1 or more, got {ttl}$"):
+        Testbed(TestbedConfig(**{field: ttl}))
+
+
+def test_build_accepts_a_one_second_lifetime():
+    Testbed(TestbedConfig(**{field: 1 for field in TTL_FIELDS}))
 
 
 def test_build_names_the_asset_missing_a_served_rate(tmp_path):
