@@ -4,7 +4,8 @@ Variant files carry a 4-byte AUD0 magic so recovered streams are
 recognisable in a tap without guessing. On disk a catalog is one file
 per variant (<asset_id>.<bitrate>.aud) plus an optional <asset_id>.meta
 with title/premium, so a directory round-trips losslessly. The meta file
-is read line by line, so save_catalog refuses a title of more than one.
+is read line by line as UTF-8, so save_catalog refuses a title of more
+than one line or with no UTF-8 form, before it writes any file.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def save_catalog(catalog: ServiceCatalog, dirpath) -> None:
     for asset in catalog.assets.values():
         if "".join(asset.title.splitlines()) != asset.title:
             raise ValueError(f"{asset.asset_id}: title {asset.title!r} is not one line")
+        try:
+            asset.title.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{asset.asset_id}: title {asset.title!r} has no UTF-8 form") from exc
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     for asset in catalog.assets.values():

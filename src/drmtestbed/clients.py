@@ -318,21 +318,20 @@ def play_benchmark(
     handle = cdm.install(_expect_ok(license_resp, "license refused").body)
 
     # each chunk is decrypted as it arrives; the CDM's keystream for the
-    # handle continues from one chunk to the next
-    plaintext = [cdm.decrypt_segment(handle, first.body[bench.HEADER_BYTES:])]
+    # handle continues from one chunk to the next. The loop runs once per
+    # range, so it binds what it calls once per play.
+    request, decrypt, step = net.request, cdm.decrypt_segment, bench.SEGMENT_BYTES
+    plaintext = [decrypt(handle, first.body[bench.HEADER_BYTES:])]
     offset = len(first.body)
     while True:
-        nxt = net.get(
-            uri,
-            headers={"range": f"bytes={offset}-{offset + bench.SEGMENT_BYTES - 1}"},
-        )
-        _expect_ok(nxt, "chunk fetch refused")
-        if not nxt.body:
+        nxt = request("GET", uri, headers={"range": f"bytes={offset}-{offset + step - 1}"})
+        if nxt.status != 200:
+            raise ProtocolFailure("chunk fetch refused", nxt.status)
+        body = nxt.body
+        if not body:
             break
-        plaintext.append(
-            cdm.decrypt_segment(handle, nxt.body, offset - bench.HEADER_BYTES)
-        )
-        offset += len(nxt.body)
-        if len(nxt.body) < bench.SEGMENT_BYTES:
+        plaintext.append(decrypt(handle, body, offset - bench.HEADER_BYTES))
+        offset += len(body)
+        if len(body) < step:
             break
     return tuple(plaintext)

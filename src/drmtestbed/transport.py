@@ -15,6 +15,13 @@ section 5.1), so handlers read headers by lower-case name. Tap snapshots
 and replay copies (copy_request, copy_response) only copy: each dict of
 an exchange its constructor already checked and folded is copied as it
 stands, and nothing is checked or folded again.
+
+Network.request reads the memoized split of its URL and makes one copy
+of its query, in the HttpRequest it builds, so extra_query merges into
+that copy and never into the memo. Network.dispatch builds each tap
+snapshot without the frozen TapRecord's __init__: it sets the record's
+slots through their descriptors, so the record is as frozen as one built
+by TapRecord(...) and equal to it.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from urllib.parse import urlsplit
 
 ALLOWED_STATUSES = (200, 400, 401, 403, 404)
 _METHODS = ("GET", "POST")
-_UUID_SHAPE = (8, 4, 4, 4, 12)
 
 # rng.choice over 16 digits keeps the top 5 bits of one 32-bit word and
 # redraws when they are 16 or more, i.e. when the word's top byte is 128
@@ -52,8 +58,10 @@ def hex_digits(rng: random.Random, n: int) -> str:
 
 
 def uuid_like(rng: random.Random) -> str:
-    """An (8,4,4,4,12) dashed run of hex digits drawn from rng."""
-    return "-".join(hex_digits(rng, n) for n in _UUID_SHAPE)
+    """An (8,4,4,4,12) dashed run of hex digits drawn from rng: one draw of
+    32 digits takes the same words as five draws of the parts."""
+    d = hex_digits(rng, 32)
+    return f"{d[:8]}-{d[8:12]}-{d[12:16]}-{d[16:20]}-{d[20:]}"
 
 
 class Clock:
@@ -188,6 +196,13 @@ class TapRecord:
     response: HttpResponse
 
 
+# The frozen __init__ routes each field through object.__setattr__; a tap
+# snapshot sets the slots directly instead.
+_set_seq = TapRecord.seq.__set__
+_set_request = TapRecord.request.__set__
+_set_response = TapRecord.response.__set__
+
+
 class Tap:
     def __init__(self):
         self._records: list[TapRecord] = []
@@ -225,10 +240,17 @@ def split_url(url: str) -> tuple[str, str, dict[str, str]]:
     """(host, path, query). The query dict is new on every call, so a
     caller may update it; the split itself is memoized, because a ranged
     player fetches one URL hundreds of times."""
+    host, path, query = _routable(url)
+    return host, path, dict(query)
+
+
+def _routable(url: str) -> tuple[str, str, dict[str, str]]:
+    """(host, path, query) with the path defaulting to "/", refusing a URL
+    without a host. The query is the memo's own dict: copy it, never change it."""
     host, path, query = _split_url(url)
     if not host:
         raise ValueError(f"url without host: {url!r}")
-    return host, path or "/", dict(query)
+    return host, path or "/", query
 
 
 def url_host_path(url: str) -> tuple[str, str]:
@@ -304,9 +326,10 @@ class Network:
             response = handler(request)
         self._seq += 1
         if self._taps:
-            record = TapRecord(
-                self._seq, copy_request(request), copy_response(response)
-            )
+            record = object.__new__(TapRecord)
+            _set_seq(record, self._seq)
+            _set_request(record, copy_request(request))
+            _set_response(record, copy_response(response))
             for tap in self._taps:
                 tap._records.append(record)
         return response
@@ -321,10 +344,10 @@ class Network:
         body: bytes = b"",
         extra_query: dict[str, str] | None = None,
     ) -> HttpResponse:
-        host, path, query = split_url(url)
-        if extra_query:
-            query.update(extra_query)
+        host, path, query = _routable(url)
         req = HttpRequest(method, path, query, headers, cookies, body)
+        if extra_query:
+            req.query.update(extra_query)
         return self.dispatch(host, req)
 
     def get(self, url: str, **kw) -> HttpResponse:

@@ -17,7 +17,9 @@ from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, play_benchmark
 from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC
-from drmtestbed.transport import DeterministicEnv, HttpRequest, Network, split_url
+from drmtestbed.transport import (
+    DeterministicEnv, HttpRequest, Network, error_response, split_url,
+)
 
 DEVICE_KEY = bytes.fromhex("5e21b7da93c604f8ab176ce0421f98d3")
 
@@ -581,6 +583,25 @@ def test_play_benchmark_bad_credentials(rig):
     with pytest.raises(ProtocolFailure) as info:
         play_benchmark(net, "trk1", ("ada", "wrong"), svc.make_cdm())
     assert info.value.status == 401
+
+
+def test_play_benchmark_stops_at_a_refused_range(rig):
+    svc, net, _env, _catalog = rig
+    serve = net._routes[bench.HOST_CDN]  # no public way to wrap a route
+    ranges = []
+
+    def refuse_the_third(req):
+        ranges.append(req.headers["range"])
+        if len(ranges) == 3:
+            return error_response(403, "range refused")
+        return serve(req)
+
+    net._routes[bench.HOST_CDN] = refuse_the_third
+    with pytest.raises(ProtocolFailure, match="^chunk fetch refused") as info:
+        play_benchmark(net, "trk1", PREMIUM, svc.make_cdm())
+    assert info.value.status == 403
+    step = bench.SEGMENT_BYTES
+    assert ranges == [f"bytes={i * step}-{(i + 1) * step - 1}" for i in range(3)]
 
 
 def test_stream_blobs_differ_per_asset_key(rig):

@@ -146,3 +146,12 @@ def test_save_refuses_a_title_of_more_than_one_line(tmp_path, title):
     with pytest.raises(ValueError, match="is not one line"):
         save_catalog(_titled(title), tmp_path)
     assert list(tmp_path.iterdir()) == []  # nothing half written
+
+
+@pytest.mark.parametrize("title", ["\ud800", "ok\udfff", "\udc80x"])
+def test_save_refuses_a_title_with_no_utf8_form(tmp_path, title):
+    good = MediaAsset("t0", "fine", {64: AUDIO_MAGIC})
+    bad = MediaAsset("t1", title, {64: AUDIO_MAGIC})
+    with pytest.raises(ValueError, match="has no UTF-8 form"):
+        save_catalog(ServiceCatalog(assets={"t0": good, "t1": bad}), tmp_path)
+    assert list(tmp_path.iterdir()) == []  # not even the valid asset's files

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import FrozenInstanceError
 from urllib.parse import urlsplit
 
 import pytest
@@ -19,6 +20,7 @@ from drmtestbed.transport import (
     HttpRequest,
     HttpResponse,
     Network,
+    TapRecord,
     canonical_query,
     copy_request,
     copy_response,
@@ -483,6 +485,31 @@ def test_post_carries_body():
     assert captured == {"method": "POST", "body": b'{"x":1}'}
 
 
+def test_request_refuses_a_url_without_a_host():
+    net = _echo_network()
+    tap = net.attach_tap()
+    with pytest.raises(ValueError, match="'/relative/only'"):
+        net.get("/relative/only")
+    assert tap.records() == []
+
+
+def test_request_defaults_an_empty_path_to_slash():
+    resp = _echo_network().get("https://echo.test")
+    assert json.loads(resp.body) == {"path": "/", "host": "echo.test"}
+
+
+def test_request_merges_extra_query_into_its_own_copy():
+    seen = []
+    net = Network()
+    net.register("x.test", lambda req: seen.append(req) or json_response({}))
+    url = "https://x.test/p?a=1&b=2"
+    net.get(url, extra_query={"a": "9", "c": "3"})
+    assert seen[0].query == {"a": "9", "b": "2", "c": "3"}
+    assert seen[0].query is not _split_url(url)[2]
+    assert _split_url(url)[2] == {"a": "1", "b": "2"}
+    assert split_url(url) == ("x.test", "/p", {"a": "1", "b": "2"})
+
+
 # -------------------------------------------------------------------- taps
 
 
@@ -608,6 +635,30 @@ def test_exchanges_own_their_dicts_from_construction():
         assert r.headers == {"h": "v", "host": "o.test"}
     for r in (resp, rec.response):
         assert (r.headers, r.set_cookies) == ({"x": "1"}, {"s": "1"})
+
+
+def test_dispatched_tap_record_is_a_frozen_snapshot():
+    seen = []
+    net = Network()
+
+    def handler(req):
+        seen.append(req)
+        return HttpResponse(200, {"x": "1"}, {"s": "1"}, b"z")
+
+    net.register("r.test", handler)
+    tap = net.attach_tap()
+    resp = net.get("https://r.test/p?a=1", headers={"H": "v"}, cookies={"c": "1"})
+    req = seen[0]
+    rec = tap.records()[0]
+    assert rec == TapRecord(1, copy_request(req), copy_response(resp))
+    for name, value in (("seq", 2), ("request", req), ("response", resp)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(rec, name, value)
+    assert rec.request is not req and rec.response is not resp
+    for name in ("query", "headers", "cookies"):
+        assert getattr(rec.request, name) is not getattr(req, name)
+    for name in ("headers", "set_cookies"):
+        assert getattr(rec.response, name) is not getattr(resp, name)
 
 
 # ------------------------------------------------------------------ export
