@@ -168,7 +168,8 @@ class BenchmarkService:
         # one AES-CTR pass a play. Only copies of it may leave the service.
         self._buffer = bytearray()
         self._hot: tuple[str, memoryview] | None = None  # (asset_id, blob view)
-        self._license_keys: dict[bytes, tuple[bytes, bytes]] = {}
+        # init data (key id + nonce), exactly what a CDM seals -> content key
+        self._license_keys: dict[bytes, bytes] = {}
         for asset in catalog.assets.values():
             key_id = env.rand_bytes(16)
             content_key = env.rand_bytes(16)
@@ -176,7 +177,7 @@ class BenchmarkService:
             media = asset.variant(asset.top_bitrate())
             header = INIT_MAGIC + bytes(12) + key_id + nonce
             self._streams[asset.asset_id] = (header, content_key, nonce, media)
-            self._license_keys[key_id] = (content_key, nonce)
+            self._license_keys[key_id + nonce] = content_key
             for edge in EDGES:
                 self._cdn_paths[_stream_path(edge, asset.asset_id)] = asset.asset_id
 
@@ -267,22 +268,20 @@ class BenchmarkService:
             return error_response(403, "grant rejected")
         blob = self._stream_blob(asset_id)
         range_header = req.headers.get("range")
-        if range_header is None:
-            start, body = 0, bytes(blob)
-        else:
-            # exactly bytes=([0-9]+)-([0-9]+): on ASCII text, isdigit()
-            # means [0-9]+
-            first, _, last = range_header[6:].partition("-")
-            if not (range_header.startswith("bytes=") and range_header.isascii()
-                    and first.isdigit() and last.isdigit()):
-                return error_response(400, "unparseable range")
-            try:
-                start, end = int(first), int(last)
-            except ValueError:  # past int()'s digit limit
-                return error_response(400, "unparseable range")
-            if end < start:
-                return error_response(400, "inverted range")
-            body = bytes(blob[start:end + 1])
+        if range_header is None:  # the whole stream, as its own range
+            range_header = f"bytes=0-{len(blob) - 1}"
+        # exactly bytes=([0-9]+)-([0-9]+): on ASCII text, isdigit() means [0-9]+
+        first, _, last = range_header[6:].partition("-")
+        if not (range_header.startswith("bytes=") and range_header.isascii()
+                and first.isdigit() and last.isdigit()):
+            return error_response(400, "unparseable range")
+        try:
+            start, end = int(first), int(last)
+        except ValueError:  # past int()'s digit limit
+            return error_response(400, "unparseable range")
+        if end < start:
+            return error_response(400, "inverted range")
+        body = bytes(blob[start:end + 1])
         return HttpResponse(
             200,
             {
@@ -318,14 +317,12 @@ class BenchmarkService:
             return error_response(403, "request rejected")
         if len(payload) != 32:
             return error_response(403, "request malformed")
-        key_id, nonce = payload[:16], payload[16:32]
-        entry = self._license_keys.get(key_id)
-        if entry is None or entry[1] != nonce:
+        content_key = self._license_keys.get(payload)
+        if content_key is None:
             return error_response(403, "license denied")
-        content_key, nonce = entry
         iv = self.env.rand_bytes(16)
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},
-            body=_seal(self.device_key, key_id + content_key + nonce, iv),
+            body=_seal(self.device_key, payload[:16] + content_key + payload[16:], iv),
         )

@@ -8,9 +8,11 @@ over the *decoded* policy, so no amount of base64 massaging gets around
 it, and the path prefix binds a grant to one asset. A query missing any
 of the three is refused.
 
-Each CDN host checks a grant's key-pair id and signature, and parses its
-policy, once for a run of requests carrying that grant; expiry against
-the clock and the path prefix are checked on every request.
+Admission is one rule, `GrantGate.admits`. Each CDN host checks a
+grant's key-pair id and signature, and parses its policy, once for a run
+of requests carrying that grant; expiry against the clock and the path
+prefix are checked on every request. `verify_grant` is a fresh gate's
+answer, so it applies the same rule with nothing cached.
 """
 
 from __future__ import annotations
@@ -84,11 +86,6 @@ def _signed_terms(
     return resource, expires
 
 
-def _admits(terms: tuple[str, int], resource_path: str, now: int) -> bool:
-    resource, expires = terms
-    return now < expires and resource_path.startswith(resource)
-
-
 def verify_grant(
     secret: bytes,
     key_pair_id: str,
@@ -96,18 +93,17 @@ def verify_grant(
     resource_path: str,
     now: int,
 ) -> bool:
-    terms = _signed_terms(secret, key_pair_id, query)
-    return terms is not None and _admits(terms, resource_path, now)
+    return GrantGate(secret, key_pair_id).admits(query, resource_path, now)
 
 
 class GrantGate:
     """The one holder of a CDN host's key pair, and the only object on
     the CDN side that sees a secret: the service that owns the host
     builds it from its config, issues the host's grants through it and
-    hands it to the `CdnNode` that serves them. It admits a request
-    exactly when `verify_grant` would. The terms of the last grant whose
-    signature checked out are kept, so a player fetching a stream chunk
-    by chunk under one grant pays for the signature once. One slot,
+    hands it to the `CdnNode` that serves them. `admits` is the one
+    admission rule. The terms of the last grant whose signature checked
+    out are kept, so a player fetching a stream chunk by chunk under one
+    grant pays for the signature once. One slot,
     because players read one stream front to back and server state stays
     bounded; it never holds a decision, so expiry and path are judged on
     every request."""
@@ -141,7 +137,8 @@ class GrantGate:
             if terms is None:
                 return False
             self._last = (query[POLICY_PARAM], query[SIGNATURE_PARAM], terms)
-        return _admits(terms, resource_path, now)
+        resource, expires = terms
+        return now < expires and resource_path.startswith(resource)
 
 
 class CdnNode:

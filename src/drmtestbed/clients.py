@@ -48,8 +48,8 @@ class ProtocolFailure(Exception):
 
 
 # What a client's decoding of a 200 body raises when the body is not
-# what the protocol continues from: text that is not UTF-8 (a
-# ValueError), a page or playlist that does not parse, JSON that is not
+# what the protocol continues from: text that is not UTF-8 or not JSON
+# (a ValueError), a page or playlist that does not parse, JSON that is not
 # an object or lacks a field the client reads (a field of the wrong type
 # fails as whatever its first use raises), a short first chunk, and a
 # page cipher or license that does not open.
@@ -81,10 +81,7 @@ def _expect_ok(resp, detail: str):
 
 
 def _expect_json(resp, detail: str) -> dict:
-    try:  # a ProtocolFailure is no ValueError, so it passes through
-        return json.loads(_expect_ok(resp, detail).body)
-    except ValueError as exc:
-        raise ProtocolFailure(f"{detail}: unparseable body") from exc
+    return json.loads(_expect_ok(resp, detail).body)
 
 
 def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> Chunks:

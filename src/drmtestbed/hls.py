@@ -152,6 +152,7 @@ def parse_master(text: str) -> tuple[tuple[int, str], ...]:
     if not lines or lines[0] != M3U_HEADER:
         raise ManifestError(f"expected {M3U_HEADER}", 1)
     entries = []
+    seen = set()
     i = 1
     while i < len(lines):
         tag = lines[i]
@@ -164,8 +165,9 @@ def parse_master(text: str) -> tuple[tuple[int, str], ...]:
             bandwidth = int(raw)
         except ValueError:  # past int()'s digit limit
             raise ManifestError(f"bad bandwidth {raw!r}", i + 1) from None
-        if any(bw == bandwidth for bw, _uri in entries):
+        if bandwidth in seen:
             raise ManifestError(f"duplicate bandwidth {bandwidth}", i + 1)
+        seen.add(bandwidth)
         entries.append((bandwidth, _want_uri(lines, i + 1)))
         i += 2
     return tuple(entries)

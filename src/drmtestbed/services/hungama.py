@@ -62,17 +62,18 @@ class HungamaService:
 
     # token = b64(hmac(secret, song_id || expiry digits)) || expiry digits;
     # the tag length is fixed so the expiry needs no delimiter
-    def _mint_token(self, song_id: str) -> str:
-        expiry = str(self.env.now() + self.token_ttl)
+    def _token(self, song_id: str, expiry: str) -> str:
         tag = b64(hmac_sha1(self._token_secret, (song_id + expiry).encode("ascii")))
         return tag + expiry
 
+    def _mint_token(self, song_id: str) -> str:
+        return self._token(song_id, str(self.env.now() + self.token_ttl))
+
     def _token_valid(self, song_id: str, token: str) -> bool:
-        tag, expiry = token[:_TAG_CHARS], token[_TAG_CHARS:]
+        expiry = token[_TAG_CHARS:]
         if not (token.isascii() and expiry.isdigit()):
             return False
-        want = b64(hmac_sha1(self._token_secret, (song_id + expiry).encode("ascii")))
-        if not _hmac.compare_digest(tag, want):
+        if not _hmac.compare_digest(token, self._token(song_id, expiry)):
             return False
         try:
             return self.env.now() < int(expiry)

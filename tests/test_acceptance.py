@@ -452,9 +452,7 @@ def test_key_confinement_in_benchmark_transcript(bed):
     bodies = [rec.request.body for rec in records] + [
         rec.response.body for rec in records
     ]
-    keys = [bed.config.key("device_key_hex")] + [
-        content_key for content_key, _nonce in bed.benchmark._license_keys.values()
-    ]
+    keys = [bed.config.key("device_key_hex"), *bed.benchmark._license_keys.values()]
     assert all(len(key) == 16 for key in keys)
     hits = 0
     windows = 0

@@ -255,6 +255,24 @@ def test_cdn_range_semantics(rig):
     assert net.get(uri, headers={"range": "chunk=1-2"}).status == 400
 
 
+def test_cdn_unranged_get_is_the_whole_range(rig):
+    _svc, net, _env, _catalog = rig
+    uri = _first_uri(net)
+    whole = net.get(uri)
+    ranged = net.get(uri, headers={"range": f"bytes=0-{len(whole.body) - 1}"})
+    assert whole.status == ranged.status == 200
+    assert whole.headers == ranged.headers
+    assert whole.body == ranged.body
+
+
+def test_cdn_empty_range_header_is_unparseable(rig):
+    _svc, net, _env, _catalog = rig
+    resp = net.get(_first_uri(net), headers={"range": ""})
+    assert resp.status == 400
+    assert json.loads(resp.body) == {"error": "unparseable range"}
+    assert "content-range" not in resp.headers
+
+
 @pytest.mark.parametrize("path_tail,range_header,status", [
     # the newline path goes under the grant for the bare path
     pytest.param("\n", "bytes=0-3", 404, id="path-newline"),
@@ -280,8 +298,7 @@ def _oracle_blob(svc, catalog, track, header):
     # header + AES-CTR of the top variant, rebuilt from the license
     # server's keyring and the catalog, independently of the CDN path and
     # of the keystreams the CDM keeps
-    content_key, nonce = svc._license_keys[header[16:32]]
-    assert header[32:48] == nonce
+    content_key, nonce = svc._license_keys[header[16:48]], header[32:48]
     media = catalog.asset(track).variant(catalog.asset(track).top_bitrate())
     ctr = Cipher(algorithms.AES(content_key), modes.CTR(nonce)).encryptor()
     return header[:bench.HEADER_BYTES] + ctr.update(media)

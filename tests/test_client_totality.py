@@ -68,6 +68,7 @@ def test_client_returns_bytes_or_protocol_failure(service, nth, mode, at, mask):
     pytest.param(b"{}", id="no-fields"),
     pytest.param(b'{"uid": "u1", "token": 5}', id="field-of-the-wrong-type"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param(b"{not json", id="not-json"),
 ])
 def test_json_answer_of_the_wrong_shape_is_a_protocol_failure(body):
     # the wynk-v1 device registration, the first 200 answer of its play

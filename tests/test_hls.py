@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from drmtestbed.hls import (
     BITRATE_LADDER,
     DEFAULT_CHUNK_BYTES,
     SEGMENT_SECONDS,
+    STREAM_INF,
     ManifestError,
     MediaAsset,
     parse_index,
@@ -64,6 +66,19 @@ def test_master_rejects_duplicate_bandwidth():
     # render refuses what parse refuses, so a master's bandwidths are unique
     with pytest.raises(ValueError, match="duplicate bandwidth 128"):
         render_master([(128, "a.m3u8"), (128, "b.m3u8")])
+
+
+def test_parse_master_is_linear_in_its_variants():
+    # a duplicate check over every earlier entry took seconds at this size
+    entries = [(bw, f"v{bw}/index.m3u8") for bw in range(20_000)]
+    text = render_master(entries)
+    t0 = time.perf_counter()
+    assert parse_master(text) == tuple(entries)
+    assert time.perf_counter() - t0 < 2.0
+    # the same bandwidth appended at the end is refused at its own tag line
+    with pytest.raises(ManifestError, match="duplicate bandwidth 7") as err:
+        parse_master(text + f"{STREAM_INF}7\ndup.m3u8\n")
+    assert err.value.line == 2 * len(entries) + 2
 
 
 def test_render_master_exact_bytes():
