@@ -62,13 +62,16 @@ def _attempt(tb: Testbed, spec: ServiceSpec, track: str, principal: str) -> bool
 
 def _replay_rejected(tb: Testbed, spec: ServiceSpec, records) -> bool:
     """Replay the captured authorization exchange after a clock jump.
-    A service only scores here when the verbatim replay stops working."""
+    A service only scores here when the verbatim replay stops working.
+    A tap with no such exchange has nothing to replay: LookupError."""
     target = None
     for rec in records:
         if spec.auth_path.fullmatch(rec.request.path):
             target = rec
     if target is None:
-        return False
+        raise LookupError(
+            f"{spec.audit_name}: no exchange on {spec.auth_path.pattern!r} to replay"
+        )
     t0 = tb.env.clock.now()
     tb.env.clock.advance(REPLAY_HORIZON)
     try:

@@ -196,7 +196,7 @@ class BenchmarkService:
     def _handle_api(self, req: HttpRequest) -> HttpResponse:
         if req.method == "GET" and req.path == ASSET_PATH:
             return script_response(
-                ['var api="https://api.benchtune.sim"', 'var player="ranged"']
+                [f'var api="https://{HOST_API}"', 'var player="ranged"']
             )
         if req.method == "POST" and req.path == LOGIN_PATH:
             return self._login(req)

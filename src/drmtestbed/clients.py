@@ -19,9 +19,7 @@ from .crypto_kit import (
     aes_cbc_decrypt,
     b64,
     b64_decode,
-    hmac_sha1,
     passphrase_seal,
-    totp,
 )
 from .hls import ManifestError, parse_index, parse_master
 from .services import hungama as hungama_mod
@@ -101,14 +99,10 @@ def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> Chu
 # ---- wynk ------------------------------------------------------------------
 
 
-def _wynk_stream_call(net, *, path, sid, uid, token, extra_headers):
-    query = dict(wynk_mod.STREAM_QUERY)
-    if path == wynk_mod.V2_STREAM_PATH:
-        query["id"] = sid
+def _wynk_stream_call(net, *, path, query, uid, token, extra_headers):
     qs = query_string(query)
     body = "{}"
-    msg = wynk_mod.stream_message("POST", path, qs, body)
-    utkn = f"{uid}:{b64(hmac_sha1(token.encode('ascii'), msg.encode('utf-8')))}"
+    utkn = wynk_mod.utkn(uid, token, wynk_mod.stream_message("POST", path, qs, body))
     headers = {"x-bsy-utkn": utkn}
     headers.update(extra_headers)
     resp = net.post(
@@ -138,7 +132,7 @@ def rip_wynk_v1(
     stream = _wynk_stream_call(
         net,
         path=f"{wynk_mod.V1_STREAM_PREFIX}{sid}{wynk_mod.V1_STREAM_SUFFIX}",
-        sid=sid,
+        query=dict(wynk_mod.STREAM_QUERY),
         uid=reg["uid"],
         token=reg["token"],
         extra_headers={},
@@ -187,14 +181,12 @@ def rip_wynk_v2(
 ) -> Chunks:
     session = wynk_v2_handshake(net, env)
     sid = search_id(song_url)
-    otp = totp(
-        (session["dt"] + sk).encode("utf-8"), wynk_mod.TOTP_PARAMS, env.now()
-    )
+    otp = wynk_mod.otp(session["dt"], sk, env.now())
     sealed = passphrase_seal(session["kt"], otp.encode("ascii"), env.rand_bytes(8))
     stream = _wynk_stream_call(
         net,
         path=wynk_mod.V2_STREAM_PATH,
-        sid=sid,
+        query=dict(wynk_mod.STREAM_QUERY, id=sid),  # id last: it is signed in order
         uid=session["uid"],
         token=session["token"],
         extra_headers={"x-bsy-uuid": session["dt"], "x-bsy-t": b64(sealed)},

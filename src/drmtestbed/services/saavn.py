@@ -108,7 +108,7 @@ class SaavnService:
         if req.method == "GET" and req.path == ASSET_PATH:
             return script_response(
                 [
-                    'var apiBase="/api.php?call=song.generateAuthToken"',
+                    f'var apiBase="{API_PATH}?call={AUTH_CALL}"',
                     f"var bitRates={json.dumps(list(ALLOWED_BIT_RATES))}",
                 ]
             )

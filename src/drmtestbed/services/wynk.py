@@ -134,6 +134,17 @@ def stream_message(method: str, path: str, query_string: str, body_text: str) ->
     return f"{method}{path}?{query_string}{body_text}"
 
 
+def utkn(uid: str, token: str, message: str) -> str:
+    """The x-bsy-utkn header: <uid>:<b64 HMAC of the stream message under
+    the login's token>. Raises UnicodeError for a message with no UTF-8 form."""
+    return f"{uid}:{b64(hmac_sha1(token.encode('ascii'), message.encode('utf-8')))}"
+
+
+def otp(dt: str, sk: str, at: int) -> str:
+    """v2's one-time code at `at`, keyed by the device token and the sk."""
+    return totp((dt + sk).encode("utf-8"), TOTP_PARAMS, at)
+
+
 @dataclass(slots=True)
 class Handshake:
     marks: set[str] = field(default_factory=set)
@@ -205,23 +216,20 @@ class WynkService:
 
     def _utkn_rejection(self, req: HttpRequest, login: Login) -> HttpResponse | None:
         """The x-bsy-utkn check both stream calls share, on the live login
-        each found its own way: <uid>:<b64 HMAC of the request under the
-        login's token>. None when it holds."""
-        uid, sep, given = req.headers.get("x-bsy-utkn", "").partition(":")
-        if not sep or uid != login.uid:
-            return error_response(403, "utkn mismatch")
+        each found its own way: the header must be the whole utkn this
+        login writes for this request, so a base64 spelled any other way
+        (RFC 4648 section 3.5) is refused. None when it holds."""
+        given = req.headers.get("x-bsy-utkn", "")
         try:
+            # a lone surrogate in the body, path or query has no UTF-8
+            # form, so no client could have signed the message
             body_text = req.body.decode("utf-8")
-            given_digest = b64_decode(given)
-            # a lone surrogate in the path or query has no UTF-8 form, so
-            # no client could have signed the message
-            msg = stream_message(
-                req.method, req.path, req.query_string(), body_text
-            ).encode("utf-8")
-        except (UnicodeError, DecodeError):
+            msg = stream_message(req.method, req.path, req.query_string(), body_text)
+            want = utkn(login.uid, login.token, msg)
+        except UnicodeError:
             return error_response(403, "utkn mismatch")
-        want = hmac_sha1(login.token.encode("ascii"), msg)
-        if not _hmac.compare_digest(given_digest, want):
+        # compare_digest raises on a str that is not ASCII
+        if not (given.isascii() and _hmac.compare_digest(given, want)):
             return error_response(403, "utkn mismatch")
         return None
 
@@ -302,13 +310,10 @@ class WynkService:
         values = {
             f: format(self.env.rng.randrange(10000), "04d") for f in CHECK_FIELDS
         }
-        # a re-check retires the old puzzle; a puzzle another handshake
-        # already holds (a 32-digit collision) stays with that handshake
-        if self._by_cip.live(handshake.cip, now) is handshake:
-            self._by_cip.pop(handshake.cip)
+        # a re-check retires the old puzzle
+        self._by_cip.pop(handshake.cip, None)
         handshake.cip = encode_cip("".join(values.values()))
-        if self._by_cip.live(handshake.cip, now) is None:
-            self._by_cip.put(handshake.cip, handshake, now)
+        self._by_cip.put(handshake.cip, handshake, now)
         return json_response(values)
 
     def _handle_login(self, req: HttpRequest) -> HttpResponse:
@@ -359,11 +364,10 @@ class WynkService:
             digits = passphrase_open(login.kt, sealed).decode("ascii")
         except (DecodeError, SealError, UnicodeDecodeError):
             return False
-        secret = (login.dt + self.sk).encode("utf-8")
         now = self.env.now()
         # this window's code and the last one's; no window starts before t0
         accepted = [
-            totp(secret, TOTP_PARAMS, at)
+            otp(login.dt, self.sk, at)
             for at in (now, now - TOTP_PARAMS.window_seconds)
             if at >= TOTP_PARAMS.t0
         ]

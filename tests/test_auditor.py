@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from drmtestbed.auditor import (
@@ -9,11 +12,12 @@ from drmtestbed.auditor import (
     EXTENDED_AUDIT_SERVICES,
     PRACTICE_FIELDS,
     PracticesScorecard,
+    _replay_rejected,
     audit,
     audit_all,
     canonical_audit_name,
 )
-from drmtestbed.testbed import Testbed
+from drmtestbed.testbed import SPECS, Testbed
 
 from test_config import spaced_hex
 # one row per service, in PRACTICE_FIELDS order
@@ -81,6 +85,17 @@ class TestProbeMechanics:
         before = bed.env.clock.now()
         audit(bed, "gaana")
         assert bed.env.clock.now() == before
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_replay_probe_with_no_auth_exchange_raises(self, bed, spec):
+        # a tap the auth path matches nothing in is a broken probe, not a
+        # verdict: it must not score as "replay accepted"
+        records, client_error = bed.tapped_run(spec.name, bed.open_tracks()[0])
+        assert client_error == ""
+        blind = dataclasses.replace(spec, auth_path=re.compile("/nothing"))
+        with pytest.raises(LookupError, match=re.escape(spec.audit_name)) as caught:
+            _replay_rejected(bed, blind, records)
+        assert "/nothing" in str(caught.value)
 
     def test_audit_is_repeatable(self, bed):
         first = audit(bed, "wynk-v2")

@@ -500,6 +500,21 @@ def test_license_rejects_unsealed_or_foreign_requests(rig):
     assert net.post(bench.LICENSE_URL, body=foreign.request_license(init)).status == 403
 
 
+def test_license_request_that_opens_to_the_wrong_length_is_malformed(rig):
+    # sealed under the device key, so it opens, but is not 32 bytes of init data
+    svc, net, env, _catalog = rig
+    request = bench._seal(svc.device_key, bytes(16), env.rand_bytes(16))
+    resp = net.post(bench.LICENSE_URL, body=request)
+    assert (resp.status, json.loads(resp.body)) == (403, {"error": "request malformed"})
+
+
+def test_cdm_refuses_a_license_that_opens_to_the_wrong_length(rig):
+    svc, _net, env, _catalog = rig
+    license_blob = bench._seal(svc.device_key, bytes(32), env.rand_bytes(16))
+    with pytest.raises(bench.LicenseError, match="payload malformed"):
+        svc.make_cdm().install(license_blob)
+
+
 def test_license_rejects_unknown_key_id_and_nonce_mismatch(rig):
     svc, net, _env, _catalog = rig
     blob = net.get(_first_uri(net)).body

@@ -150,8 +150,10 @@ _NESTED = b"[" * 100_000 + b"]" * 100_000
         b'{"expires":"' + b"9" * 5000 + b'","resource":"/"}',
         _NESTED,
         b'{"expires":2000,"resource":' + _NESTED + b"}",
+        b'{"expires":2000,"resource":5}',
     ],
-    ids=["inf", "minus-inf", "nan", "5000-digits", "nested", "nested-resource"],
+    ids=["inf", "minus-inf", "nan", "5000-digits", "nested", "nested-resource",
+         "resource-not-a-string"],
 )
 def test_signed_but_unreadable_policy_fails_closed(policy_doc):
     grant = _signed(policy_doc)

@@ -12,6 +12,7 @@ derandomized, so a failure reproduces on every run.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -74,3 +75,23 @@ def test_json_answer_of_the_wrong_shape_is_a_protocol_failure(body):
     # the wynk-v1 device registration, the first 200 answer of its play
     with pytest.raises(ProtocolFailure, match="^unreadable answer: "):
         _play("wynk-v1", 0, lambda _body: body)
+
+
+def _file_url_without_token(body: bytes) -> bytes:
+    data = json.loads(body)
+    data["file"] = data["file"].partition("?")[0]
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("service,nth,rewrite,detail", [
+    # wynk-v1's answers: registration, stream authorization, master
+    pytest.param("wynk-v1", 2, lambda _body: b"#EXTM3U\n",
+                 "manifest lists no variants", id="master-with-no-variants"),
+    pytest.param("hungama", 0, _file_url_without_token,
+                 "file url carries no token", id="file-url-with-no-token"),
+])
+def test_answer_that_parses_but_names_nothing_is_a_protocol_failure(
+    service, nth, rewrite, detail
+):
+    with pytest.raises(ProtocolFailure, match=f"^{detail}$"):
+        _play(service, nth, rewrite)

@@ -301,6 +301,8 @@ def test_cbc_key_and_iv_sizes():
         aes_cbc_encrypt(b"x" * 24, b"\x00" * 16, b"hi")
     with pytest.raises(SizeError):
         aes_cbc_encrypt(b"x" * 16, b"\x00" * 15, b"hi")
+    with pytest.raises(SizeError, match="IV"):
+        aes_cbc_decrypt(b"x" * 16, b"\x00" * 15, b"\x00" * 16)
     with pytest.raises(SizeError):
         aes_cbc_decrypt(b"x" * 16, b"\x00" * 16, b"short")
     with pytest.raises(SizeError):

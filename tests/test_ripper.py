@@ -346,6 +346,11 @@ class TestPlaylistPrefix:
         recs[0] = _rec(recs[0].seq, recs[0].request.path, mangle(recs[0].response.body))
         assert _index_candidates(recs) == []
 
+    def test_empty_index_is_not_a_candidate(self):
+        # a playlist with no segments names nothing to reassemble
+        empty = render_index([]).encode()
+        assert _index_candidates([_rec(1, "/a/index.m3u8", empty)]) == []
+
     @pytest.mark.parametrize("view", [bytes, memoryview])
     def test_megabyte_audio_body_is_not_a_playlist(self, view):
         body = view(AUDIO_MAGIC + bytes((1 << 20) - len(AUDIO_MAGIC)))

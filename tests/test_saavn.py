@@ -81,6 +81,9 @@ def test_parse_song_page_errors():
         saavn.parse_song_page("<html>nothing here</html>")
     with pytest.raises(ValueError):
         saavn.parse_song_page("window.__INITIAL_DATA__ = {\"song\": {}")
+    song = {"perma_url": 1, "encrypted_media_url": "e", "title": "t"}
+    with pytest.raises(ValueError, match="lacks the song fields"):
+        saavn.parse_song_page(f"window.__INITIAL_DATA__ = {json.dumps({'song': song})};</script>")
 
 
 def test_unknown_song_page_404(rig):

@@ -7,9 +7,12 @@ Every expiring store logs its puts and pops, so the test can say from
 the store's own contract what it must and may hold: an entry no later
 put found expired is still there, an expired one is refused, and after
 a put at time T nothing is left that was put before the first entry
-still live at T. Any exception a step raises, from `dispatch` or a
-client, fails the run. The machine runs derandomized with a fixed
-budget, so a failure reproduces on every run.
+still live at T. Every step's tap must also keep the benchmark's keys
+confined: no benchmark exchange carries the device key or a content
+key, and no benchmark CDN body is a run of catalog plaintext. Any
+exception a step raises, from `dispatch` or a client, fails the run.
+The machine runs derandomized with a fixed budget, so a failure
+reproduces on every run.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from drmtestbed import benchmark as bench
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
 from drmtestbed.testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, Testbed
@@ -68,6 +72,8 @@ class SessionModel(RuleBasedStateMachine):
             blob for asset in self.bed.catalog.assets.values()
             for blob in asset.variants.values()
         }
+        self.keys = (self.bed.benchmark.device_key,
+                     *self.bed.benchmark._license_keys.values())
         self.calls = {}  # store name -> its put and pop log, in call order
         for name, store in _stores(self.bed).items():
             _log_calls(store, self.calls.setdefault(name, []))
@@ -86,8 +92,19 @@ class SessionModel(RuleBasedStateMachine):
                 bed.net.detach_tap(taps[-1])
         mine, twins = (tap.records() for tap in taps)
         assert export_tap(mine) == export_tap(twins)
+        self._keys_stay_confined(mine)
         self.captured += [rec.request for rec in mine]
         return results[0]
+
+    def _keys_stay_confined(self, records):
+        for rec in records:
+            host = rec.request.headers["host"]
+            if not host.endswith(".benchtune.sim"):
+                continue
+            sent, received = bytes(rec.request.body), bytes(rec.response.body)
+            assert not any(key in sent or key in received for key in self.keys), rec.seq
+            if host == bench.HOST_CDN and received:
+                assert not any(received in variant for variant in self.variants), rec.seq
 
     @rule(service=st.sampled_from(SERVICES), principal=st.sampled_from(PRINCIPALS),
           track=st.sampled_from(TRACKS))

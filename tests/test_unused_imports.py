@@ -1,8 +1,9 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses, or defines a
+private name it never reads.
 
-A deletion that leaves an import behind is caught here rather than by a
-reader. Package `__init__.py` files are exempt: importing a name there
-re-exports it.
+A deletion that leaves an import or a private helper behind is caught
+here rather than by a reader. Package `__init__.py` files are exempt
+from the import check: importing a name there re-exports it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,33 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def _dead_private_names(source: str) -> list[str]:
+    """The private names (`_name`, not `__dunder__`) that a top-level
+    def, class or assignment in source binds and that no expression in
+    it reads, in source order. A read from another module does not
+    count: a private name is the module's own."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound += [name.id for name in ast.walk(target) if isinstance(name, ast.Name)]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name
+        for name in bound
+        if name.startswith("_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+    ]
+
+
 def test_the_walk_sees_every_import_form():
     source = (
         "from __future__ import annotations\n"
@@ -44,13 +72,41 @@ def test_the_walk_sees_every_import_form():
     assert _unused_imports(source) == ["json", "verify_grant", "inf"]
 
 
+def test_the_walk_sees_every_private_definition():
+    source = (
+        "import hmac as _hmac\n"
+        "__version__ = '1'\n"
+        "_USED = 1\n"
+        "_unused = 1\n"
+        "_a, (_b, PUBLIC) = 1, (2, 3)\n"
+        "_typed: int = 2\n"
+        "def _dead(): ...\n"
+        "async def _dead_too(): ...\n"
+        "class _Live:\n"
+        "    _attr = _USED\n"
+        "def public(x: _Live) -> None:\n"
+        "    _local = _b\n"
+        "    return _hmac.new\n"
+    )
+    assert _dead_private_names(source) == ["_unused", "_a", "_typed", "_dead", "_dead_too"]
+
+
+def _offenders(check, modules) -> dict[str, list[str]]:
+    return {
+        path.relative_to(PACKAGE).as_posix(): found
+        for path in modules
+        if (found := check(path.read_text(encoding="utf-8")))
+    }
+
+
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
     assert PACKAGE / "cdn.py" in modules
     assert PACKAGE / "services" / "hungama.py" in modules
-    offenders = {
-        path.relative_to(PACKAGE).as_posix(): found
-        for path in modules
-        if (found := _unused_imports(path.read_text(encoding="utf-8")))
-    }
-    assert offenders == {}
+    assert _offenders(_unused_imports, modules) == {}
+
+
+def test_no_module_defines_a_private_name_it_never_reads():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "services" / "wynk.py" in modules
+    assert _offenders(_dead_private_names, modules) == {}

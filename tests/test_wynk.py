@@ -832,6 +832,30 @@ def test_stream_query_value_with_a_lone_surrogate_is_403(service):
     assert replays == len(wynk.STREAM_QUERY) + (service == "wynk-v2")  # v2 adds id
 
 
+_B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@pytest.mark.parametrize("service", ["wynk-v1", "wynk-v2"])
+def test_stream_call_with_a_respelled_utkn_is_403(service):
+    # a 20-byte digest leaves two pad bits in its last base64 character;
+    # setting one spells the same digest differently (RFC 4648 3.5), and
+    # the server refuses any header but the one the login writes
+    tb = Testbed(TestbedConfig())
+    records, client_error = tb.tapped_run(service, tb.open_tracks()[0])
+    assert client_error == ""
+    (rec,) = [r for r in records if r.request.headers["host"] == wynk.HOST_PLAYBACK]
+    uid, _, digest = rec.request.headers["x-bsy-utkn"].partition(":")
+    assert digest.endswith("=") and not _B64.index(digest[-2]) & 1
+    respelled = digest[:-2] + _B64[_B64.index(digest[-2]) | 1] + "="
+    assert respelled != digest and b64_decode(respelled) == b64_decode(digest)
+
+    assert tb.net.dispatch(wynk.HOST_PLAYBACK, copy_request(rec.request)).status == 200
+    request = copy_request(rec.request)
+    request.headers["x-bsy-utkn"] = f"{uid}:{respelled}"
+    resp = tb.net.dispatch(wynk.HOST_PLAYBACK, request)
+    assert (resp.status, json.loads(resp.body)) == (403, {"error": "utkn mismatch"})
+
+
 # Digests of one reference-client run under a tap on a fresh default bed,
 # kept in the behaviour manifest. They pin the transcript bytes, so a change
 # to the order or number of RNG draws (which run-against-run determinism
