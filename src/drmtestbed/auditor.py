@@ -2,6 +2,17 @@
 one an experiment against the live testbed rather than a hand-filled
 table. The probes only use what a client or an on-path observer could
 use: public endpoints, static assets, a tap, and the injected clock.
+
+A row rests on a working baseline: `audit` raises `AuditRefused` when
+the default client's tapped run fails, when the exchange the replay
+probe would replay was not a 200, or when the client bundle cannot be
+fetched, since a harness failure would otherwise read as protection.
+
+Two probes recognise a constant rather than the property in general:
+`drm_scheme` looks for a request on the benchmark's `LICENSE_PATH`, and
+`obfuscation_minification` looks for the one `MINIFIED_BANNER` string
+in the client bundle. A license exchange on another path, or a bundle
+minified without that banner, reads "no".
 """
 
 from __future__ import annotations
@@ -39,6 +50,11 @@ class PracticesScorecard:
 PRACTICE_FIELDS = tuple(f.name for f in fields(PracticesScorecard))
 
 
+class AuditRefused(LookupError):
+    """A row has no working baseline to rest on; the message names the
+    service and the step that failed."""
+
+
 def _audit_spec(service: str) -> ServiceSpec:
     """The row named by an audit name or a rip name."""
     for spec in SPECS:
@@ -63,14 +79,20 @@ def _attempt(tb: Testbed, spec: ServiceSpec, track: str, principal: str) -> bool
 def _replay_rejected(tb: Testbed, spec: ServiceSpec, records) -> bool:
     """Replay the captured authorization exchange after a clock jump.
     A service only scores here when the verbatim replay stops working.
-    A tap with no such exchange has nothing to replay: LookupError."""
+    A tap with no such exchange, or whose last one was refused, has
+    nothing to replay: AuditRefused."""
     target = None
     for rec in records:
         if spec.auth_path.fullmatch(rec.request.path):
             target = rec
     if target is None:
-        raise LookupError(
+        raise AuditRefused(
             f"{spec.audit_name}: no exchange on {spec.auth_path.pattern!r} to replay"
+        )
+    if target.response.status != 200:
+        raise AuditRefused(
+            f"{spec.audit_name}: replay target {target.seq} answered "
+            f"status {target.response.status}"
         )
     t0 = tb.env.clock.now()
     tb.env.clock.advance(REPLAY_HORIZON)
@@ -93,15 +115,19 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
 
     mandatory_id = not _attempt(tb, spec, track, ANONYMOUS)
 
-    # audit whatever did cross the wire, whether or not the client got through
-    records, _client_error = tb.tapped_run(spec.name, track)
+    records, client_error = tb.tapped_run(spec.name, track)
+    if client_error:
+        raise AuditRefused(f"{spec.audit_name}: reference run failed: {client_error}")
 
     rip = tap_rip(records, tb.catalog, spec.audit_name, track)
     encrypted = not rip.matched_catalog
     drm = any(rec.request.path == LICENSE_PATH for rec in records)
     replay_dies = _replay_rejected(tb, spec, records)
 
-    bundle = tb.net.get(spec.bundle_url).body.decode("utf-8", errors="replace")
+    fetched = tb.net.get(spec.bundle_url)
+    if fetched.status != 200:
+        raise AuditRefused(f"{spec.audit_name}: bundle fetch failed (status {fetched.status})")
+    bundle = fetched.body.decode("utf-8", errors="replace")
     hardcoded = any(secret in bundle for secret in tb.secret_material())
     obfuscated = MINIFIED_BANNER in bundle
 

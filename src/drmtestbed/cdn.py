@@ -21,7 +21,7 @@ import hmac as _hmac
 import json
 
 from .crypto_kit import DecodeError, b64, b64_decode, hmac_sha1
-from .hls import MediaAsset, render_index, render_master, segment
+from .hls import MediaAsset, render_index, render_master, segment_index
 from .transport import Clock, HttpRequest, HttpResponse, error_response, query_string
 
 POLICY_PARAM = "Policy"
@@ -144,7 +144,12 @@ class GrantGate:
 class CdnNode:
     """One media host: pre-rendered HLS trees and whole-file variants,
     every path gated by a grant for that path. The node holds no secret:
-    it signs and checks grants through the `GrantGate` it is given."""
+    it signs and checks grants through the `GrantGate` it is given.
+
+    A segment body is a chunk of the asset's own cut (`MediaAsset.cut`),
+    so CDNs that serve one asset at one rate and chunk size serve the
+    same chunk objects, and a whole file is the catalog's variant
+    object; the node copies no media and builds only its own URIs."""
 
     def __init__(self, host: str, gate: GrantGate, clock: Clock, chunk_bytes: int):
         self.host = host
@@ -164,11 +169,8 @@ class CdnNode:
         master = []
         for rate in rates:
             base = f"/hls/{key}/{rate}/"
-            chunks, index = segment(
-                memoryview(asset.variant(rate)),
-                self._chunk_bytes,
-                uri_prefix=self.url(base),
-            )
+            chunks = asset.cut(rate, self._chunk_bytes)
+            index = segment_index(len(chunks), self.url(base))
             for chunk, (uri, _seconds) in zip(chunks, index):
                 self._content[uri[origin:]] = chunk
             self._content[f"{base}index.m3u8"] = render_index(index).encode("utf-8")

@@ -4,7 +4,10 @@
     testbed audit --format json
     testbed demo --seed 7 --clock 1700000000
 
-Exit codes: 0 success, 2 protocol failure, 64 usage error.
+Exit codes: 0 success, 2 protocol failure (a rip that recovers no
+catalog media, or an audit refused for want of a working baseline: the
+reference run, the replay target or the bundle fetch failed), 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from .auditor import AUDIT_SERVICES, audit, audit_all, canonical_audit_name
+from .auditor import AUDIT_SERVICES, AuditRefused, audit, audit_all, canonical_audit_name
 from .config import ConfigError, TestbedConfig, load_config
 from .report import FORMATS, RunReport, UsageError, render_report
 from .testbed import RIP_SERVICES, Testbed
@@ -118,6 +121,9 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         return _cmd_demo(args)
+    except AuditRefused as exc:
+        print(f"testbed: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     except (ConfigError, UsageError, ValueError, OSError) as exc:
         print(f"testbed: {exc}", file=sys.stderr)
         return EXIT_USAGE

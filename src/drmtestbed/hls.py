@@ -17,7 +17,7 @@ import functools
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 AUDIO_MAGIC = b"AUD0"
@@ -41,12 +41,23 @@ class ManifestError(Exception):
 
 @dataclass
 class MediaAsset:
-    """One catalog entry: raw audio bytes per bitrate variant."""
+    """One catalog entry: raw audio bytes per bitrate variant.
+
+    `cut` slices a variant into chunks once and hands out the same tuple
+    of read-only views after that, so every CDN that serves the asset
+    serves the very same chunk objects and the ripper can recognise them
+    by identity. The memo is no part of the asset's value: equality and
+    repr ignore it."""
 
     asset_id: str
     title: str
     variants: dict[int, bytes]
     premium: bool = False
+    # (rate, first chunk's length) -> (the variant cut, its chunks); a
+    # variant shorter than the chunk size is one chunk, whatever the size
+    _cuts: dict[tuple[int, int], tuple[bytes, tuple[memoryview, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # every service puts the id in a URL path or query, so it may hold
@@ -72,6 +83,39 @@ class MediaAsset:
         except KeyError:
             raise ValueError(f"{self.asset_id}: no {rate} kbps variant") from None
 
+    def cut(self, rate: int, chunk_bytes: int) -> tuple[memoryview, ...]:
+        """Read-only views of the rate's variant, chunk_bytes each (the
+        last one ragged), as `segment` slices it. The same tuple comes
+        back on every call until the variant object at that rate is
+        replaced, which makes a fresh cut."""
+        variant = self.variant(rate)
+        first = min(chunk_bytes, len(variant))
+        chunks = self.cut_made(rate, first)
+        if chunks is None:
+            chunks = tuple(_slices(memoryview(variant).toreadonly(), chunk_bytes))
+            self._cuts[(rate, first)] = (variant, chunks)
+        return chunks
+
+    def cut_made(self, rate: int, first_chunk_bytes: int) -> tuple[memoryview, ...] | None:
+        """The cut of the rate's current variant whose first chunk is
+        first_chunk_bytes long, if `cut` has made it; never makes one."""
+        hit = self._cuts.get((rate, first_chunk_bytes))
+        if hit is not None and hit[0] is self.variants.get(rate):
+            return hit[1]
+        return None
+
+
+def _slices(media, chunk_bytes: int) -> list:
+    """The one slicing rule: fixed-size chunks, the last one ragged."""
+    if chunk_bytes < 1:
+        raise ValueError("chunk_bytes must be >= 1")
+    return [media[i:i + chunk_bytes] for i in range(0, len(media), chunk_bytes)]
+
+
+def segment_index(count: int, uri_prefix: str = "") -> list[tuple[str, float]]:
+    """The one segment-URI rule: the index of count segments."""
+    return [(f"{uri_prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(count)]
+
 
 def segment(
     media: bytes | memoryview,
@@ -81,12 +125,8 @@ def segment(
 ) -> tuple[list[bytes | memoryview], list[tuple[str, float]]]:
     """Split media into fixed-size chunks (last one ragged) and build the
     matching index. Joining the chunks gives the media back."""
-    if chunk_bytes < 1:
-        raise ValueError("chunk_bytes must be >= 1")
-    chunks = [media[i:i + chunk_bytes] for i in range(0, len(media), chunk_bytes)]
-    return chunks, [
-        (f"{uri_prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(len(chunks))
-    ]
+    chunks = _slices(media, chunk_bytes)
+    return chunks, segment_index(len(chunks), uri_prefix)
 
 
 def _uri_line(uri: str) -> str:

@@ -5,9 +5,14 @@ whatever HLS trees or whole files crossed the wire, and checks the
 result against the catalog. A service defeats it exactly when nothing
 in the transcript decodes to catalog plaintext.
 
-A candidate stays the list of bodies the tap holds and is compared with
-each catalog variant in place, chunk by chunk, so a rip that matches
-copies nothing: its result carries the catalog's own variant object.
+A candidate stays the list of bodies the tap holds and is matched with
+each catalog variant in place, so a rip that matches copies nothing: its
+result carries the catalog's own variant object. A candidate that is the
+variant object itself (a whole-file CDN), or is, chunk for chunk and in
+order, the asset's own cut of the variant (`MediaAsset.cut`, what an HLS
+CDN serves), is that variant by identity and no byte is read. Any other
+candidate is compared with the variant's bytes, chunk by chunk. The
+ripper only looks a cut up and never makes one.
 
 A segment URI is matched by its host and path: an absolute URL, or an
 absolute path on the playlist's host. A path-relative URI (RFC 8216
@@ -19,6 +24,7 @@ simulated CDN writes one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from .catalog import ServiceCatalog
 from .hls import AUDIO_MAGIC, M3U_HEADER, ManifestError, parse_index
@@ -103,22 +109,31 @@ def _body_candidates(records):
     return [([rec.response.body], [rec.seq]) for rec in hits]
 
 
-def _matched_variant(chunks, variants):
-    """The variant the chunks spell out, read in place, else None."""
+def _spells(chunks, variant) -> bool:
+    """Whether the chunks, joined, are the variant's bytes, read in place."""
+    offset = 0
+    for chunk in chunks:
+        if not variant.startswith(chunk, offset):
+            return False
+        offset += len(chunk)
+    return True
+
+
+def _matched_variant(chunks, asset):
+    """The variant of the asset the chunks spell out, else None."""
     size = sum(map(len, chunks))
-    for variant in variants:
+    for rate, variant in asset.variants.items():
         if len(variant) != size:
             continue
         # a whole-file CDN (saavn, hungama) serves the catalog's own
-        # object, which needs no compare
+        # object, and an HLS CDN the asset's own cut of it: neither needs
+        # a compare
         if chunks[0] is variant:
             return variant
-        offset = 0
-        for chunk in chunks:
-            if not variant.startswith(chunk, offset):
-                break
-            offset += len(chunk)
-        else:
+        cut = asset.cut_made(rate, len(chunks[0]))
+        if cut is not None and len(cut) == len(chunks) and all(map(is_, cut, chunks)):
+            return variant
+        if _spells(chunks, variant):
             return variant
     return None
 
@@ -130,10 +145,9 @@ def tap_rip(
     track: str,
 ) -> RipResult:
     asset = catalog.assets.get(track)
-    variants = asset.variants.values() if asset else ()
     candidates = _index_candidates(records) + _body_candidates(records)
     for chunks, seqs in candidates:
-        variant = _matched_variant(chunks, variants)
+        variant = _matched_variant(chunks, asset) if asset else None
         if variant is not None:
             return RipResult(
                 service=service,

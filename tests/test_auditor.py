@@ -11,13 +11,16 @@ from drmtestbed.auditor import (
     AUDIT_SERVICES,
     EXTENDED_AUDIT_SERVICES,
     PRACTICE_FIELDS,
+    AuditRefused,
     PracticesScorecard,
     _replay_rejected,
     audit,
     audit_all,
     canonical_audit_name,
 )
+from drmtestbed.services import saavn as saavn_mod
 from drmtestbed.testbed import SPECS, Testbed
+from drmtestbed.transport import TapRecord, error_response, split_url
 
 from test_config import spaced_hex
 # one row per service, in PRACTICE_FIELDS order
@@ -29,6 +32,27 @@ EXPECTED = {
     "hungama": (False, False, False, False, False, False, True),
     "wynk-v1": (False, False, True, False, False, False, True),
 }
+
+
+
+def refuse_on(bed, host, refused) -> None:
+    """Wrap host's handler so that a request refused(request) names a
+    status for gets that status instead of its answer."""
+    answer = bed.net._routes[host]
+
+    def handler(request):
+        status = refused(request)
+        return error_response(status, "refused") if status else answer(request)
+
+    bed.net._routes[host] = handler
+
+
+def refuse_saavn_auth_without_cookies(bed) -> None:
+    refuse_on(
+        bed,
+        saavn_mod.HOST_WWW,
+        lambda req: 401 if req.path == saavn_mod.API_PATH and not req.cookies else 0,
+    )
 
 
 class TestNaming:
@@ -121,3 +145,37 @@ class TestProbeMechanics:
         assert card.streamed_content_encryption is True
         rip_result, _ = bed.rip("benchmark", bed.open_tracks()[0])
         assert rip_result.matched_catalog is False
+
+
+class TestBaseline:
+    """A row rests on a working reference run, replay target and bundle."""
+
+    def test_failed_reference_run_refuses_the_row(self, bed):
+        # the reference client stops at the auth call; scoring its tap
+        # would read a harness failure as four "protected" cells
+        refuse_saavn_auth_without_cookies(bed)
+        with pytest.raises(
+            AuditRefused,
+            match=re.escape("jiosaavn: reference run failed: auth token refused (status 401)"),
+        ):
+            audit(bed, "jiosaavn")
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_refused_replay_target_refuses_the_row(self, bed, spec):
+        records, client_error = bed.tapped_run(spec.name, bed.open_tracks()[0])
+        assert client_error == ""
+        target = [rec for rec in records if spec.auth_path.fullmatch(rec.request.path)][-1]
+        refused = TapRecord(records[-1].seq + 1, target.request, error_response(403, "no"))
+        before = bed.env.clock.now()
+        with pytest.raises(AuditRefused, match=re.escape(f"{spec.audit_name}: replay target")):
+            _replay_rejected(bed, spec, records + [refused])
+        assert bed.env.clock.now() == before
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_failed_bundle_fetch_refuses_the_row(self, bed, spec):
+        host, path, _query = split_url(spec.bundle_url)
+        refuse_on(bed, host, lambda req: 404 if req.path == path else 0)
+        with pytest.raises(
+            AuditRefused, match=re.escape(f"{spec.audit_name}: bundle fetch failed (status 404)")
+        ):
+            audit(bed, spec.audit_name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from drmtestbed.cdn import (
 )
 from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1
 from drmtestbed.hls import MediaAsset, parse_index, parse_master
+from drmtestbed.services import wynk as wynk_mod
 from drmtestbed.transport import Clock, HttpRequest, query_string, split_url
 
 SECRET = bytes.fromhex("4f1c6d2a90be77d31e55a8c04962ddc1b07f93e2")
@@ -324,6 +326,24 @@ def test_cdn_serves_granted_hls_tree(node):
     # chunks are read-only views of the catalog variant, not copies of it
     first = _get(cdn, "/hls/a1/320/seg_00000.ts", query).body
     assert first.obj is asset.variant(320) and first.readonly
+
+
+def test_wynk_and_gaana_serve_the_same_chunk_objects(bed):
+    # both serve each asset at 320/128/64 kbps, from its one cut
+    asset, sid = bed.catalog.asset("trk1"), wynk_mod.search_id("srch_trk1")
+    wynk_grant = bed.wynk.cdn.hls_grant(sid, FAR_FUTURE)
+    gaana_grant = bed.gaana.cdn.hls_grant("trk1", FAR_FUTURE)
+    for rate in (320, 128, 64):
+        served = []
+        for i in range(-(-len(asset.variant(rate)) // bed.config.chunk_bytes)):
+            seg = f"{rate}/seg_{i:05d}.ts"
+            wynk = _get(bed.wynk.cdn, f"/hls/{sid}/{seg}", wynk_grant)
+            gaana = _get(bed.gaana.cdn, f"/hls/trk1/{seg}", gaana_grant)
+            assert wynk.status == gaana.status == 200
+            assert wynk.body is gaana.body
+            served.append(wynk.body)
+        assert tuple(served) == asset.cut(rate, bed.config.chunk_bytes)
+        assert all(map(operator.is_, served, asset.cut(rate, bed.config.chunk_bytes)))
 
 
 def test_only_the_gate_holds_a_key_pair(node, bed):

@@ -9,9 +9,13 @@ from random import Random
 
 import pytest
 
+import drmtestbed.cli as cli_mod
 from drmtestbed.catalog import demo_catalog, save_catalog
 from drmtestbed.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, run
 from drmtestbed.config import TestbedConfig
+from drmtestbed.testbed import Testbed
+
+from test_auditor import refuse_saavn_auth_without_cookies
 
 from test_config import UNSIZED_SECRETS, spaced_hex
 
@@ -88,6 +92,21 @@ class TestAudit:
         assert main(argv) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["audits"][0]["practices"]["hardcoded_keys"] is True
+
+    @pytest.mark.parametrize("argv", [["audit", "--service", "jiosaavn"], ["audit"]])
+    def test_refused_audit_is_a_protocol_failure(self, monkeypatch, capsys, argv):
+        def bed(config):
+            tb = Testbed(config)
+            refuse_saavn_auth_without_cookies(tb)
+            return tb
+
+        monkeypatch.setattr(cli_mod, "Testbed", bed)
+        assert main(argv) == EXIT_PROTOCOL == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "testbed: jiosaavn: reference run failed: auth token refused (status 401)\n"
+        )
 
     def test_unknown_service_is_a_usage_error(self, capsys):
         assert main(["audit", "--service", "tidal"]) == EXIT_USAGE

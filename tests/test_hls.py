@@ -248,6 +248,68 @@ def test_segment_rejects_nonpositive_chunk():
         segment(b"x", 0)
 
 
+# ------------------------------------------------------------ an asset's cut
+
+
+def test_cut_is_made_once_and_joins_to_the_variant():
+    media = AUDIO_MAGIC + random.Random(3).randbytes(996)
+    asset = MediaAsset("t", "Title", {320: media, 64: media[:300]})
+    cut = asset.cut(320, 128)
+    assert asset.cut(320, 128) is cut
+    assert type(cut) is tuple and all(chunk.readonly for chunk in cut)
+    assert all(chunk.obj is media for chunk in cut)
+    assert b"".join(cut) == media
+    # the same slices as segment makes
+    assert list(map(bytes, cut)) == segment(media, 128)[0]
+    assert asset.cut(320, 100) is not cut
+    assert asset.cut_made(320, 128) is cut
+    assert asset.cut_made(320, 100) is asset.cut(320, 100)
+    assert asset.cut_made(64, 128) is None  # looked up, never made
+
+
+def test_cut_of_a_variant_shorter_than_the_chunk_is_one_chunk():
+    asset = MediaAsset("t", "Title", {320: b"abcdef"})
+    whole = asset.cut(320, 1000)
+    assert list(map(bytes, whole)) == [b"abcdef"]
+    assert asset.cut(320, 6) is whole and asset.cut(320, 4096) is whole
+    # the ripper looks it up by its first chunk's length
+    assert asset.cut_made(320, 6) is whole
+
+
+def test_replaced_variant_gets_a_fresh_cut():
+    asset = MediaAsset("t", "Title", {320: b"abcdefghij"})
+    old = asset.cut(320, 4)
+    asset.variants[320] = b"ABCDEFGHIJ"
+    assert asset.cut_made(320, 4) is None
+    new = asset.cut(320, 4)
+    assert new is not old
+    assert list(map(bytes, new)) == [b"ABCD", b"EFGH", b"IJ"]
+    assert list(map(bytes, old)) == [b"abcd", b"efgh", b"ij"]
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_cut_refuses_a_chunk_size_as_segment_does(chunk):
+    asset = MediaAsset("t", "Title", {320: b"abc"})
+    with pytest.raises(ValueError, match="chunk_bytes must be >= 1"):
+        asset.cut(320, chunk)
+    with pytest.raises(ValueError, match="chunk_bytes must be >= 1"):
+        segment(b"abc", chunk)
+
+
+def test_cut_of_a_missing_rate_is_refused():
+    with pytest.raises(ValueError, match="no 64 kbps variant"):
+        MediaAsset("t", "Title", {320: b"abc"}).cut(64, 2)
+
+
+def test_asset_equality_and_repr_ignore_the_cut():
+    cut, fresh = (MediaAsset("t", "Title", {320: b"abcdef"}) for _ in range(2))
+    before = repr(cut)
+    cut.cut(320, 2)
+    assert cut == fresh
+    assert repr(cut) == repr(fresh) == before
+    assert "_cuts" not in repr(cut)
+
+
 def test_joined_chunks_invert_segment():
     rng = random.Random(77)
     for _ in range(50):

@@ -11,7 +11,7 @@ from rip_reference import reference_rip
 import drmtestbed.ripper as ripper_mod
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.config import TestbedConfig
-from drmtestbed.hls import AUDIO_MAGIC, MediaAsset, render_index, segment
+from drmtestbed.hls import AUDIO_MAGIC, MediaAsset, render_index, segment, segment_index
 from drmtestbed.ripper import _index_candidates, tap_rip
 from drmtestbed.testbed import Testbed
 from drmtestbed.transport import HttpRequest, HttpResponse, TapRecord
@@ -414,3 +414,76 @@ class TestAgainstLiveServices:
         result, client_error = bed.rip("hungama", "trk2", quality="low")
         assert client_error == ""
         assert result.recovered == bed.catalog.asset("trk2").variant(64)
+
+
+class TestIdentity:
+    """A candidate that is the asset's own cut, in order, is its variant
+    by identity; every other candidate is compared byte for byte."""
+
+    CHUNK = 300
+
+    @staticmethod
+    def _served(bodies):
+        """Tap records of an index playlist and the given segment bodies."""
+        index = segment_index(len(bodies), "https://cdn.example/a/")
+        recs = [_rec(1, "/a/index.m3u8", render_index(index).encode())]
+        for seq, ((uri, _seconds), body) in enumerate(zip(index, bodies), 2):
+            recs.append(_rec(seq, uri.removeprefix("https://cdn.example"), body))
+        return recs
+
+    @staticmethod
+    def _no_byte_compare(monkeypatch):
+        def refuse(chunks, variant):
+            raise AssertionError("bytes were compared")
+
+        monkeypatch.setattr(ripper_mod, "_spells", refuse)
+
+    def test_own_cut_matches_without_reading_a_byte(self, monkeypatch):
+        asset = MediaAsset("trk", "Tracked", {320: MEDIA, 64: _LOW})
+        cut = asset.cut(320, self.CHUNK)
+        self._no_byte_compare(monkeypatch)
+        cat = ServiceCatalog(assets={"trk": asset})
+        result = tap_rip(self._served(cut), cat, "svc", "trk")
+        assert result.matched_catalog and result.recovered is MEDIA
+
+    def test_own_cut_of_a_variant_shorter_than_the_chunk(self, monkeypatch):
+        asset = MediaAsset("trk", "Tracked", {320: MEDIA})
+        cat = ServiceCatalog(assets={"trk": asset})
+        cut = asset.cut(320, 4 * len(MEDIA))
+        assert len(cut) == 1
+        self._no_byte_compare(monkeypatch)
+        result = tap_rip(self._served(cut), cat, "svc", "trk")
+        assert result.matched_catalog and result.recovered is MEDIA
+
+    def test_the_ripper_makes_no_cut(self):
+        asset = MediaAsset("trk", "Tracked", {320: MEDIA})
+        recs = self._served(segment(MEDIA, self.CHUNK)[0])
+        assert tap_rip(recs, ServiceCatalog(assets={"trk": asset}), "svc", "trk").matched_catalog
+        assert asset._cuts == {}
+
+    def test_stale_cut_of_a_replaced_variant_is_compared(self):
+        asset = MediaAsset("trk", "Tracked", {320: MEDIA})
+        cut = asset.cut(320, self.CHUNK)
+        asset.variants[320] = MEDIA[:-1] + b"\x00"
+        cat = ServiceCatalog(assets={"trk": asset})
+        result = tap_rip(self._served(cut), cat, "svc", "trk")
+        assert not result.matched_catalog
+
+    @pytest.mark.parametrize("edit", ["copies", "reordered", "tampered"])
+    def test_candidates_off_the_cut_agree_with_the_reference(self, edit):
+        asset = MediaAsset("trk", "Tracked", {320: MEDIA, 64: _LOW})
+        cat = ServiceCatalog(assets={"trk": asset})
+        bodies = list(asset.cut(320, self.CHUNK))
+        if edit == "copies":
+            bodies = [bytes(body) for body in bodies]
+        elif edit == "reordered":
+            bodies[0], bodies[1] = bodies[1], bodies[0]
+        else:
+            bodies[2] = bytes(bodies[2][:-1]) + b"\x00"
+        recs = self._served(bodies)
+        got = tap_rip(recs, cat, "svc", "trk")
+        want = reference_rip(recs, cat, "svc", "trk")
+        assert (got.matched_catalog, bytes(got.recovered), got.evidence) == (
+            want.matched_catalog, want.recovered, want.evidence
+        )
+        assert got.matched_catalog is (edit == "copies")
