@@ -17,7 +17,8 @@ from random import Random
 
 from .hls import AUDIO_MAGIC, MediaAsset
 
-# (asset_id, title, premium, per-rate approximate sizes)
+# (asset_id, title, premium); every track has each rate of _DEMO_SIZES,
+# whose nominal byte counts demo_catalog jitters
 _DEMO_TRACKS = (
     ("trk1", "Midnight Local", False),
     ("trk2", "Paper Lanterns", False),

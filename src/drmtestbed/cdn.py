@@ -146,10 +146,11 @@ class CdnNode:
     every path gated by a grant for that path. The node holds no secret:
     it signs and checks grants through the `GrantGate` it is given.
 
-    A segment body is a chunk of the asset's own cut (`MediaAsset.cut`),
-    so CDNs that serve one asset at one rate and chunk size serve the
-    same chunk objects, and a whole file is the catalog's variant
-    object; the node copies no media and builds only its own URIs."""
+    Every media body is a chunk of the asset's own cut (`MediaAsset.cut`):
+    a segment one of the chunk-size cut, a whole file the one chunk of
+    the cut as long as the variant. So CDNs that serve one asset at one
+    rate and chunk size serve the same read-only views; the node copies
+    no media and builds only its own URIs."""
 
     def __init__(self, host: str, gate: GrantGate, clock: Clock, chunk_bytes: int):
         self.host = host
@@ -183,7 +184,9 @@ class CdnNode:
 
     def add_file_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
         for rate in sorted(bitrates or asset.variants, reverse=True):
-            self._content[f"/file/{key}/{rate}.aud"] = asset.variant(rate)
+            # a whole file is the one chunk of a cut as long as the variant
+            whole = asset.cut(rate, len(asset.variant(rate)))[0]
+            self._content[f"/file/{key}/{rate}.aud"] = whole
 
     # ---- grant issuance (service side) -------------------------------------
 

@@ -7,12 +7,12 @@ in the transcript decodes to catalog plaintext.
 
 A candidate stays the list of bodies the tap holds and is matched with
 each catalog variant in place, so a rip that matches copies nothing: its
-result carries the catalog's own variant object. A candidate that is the
-variant object itself (a whole-file CDN), or is, chunk for chunk and in
-order, the asset's own cut of the variant (`MediaAsset.cut`, what an HLS
-CDN serves), is that variant by identity and no byte is read. Any other
-candidate is compared with the variant's bytes, chunk by chunk. The
-ripper only looks a cut up and never makes one.
+result carries the catalog's own variant object. A candidate that is,
+chunk for chunk and in order, the asset's own cut of the variant
+(`MediaAsset.cut`, what every CDN serves: an HLS tree's segments, or a
+whole file as a cut of one chunk) is that variant by identity and no
+byte is read. Any other candidate is compared with the variant's bytes,
+chunk by chunk. The ripper only looks a cut up and never makes one.
 
 A segment URI is matched by its host and path: an absolute URL, or an
 absolute path on the playlist's host. A path-relative URI (RFC 8216
@@ -125,11 +125,7 @@ def _matched_variant(chunks, asset):
     for rate, variant in asset.variants.items():
         if len(variant) != size:
             continue
-        # a whole-file CDN (saavn, hungama) serves the catalog's own
-        # object, and an HLS CDN the asset's own cut of it: neither needs
-        # a compare
-        if chunks[0] is variant:
-            return variant
+        # every CDN serves the asset's own cut, which needs no compare
         cut = asset.cut_made(rate, len(chunks[0]))
         if cut is not None and len(cut) == len(chunks) and all(map(is_, cut, chunks)):
             return variant
@@ -157,16 +153,13 @@ def tap_rip(
                 recovered=variant,
                 evidence=seqs,
             )
-    if candidates:
-        chunks, seqs = candidates[0]
-        return RipResult(
-            service=service,
-            track=track,
-            succeeded=True,
-            matched_catalog=False,
-            recovered=b"".join(chunks),
-            evidence=seqs,
-        )
+    # no candidate reads as an empty first candidate
+    chunks, seqs = candidates[0] if candidates else ([], [])
     return RipResult(
-        service=service, track=track, succeeded=False, matched_catalog=False
+        service=service,
+        track=track,
+        succeeded=bool(candidates),
+        matched_catalog=False,
+        recovered=b"".join(chunks),
+        evidence=seqs,
     )

@@ -77,9 +77,7 @@ class GaanaService:
         self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         self._by_slug: dict[str, str] = {}
         for asset in catalog.assets.values():
-            self.cdn.add_hls_asset(
-                asset.asset_id, asset, sorted(QUALITY_RATES.values(), reverse=True)
-            )
+            self.cdn.add_hls_asset(asset.asset_id, asset, QUALITY_RATES.values())
             slug = slugify(asset.title)
             if slug in self._by_slug:
                 raise ValueError(

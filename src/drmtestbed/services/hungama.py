@@ -48,9 +48,7 @@ class HungamaService:
         gate = GrantGate(cfg.key("hungama_cdn_secret_hex"), "KHNGMA1")
         self.cdn = CdnNode(HOST_CDN, gate, env.clock, cfg.chunk_bytes)
         for asset in catalog.assets.values():
-            self.cdn.add_file_asset(
-                asset.asset_id, asset, sorted(QUALITY_RATES.values(), reverse=True)
-            )
+            self.cdn.add_file_asset(asset.asset_id, asset, QUALITY_RATES.values())
 
     def mount(self, net) -> None:
         net.register(HOST_WWW, self._handle_www)

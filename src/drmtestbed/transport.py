@@ -83,8 +83,10 @@ class Clock:
 class ExpiringStore(dict):
     """An insertion-ordered dict of key -> (value, expires_at), each entry
     living `ttl` seconds from its put; no timer, no rng draw. `put` sweeps
-    expired entries from the front up to the first live one, as
-    Clock.set_to into the past breaks clock order, so `live` judges expiry itself."""
+    expired entries from the front and stops at the first live one.
+    Entries expire in insertion order only while the clock runs forward,
+    and `Clock.set_to` into the past breaks that order, so an expired
+    entry can outlast a sweep: `live` judges expiry itself."""
 
     def __init__(self, ttl: int):
         super().__init__()

@@ -93,3 +93,75 @@ def test_record_keeps_every_run():
     traced = record["workloads"]["catalog"]["traced"]["metrics"]
     assert traced["hls.parse.calls"]["median"] == 402
 
+
+
+def _record(medians: dict, iqr: float = 0.01) -> dict:
+    """A record holding only untraced medians: workload -> metric -> median."""
+    return {
+        "sha": "0" * 40,
+        "workloads": {
+            workload: {"untraced": {"metrics": {
+                name: {"median": median, "iqr": iqr} for name, median in metrics.items()
+            }}}
+            for workload, metrics in medians.items()
+        },
+    }
+
+
+BOUNDS = {
+    "workloads": [{"name": "catalog"}],
+    "end_to_end": [
+        {"name": "rip_ms.p50", "better": "lower", "bound": 0.25},
+        {"name": "rips_per_s", "better": "higher", "bound": 0.25},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "rip_ms, rips_per_s, within",
+    [
+        (1.2, 80.0, True),  # 20% slower each way: inside the bounds
+        (1.3, 100.0, False),  # the median rip 30% slower
+        (1.0, 70.0, False),  # 30% fewer rips a second
+        (0.5, 200.0, True),  # better is never worse
+    ],
+)
+def test_compare_flags_a_median_worse_than_its_bound(rip_ms, rips_per_s, within):
+    a = _record({"catalog": {"rip_ms.p50": 1.0, "rips_per_s": 100.0}})
+    b = _record({"catalog": {"rip_ms.p50": rip_ms, "rips_per_s": rips_per_s}})
+    lines, ok = bench_record.compare(a, b, BOUNDS)
+    assert ok is within
+    assert len(lines) == 3 and lines[0].split()[:4] == ["workload", "metric", "A", "median"]
+    rip, rate = lines[1].split(), lines[2].split()
+    # the ratio is above 1 when B is better, in either direction
+    assert float(rip[4]) == pytest.approx(1.0 / rip_ms, abs=1e-3)
+    assert float(rate[4]) == pytest.approx(rips_per_s / 100.0, abs=1e-3)
+    assert ("WORSE" in lines[1]) is (rip_ms > 1.25)
+    assert ("WORSE" in lines[2]) is (rips_per_s < 75.0)
+
+
+def test_compare_command_reads_the_bounds_and_sets_the_exit_code(tmp_path, capsys):
+    benchmark_json = bench_record.ROOT / "BENCHMARK.json"
+    declared = benchmark_json.read_bytes()
+    benchmark = json.loads(declared)
+    medians = {
+        w["name"]: {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+        for w in benchmark["workloads"]
+    }
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    a.write_text(json.dumps(_record(medians)))
+    b.write_text(json.dumps(_record(medians)))
+    assert bench_record.main(["compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 3 + len(medians) * len(benchmark["end_to_end"])
+
+    medians["sessions"]["setup_s"] = 2.0
+    b.write_text(json.dumps(_record(medians)))
+    assert bench_record.main(["compare", str(a), str(b)]) == 1
+    assert "WORSE" in capsys.readouterr().out
+    assert benchmark_json.read_bytes() == declared
+
+
+def test_recording_keeps_its_two_positionals():
+    args = bench_record.parse_args(["04d7b20", "26"])
+    assert (args.sha, args.n) == ("04d7b20", 26)

@@ -346,6 +346,43 @@ def test_wynk_and_gaana_serve_the_same_chunk_objects(bed):
         assert all(map(operator.is_, served, asset.cut(rate, bed.config.chunk_bytes)))
 
 
+def test_saavn_and_hungama_serve_one_view_per_asset_and_rate(bed):
+    # a whole file is the one chunk of the cut as long as the variant
+    asset = bed.catalog.asset("trk1")
+    for rate in (320, 64):
+        bodies = []
+        for cdn in (bed.saavn.cdn, bed.hungama.cdn):
+            _host, path, query = split_url(cdn.signed_file_url("trk1", rate, FAR_FUTURE))
+            resp = _get(cdn, path, query)
+            assert resp.status == 200
+            bodies.append(resp.body)
+        whole = asset.cut(rate, len(asset.variant(rate)))[0]
+        assert bodies[0] is bodies[1] is whole
+        assert whole.readonly and whole.obj is asset.variant(rate)
+
+
+def test_every_cdn_media_body_is_a_chunk_of_its_assets_cut(bed):
+    nodes = [
+        service.cdn
+        for service in vars(bed).values()
+        if isinstance(getattr(service, "cdn", None), CdnNode)
+    ]
+    assert len(nodes) == 4  # wynk, saavn, gaana, hungama
+    cut_chunks = {}
+    for asset in bed.catalog.assets.values():
+        for rate, variant in asset.variants.items():
+            for chunk_bytes in (bed.config.chunk_bytes, len(variant)):
+                for chunk in asset.cut(rate, chunk_bytes):
+                    cut_chunks[id(chunk)] = chunk
+    for cdn in nodes:
+        media = [
+            body for path, body in cdn._content.items() if path.endswith((".ts", ".aud"))
+        ]
+        assert media
+        for body in media:
+            assert cut_chunks.get(id(body)) is body
+
+
 def test_only_the_gate_holds_a_key_pair(node, bed):
     cdn, _clock, _asset = node
     for holder in (cdn, bed.benchmark):

@@ -455,6 +455,14 @@ class TestIdentity:
         result = tap_rip(self._served(cut), cat, "svc", "trk")
         assert result.matched_catalog and result.recovered is MEDIA
 
+    @pytest.mark.parametrize("service", ["jiosaavn", "hungama"])
+    def test_whole_file_rip_matches_without_reading_a_byte(self, bed, monkeypatch, service):
+        self._no_byte_compare(monkeypatch)
+        result, client_error = bed.rip(service, "trk1")
+        assert client_error == ""
+        assert result.matched_catalog
+        assert result.recovered is bed.catalog.asset("trk1").variant(320)
+
     def test_the_ripper_makes_no_cut(self):
         asset = MediaAsset("trk", "Tracked", {320: MEDIA})
         recs = self._served(segment(MEDIA, self.CHUNK)[0])

@@ -1,6 +1,7 @@
-"""Record a commit's benchmark numbers as BENCH_<n>.json.
+"""Record a commit's benchmark numbers as BENCH_<n>.json, or compare two.
 
     python3 tools/bench_record.py <sha> <n>
+    python3 tools/bench_record.py compare <A.json> <B.json>
 
 Exports the commit with `git archive` into a temporary directory, runs
 that tree's own `perfbench/run.py` for the demo, catalog and sessions
@@ -12,6 +13,13 @@ over all three. The record holds the sha,
 the git trees of the program and the harness, the header facts, the cpu
 reference medians, and for every metric its unit, its sample counts,
 the value of every run, their median and their interquartile range.
+
+`compare` reads two records and the bounds in BENCHMARK.json, which it
+never changes. For each end-to-end metric and workload it prints both
+untraced medians, their ratio in the metric's "better" direction (above
+1 when B is better), both interquartile ranges, and "WORSE" where B's
+median is worse than A's by more than the metric's bound (relative to
+A's median). It exits 1 when any median is, else 0.
 
 Standard library only; needs Python 3.10.12, 3.11.4 or later for
 tarfile's `filter=` keyword. A run that exits nonzero or reports a
@@ -115,6 +123,53 @@ def build_record(sha: str, trees: dict, settings: dict, phases: dict) -> dict:
     }
 
 
+def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
+    """The report lines comparing record b with record a under the
+    benchmark's end-to-end bounds, and whether every median is within
+    its bound."""
+    lines = [
+        f"{'workload':<9} {'metric':<13} {'A median':>11} {'B median':>11} "
+        f"{'ratio':>6} {'A iqr':>10} {'B iqr':>10}"
+    ]
+    within = True
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        before = a["workloads"][workload]["untraced"]["metrics"]
+        after = b["workloads"][workload]["untraced"]["metrics"]
+        for metric in benchmark["end_to_end"]:
+            name = metric["name"]
+            was, now = before[name]["median"], after[name]["median"]
+            lower = metric["better"] == "lower"
+            ratio = (was / now if lower else now / was) if was and now else float("nan")
+            # the relative change of the median in the worse direction
+            worse = (now - was if lower else was - now) / was if was else 0.0
+            verdict = ""
+            if worse > metric["bound"]:
+                within = False
+                verdict = f"  WORSE by {worse:.1%} (bound {metric['bound']:.0%})"
+            lines.append(
+                f"{workload:<9} {name:<13} {was:>11.5g} {now:>11.5g} {ratio:>6.3f} "
+                f"{before[name]['iqr']:>10.3g} {after[name]['iqr']:>10.3g}{verdict}"
+            )
+    return lines, within
+
+
+def compare_main(argv) -> int:
+    parser = argparse.ArgumentParser(
+        prog="bench_record compare", description="Compare two BENCH_<n>.json records."
+    )
+    parser.add_argument("a", type=Path, help="the record to compare against")
+    parser.add_argument("b", type=Path, help="the record under test")
+    args = parser.parse_args(argv)
+    a, b, benchmark = (
+        json.loads(path.read_text(encoding="utf-8"))
+        for path in (args.a, args.b, ROOT / "BENCHMARK.json")
+    )
+    lines, within = compare(a, b, benchmark)
+    print(f"A {args.a.name} sha {a['sha']}\nB {args.b.name} sha {b['sha']}")
+    print("\n".join(lines))
+    return 0 if within else 1
+
+
 def _git(*args: str) -> bytes:
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], check=True, capture_output=True
@@ -154,6 +209,9 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["compare"]:
+        return compare_main(argv[1:])
     args = parse_args(argv)
     sha = _git("rev-parse", "--verify", args.sha).decode().strip()
     trees = {
