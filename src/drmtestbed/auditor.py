@@ -13,6 +13,12 @@ Two probes recognise a constant rather than the property in general:
 `obfuscation_minification` looks for the one `MINIFIED_BANNER` string
 in the client bundle. A license exchange on another path, or a bundle
 minified without that banner, reads "no".
+
+`premium_access_restrictions` only checks that the free principal fails
+on a premium track, never that the default principal plays one, so a
+service that serves premium tracks to nobody reads "yes". Checking that
+needs a default-principal premium run, whose exchanges would join the
+audit's transcript and move every digest pinned over it.
 """
 
 from __future__ import annotations
@@ -61,10 +67,6 @@ def _audit_spec(service: str) -> ServiceSpec:
         if service in (spec.audit_name, spec.name):
             return spec
     raise ValueError(f"unknown auditable service {service!r}")
-
-
-def canonical_audit_name(service: str) -> str:
-    return _audit_spec(service).audit_name
 
 
 def _attempt(tb: Testbed, spec: ServiceSpec, track: str, principal: str) -> bool:
@@ -147,4 +149,4 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
 def audit_all(
     tb: Testbed, services=AUDIT_SERVICES
 ) -> dict[str, PracticesScorecard]:
-    return {name: audit(tb, name) for name in services}
+    return {_audit_spec(name).audit_name: audit(tb, name) for name in services}

@@ -37,9 +37,6 @@ class ServiceCatalog:
     def track_ids(self) -> list[str]:
         return list(self.assets)
 
-    def premium_ids(self) -> list[str]:
-        return [a.asset_id for a in self.assets.values() if a.premium]
-
 
 def slugify(title: str) -> str:
     slug = re.sub(r"[^a-z0-9]+", "-", title.lower()).strip("-")

@@ -17,7 +17,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from .auditor import AUDIT_SERVICES, AuditRefused, audit, audit_all, canonical_audit_name
+from .auditor import AUDIT_SERVICES, AuditRefused, audit_all
 from .config import ConfigError, TestbedConfig, load_config
 from .report import FORMATS, RunReport, UsageError, render_report
 from .testbed import RIP_SERVICES, Testbed
@@ -91,11 +91,7 @@ def _cmd_rip(args) -> int:
 
 def _cmd_audit(args) -> int:
     tb = Testbed(_load(args))
-    if args.service is not None:
-        name = canonical_audit_name(args.service)
-        audits = {name: audit(tb, name)}
-    else:
-        audits = audit_all(tb, AUDIT_SERVICES)
+    audits = audit_all(tb, AUDIT_SERVICES if args.service is None else (args.service,))
     sys.stdout.write(render_report(RunReport(audits=audits), args.format))
     return EXIT_OK
 
@@ -107,7 +103,7 @@ def _cmd_demo(args) -> int:
         for track in tb.catalog.track_ids():
             result, _client_error = tb.rip(service, track)
             rips.append(result)
-    audits = audit_all(tb, AUDIT_SERVICES)
+    audits = audit_all(tb)
     sys.stdout.write(render_report(RunReport(rips=rips, audits=audits), "text"))
     return EXIT_OK
 

@@ -36,6 +36,7 @@ from ..transport import (
     error_response,
     hex_digits,
     json_response,
+    query_string,
     uuid_like,
 )
 from ..webassets import script_response
@@ -60,6 +61,9 @@ STREAM_QUERY = (("ets", "true"), ("hlscapable", "1"), ("sq", "a"), ("lang", "en"
 BITRATES = (320, 128, 64)
 _QUALITIES_JSON = json.dumps([str(r) for r in BITRATES], separators=(",", ":"))
 PK_SOURCE = "https://sapi.wynk.in/music"
+# served in the client bundle as `var pk`; no Login or Handshake
+# holds it, and nothing reads it back
+PK = b64(PK_SOURCE.encode("ascii"))
 # song-URL producer prefix -> CDN content-provider code; the bundle
 # ships it as cpMapping
 CP_MAPPING = {"srch": "bsycdn1"}
@@ -72,12 +76,6 @@ CHECK_FIELDS = ("k", "n", "y", "w", "m", "z", "a", "p")
 
 _MIX_PATTERN = re.compile(r"/webassets/([0-9a-f-]+)_([12])\.jpg")  # fullmatch only
 _BK = re.compile(r"[0-9]+-[0-9a-f]{16}")  # fullmatch only
-
-
-def wynk_pk() -> str:
-    # served in the client bundle as `var pk`; no Login or Handshake
-    # holds it, and nothing reads it back
-    return b64(PK_SOURCE.encode("ascii"))
 
 
 def search_id(url: str) -> str:
@@ -128,10 +126,10 @@ def encode_cip(digits: str) -> str:
     return "".join(str(v) for v in out)
 
 
-def stream_message(method: str, path: str, query_string: str, body_text: str) -> str:
+def stream_message(method: str, path: str, qs: str, body_text: str) -> str:
     # the string both sides HMAC; query order matters, which is why the
     # request query map is insertion-ordered
-    return f"{method}{path}?{query_string}{body_text}"
+    return f"{method}{path}?{qs}{body_text}"
 
 
 def utkn(uid: str, token: str, message: str) -> str:
@@ -224,7 +222,7 @@ class WynkService:
             # a lone surrogate in the body, path or query has no UTF-8
             # form, so no client could have signed the message
             body_text = req.body.decode("utf-8")
-            msg = stream_message(req.method, req.path, req.query_string(), body_text)
+            msg = stream_message(req.method, req.path, query_string(req.query), body_text)
             want = utkn(login.uid, login.token, msg)
         except UnicodeError:
             return error_response(403, "utkn mismatch")
@@ -269,7 +267,7 @@ class WynkService:
             return script_response(
                 [
                     f'var sk="{self.sk}"',
-                    f'var pk="{wynk_pk()}"',
+                    f'var pk="{PK}"',
                     f"var cpMapping={_CP_MAPPING_JSON}",
                     f"var qualities={_QUALITIES_JSON}",
                 ]

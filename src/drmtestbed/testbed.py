@@ -154,7 +154,7 @@ class Testbed:
         return [a.asset_id for a in self.catalog.assets.values() if not a.premium]
 
     def premium_tracks(self) -> list[str]:
-        return self.catalog.premium_ids()
+        return [a.asset_id for a in self.catalog.assets.values() if a.premium]
 
     # ---- service knowledge -----------------------------------------------------
 
@@ -187,16 +187,15 @@ class Testbed:
         """The audio the service's client got, as the tuple of chunks it
         fetched or decrypted, in stream order."""
         spec = _spec(service)
+        # most clients ignore the principal, so a typo would play as default
+        if principal not in (ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER):
+            raise ValueError(f"unknown principal {principal!r}")
         if track not in self.catalog.assets:
             raise clients.ProtocolFailure(f"unknown track {track!r}")
         return spec.client(self, track, quality, principal)
 
     def tapped_run(
-        self,
-        service: str,
-        track: str,
-        quality: str | None = None,
-        principal: str = DEFAULT_PRINCIPAL,
+        self, service: str, track: str, quality: str | None = None
     ) -> tuple[list[TapRecord], str]:
         """Run the reference client under a fresh tap. Returns (records,
         client_error), client_error empty when the client itself got
@@ -204,7 +203,7 @@ class Testbed:
         tap = self.net.attach_tap()
         client_error = ""
         try:
-            self.run_client(service, track, quality, principal)
+            self.run_client(service, track, quality)
         except clients.ProtocolFailure as exc:
             client_error = str(exc)
         finally:

@@ -153,9 +153,6 @@ class HttpRequest:
         self.cookies = dict(cookies) if cookies else {}
         self.body = body
 
-    def query_string(self) -> str:
-        return query_string(self.query)
-
 
 @dataclass(slots=True, init=False)
 class HttpResponse:

@@ -16,7 +16,6 @@ from drmtestbed.auditor import (
     _replay_rejected,
     audit,
     audit_all,
-    canonical_audit_name,
 )
 from drmtestbed.services import saavn as saavn_mod
 from drmtestbed.testbed import SPECS, Testbed
@@ -66,17 +65,20 @@ class TestNaming:
         )
         assert EXTENDED_AUDIT_SERVICES == AUDIT_SERVICES + ("wynk-v1",)
 
-    def test_canonical_names_pass_through(self):
+    def test_canonical_names_pass_through(self, bed):
         for name in EXTENDED_AUDIT_SERVICES:
-            assert canonical_audit_name(name) == name
+            assert tuple(audit_all(bed, (name,))) == (name,)
 
-    def test_benchmark_alias(self):
-        assert canonical_audit_name("benchmark") == "spotify-benchmark"
+    def test_benchmark_alias(self, bed):
+        # a row is keyed by its column in the table, whatever name asked for it
+        assert tuple(audit_all(bed, ("benchmark",))) == ("spotify-benchmark",)
 
     @pytest.mark.parametrize("bogus", ["spotify", "wynk", "", "netflix"])
-    def test_unknown_service_raises(self, bogus):
-        with pytest.raises(ValueError):
-            canonical_audit_name(bogus)
+    def test_unknown_service_raises(self, bed, bogus):
+        seq = bed.net._seq
+        with pytest.raises(ValueError, match="unknown auditable service"):
+            audit_all(bed, (bogus,))
+        assert bed.net._seq == seq  # refused before any exchange
 
     def test_scorecard_dict_order(self):
         card = PracticesScorecard(*[False] * 7)

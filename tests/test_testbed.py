@@ -87,6 +87,15 @@ class TestRunClient:
         with pytest.raises(ProtocolFailure):
             bed.run_client("benchmark", "trk1", principal="anonymous")
 
+    @pytest.mark.parametrize("service", RIP_SERVICES)
+    @pytest.mark.parametrize("principal", ["premium", "anonymus"])
+    def test_unknown_principal_raises_value_error(self, bed, service, principal):
+        # clients that carry no identity would otherwise play it as default
+        seq = bed.net._seq
+        with pytest.raises(ValueError, match=f"unknown principal {principal!r}"):
+            bed.run_client(service, "trk3", principal=principal)
+        assert bed.net._seq == seq
+
     def test_benchmark_credentials_lookup(self, bed):
         user, password = bed.benchmark_credentials("default")
         assert bed.benchmark.users[user] == (password, "premium")

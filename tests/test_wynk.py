@@ -99,7 +99,7 @@ def test_search_id():
 
 
 def test_wynk_pk_is_base64_of_api_root():
-    assert b64_decode(wynk.wynk_pk()).decode("ascii") == wynk.PK_SOURCE
+    assert b64_decode(wynk.PK).decode("ascii") == wynk.PK_SOURCE
 
 
 def test_gen_bk_and_device_id_shapes():
@@ -238,7 +238,7 @@ def test_client_script_leaks_the_secrets(rig):
     text = resp.body.decode("utf-8")
     assert text.startswith(MINIFIED_BANNER)
     assert f'var sk="{WYNK_SK}"' in text
-    assert f'var pk="{wynk.wynk_pk()}"' in text
+    assert f'var pk="{wynk.PK}"' in text
     assert 'var cpMapping={"srch":"bsycdn1"}' in text
 
 
