@@ -10,6 +10,7 @@ than one line or with no UTF-8 form, before it writes any file.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,13 +81,20 @@ def load_catalog(dirpath) -> ServiceCatalog:
     root = Path(dirpath)
     if not root.is_dir():
         raise FileNotFoundError(f"catalog directory {root} not found")
+    try:
+        with os.scandir(root) as listing:
+            names = sorted(entry.name for entry in listing if entry.name.endswith(".aud"))
+    except PermissionError:  # an unreadable directory reads as one with no .aud file
+        names = []
+    # every listed name is opened by name; a directory among them raises
+    prefix = os.path.join(root, "")
     variants: dict[str, dict[int, bytes]] = {}
-    for path in sorted(root.glob("*.aud")):
-        stem = path.name[:-4]
-        asset_id, _, rate_text = stem.rpartition(".")
+    for name in names:
+        asset_id, _, rate_text = name[:-4].rpartition(".")
         if not (asset_id and rate_text.isascii() and rate_text.isdigit()):
-            raise ValueError(f"bad catalog filename {path.name}")
-        variants.setdefault(asset_id, {})[int(rate_text)] = path.read_bytes()
+            raise ValueError(f"bad catalog filename {name}")
+        with open(prefix + name, "rb", buffering=0) as fh:
+            variants.setdefault(asset_id, {})[int(rate_text)] = fh.read()
     assets = {}
     for asset_id, rates in variants.items():
         title, premium = asset_id, False

@@ -165,28 +165,27 @@ class CdnNode:
     # ---- tree construction ------------------------------------------------
 
     def add_hls_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
-        rates = sorted(bitrates or asset.variants, reverse=True)
+        content, chunk_bytes = self._content, self._chunk_bytes
         origin = len(self.url(""))  # each chunk lives at its index URI's path
         master = []
-        for rate in rates:
+        for rate in sorted(bitrates or asset.variants, reverse=True):
             base = f"/hls/{key}/{rate}/"
-            chunks = asset.cut(rate, self._chunk_bytes)
+            chunks = asset.cut(rate, chunk_bytes)
             index = segment_index(len(chunks), self.url(base))
-            for chunk, (uri, _seconds) in zip(chunks, index):
-                self._content[uri[origin:]] = chunk
-            self._content[f"{base}index.m3u8"] = render_index(index).encode("utf-8")
+            content.update(zip([uri[origin:] for uri, _seconds in index], chunks))
+            content[f"{base}index.m3u8"] = render_index(index).encode("utf-8")
             # single-variant master, for services that hand out one URI
             # per quality instead of a combined ladder
             entry = (rate * 1000, self.url(f"{base}index.m3u8"))
-            self._content[f"{base}master.m3u8"] = render_master([entry]).encode("utf-8")
+            content[f"{base}master.m3u8"] = render_master([entry]).encode("utf-8")
             master.append(entry)
-        self._content[f"/hls/{key}/master.m3u8"] = render_master(master).encode("utf-8")
+        content[f"/hls/{key}/master.m3u8"] = render_master(master).encode("utf-8")
 
     def add_file_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
+        content, base = self._content, f"/file/{key}/"
         for rate in sorted(bitrates or asset.variants, reverse=True):
             # a whole file is the one chunk of a cut as long as the variant
-            whole = asset.cut(rate, len(asset.variant(rate)))[0]
-            self._content[f"/file/{key}/{rate}.aud"] = whole
+            content[f"{base}{rate}.aud"] = asset.cut(rate, len(asset.variant(rate)))[0]
 
     # ---- grant issuance (service side) -------------------------------------
 

@@ -9,6 +9,11 @@ that subset: the renderers refuse with ValueError whatever the parsers
 would refuse, so `parse(render(x)) == tuple(x)` for every x they
 render. Newline is always LF, and parse failures carry the 1-based line
 number.
+
+What a CDN build costs here: `segment_index` takes its names from a
+memo per segment count, and `render_index` formats one `#EXTINF` line
+per run of one duration object, so a tree of SEGMENT_SECONDS segments
+formats its duration once.
 """
 
 from __future__ import annotations
@@ -112,9 +117,15 @@ def _slices(media, chunk_bytes: int) -> list:
     return [media[i:i + chunk_bytes] for i in range(0, len(media), chunk_bytes)]
 
 
+@functools.lru_cache(maxsize=16)
+def _segment_names(count: int) -> tuple[str, ...]:
+    # a bed's trees come in a few segment counts, so most are a lookup
+    return tuple(f"seg_{i:05d}.ts" for i in range(count))
+
+
 def segment_index(count: int, uri_prefix: str = "") -> list[tuple[str, float]]:
     """The one segment-URI rule: the index of count segments."""
-    return [(f"{uri_prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(count)]
+    return [(uri_prefix + name, SEGMENT_SECONDS) for name in _segment_names(count)]
 
 
 def segment(
@@ -162,8 +173,13 @@ def _duration_text(seconds: float) -> str:
 
 def render_index(segments: Sequence[tuple[str, float]]) -> str:
     lines = [M3U_HEADER]
+    # a tree's durations are mostly one object, rendered once per run of
+    # it; by identity, since 0.0 == -0.0 and 10 == 10.0 render apart
+    last, extinf = object(), ""
     for uri, seconds in segments:
-        lines.append(f"{EXTINF}{_duration_text(seconds)},")
+        if seconds is not last:
+            last, extinf = seconds, f"{EXTINF}{_duration_text(seconds)},"
+        lines.append(extinf)
         lines.append(_uri_line(uri))
     lines.append(ENDLIST)
     return "\n".join(lines) + "\n"

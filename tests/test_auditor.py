@@ -80,6 +80,26 @@ class TestNaming:
             audit_all(bed, (bogus,))
         assert bed.net._seq == seq  # refused before any exchange
 
+    def test_a_bogus_name_after_a_good_one_raises_before_any_exchange(self, bed):
+        seq = bed.net._seq
+        with pytest.raises(ValueError, match="unknown auditable service"):
+            audit_all(bed, ("gaana", "netflix"))
+        assert bed.net._seq == seq
+
+    def test_a_row_named_twice_is_audited_once(self, config):
+        once, twice = Testbed(config), Testbed(config)
+        seq = once.net._seq
+        audit_all(once, ("benchmark",))
+        one_row = once.net._seq - seq
+        seq = twice.net._seq
+        cards = audit_all(twice, ("benchmark", "spotify-benchmark"))
+        assert twice.net._seq - seq == one_row
+        assert tuple(cards) == ("spotify-benchmark",)
+
+    def test_rows_come_in_first_seen_order(self, bed):
+        cards = audit_all(bed, ("gaana", "benchmark", "gaana", "spotify-benchmark"))
+        assert tuple(cards) == ("gaana", "spotify-benchmark")
+
     def test_scorecard_dict_order(self):
         card = PracticesScorecard(*[False] * 7)
         assert tuple(card.as_dict()) == PRACTICE_FIELDS

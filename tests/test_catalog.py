@@ -155,3 +155,51 @@ def test_save_refuses_a_title_with_no_utf8_form(tmp_path, title):
     with pytest.raises(ValueError, match="has no UTF-8 form"):
         save_catalog(ServiceCatalog(assets={"t0": good, "t1": bad}), tmp_path)
     assert list(tmp_path.iterdir()) == []  # not even the valid asset's files
+
+
+# ------------------------------------------------ what load_catalog lists
+
+
+def _write(root, *names):
+    for name in names:
+        (root / name).write_bytes(AUDIO_MAGIC + name.encode())
+
+
+def test_load_takes_assets_and_rates_in_filename_order(tmp_path):
+    # written out of order; "a-x" < "a.320" < "a.b" by filename, though
+    # "a" < "a-x" < "a.b" by asset id
+    _write(tmp_path, "a.b.64.aud", "a.64.aud", "a-x.64.aud", "a.320.aud", "a.16.aud")
+    cat = load_catalog(tmp_path)
+    assert cat.track_ids() == ["a-x", "a", "a.b"]
+    assert list(cat.asset("a").variants) == [16, 320, 64]
+    assert cat.asset("a").variants[320] == AUDIO_MAGIC + b"a.320.aud"
+
+
+def test_load_ignores_files_that_do_not_end_in_aud(tmp_path):
+    _write(tmp_path, "alpha.64.aud", "notes.txt", "alpha.64.aud.bak", "alpha.32.AUD")
+    cat = load_catalog(tmp_path)
+    assert cat.track_ids() == ["alpha"]
+    assert list(cat.asset("alpha").variants) == [64]
+
+
+def test_load_lists_dot_leading_names(tmp_path):
+    _write(tmp_path, ".x.320.aud")
+    assert load_catalog(tmp_path).track_ids() == [".x"]
+
+
+def test_load_refuses_a_directory_named_like_a_variant(tmp_path):
+    _write(tmp_path, "alpha.64.aud")
+    (tmp_path / "dir.128.aud").mkdir()
+    with pytest.raises(IsADirectoryError):
+        load_catalog(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_load_names_a_missing_catalog_directory(tmp_path, kind):
+    root = tmp_path / "nonexistent"
+    if kind == "file":
+        root.write_bytes(b"")
+    with pytest.raises(FileNotFoundError) as err:
+        load_catalog(str(root))
+    # the message the CLI prints (tests/test_cli.py pins it there too)
+    assert str(err.value) == f"catalog directory {root} not found"

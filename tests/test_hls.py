@@ -22,6 +22,7 @@ from drmtestbed.hls import (
     render_index,
     render_master,
     segment,
+    segment_index,
 )
 
 # ------------------------------------------------------------ media model
@@ -365,3 +366,24 @@ def test_render_index_writes_only_what_parses_back(segments):
     except ValueError:
         return
     assert parse_index(text) == tuple(segments)
+
+
+# ----------------------------------------- rules the build's memos keep
+
+
+def test_render_index_renders_each_duration_object_as_itself():
+    # 10 == 10.0, but each renders as its own repr
+    assert render_index([("u", 10), ("u", 10.0)]) == (
+        "#EXTM3U\n#EXTINF:10,\nu\n#EXTINF:10.0,\nu\n#EXT-X-ENDLIST\n"
+    )
+    # 0.0 == -0.0, but only the first is a duration parse_index reads back
+    with pytest.raises(ValueError, match="duration"):
+        render_index([("u", 0.0), ("u", -0.0)])
+
+
+@pytest.mark.parametrize("count", [0, 1, 31, 100_001])
+@pytest.mark.parametrize("prefix", ["", "https://cdn.example/hls/a/320/"])
+def test_segment_index_names_every_segment(count, prefix):
+    expected = [(f"{prefix}seg_{i:05d}.ts", SEGMENT_SECONDS) for i in range(count)]
+    assert segment_index(count, prefix) == expected
+    assert segment_index(count, prefix) == expected  # a second call, from any memo
