@@ -246,7 +246,7 @@ class BenchmarkService:
         asset_id = req.path[len(RESOLVE_PREFIX):].strip("/")
         if asset_id not in self._streams:
             return error_response(404, "no such track")
-        asset = self.catalog.asset(asset_id)
+        asset = self.catalog.assets[asset_id]
         if asset.premium and self.users[user][1] != "premium":
             return error_response(403, "premium account required")
         expires = self.env.now() + self.grant_ttl

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
+from types import MappingProxyType
 
 from .hls import AUDIO_MAGIC, MediaAsset
 
@@ -28,12 +30,15 @@ _DEMO_TRACKS = (
 _DEMO_SIZES = {320: 90000, 128: 40000, 64: 20000, 32: 10000, 16: 5000}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceCatalog:
-    assets: dict[str, MediaAsset] = field(default_factory=dict)
+    """The assets by id, read-only once built (a read-only view of a copy
+    of its dict), so every service's tables stay those of one catalog."""
 
-    def asset(self, asset_id: str) -> MediaAsset:
-        return self.assets[asset_id]
+    assets: Mapping[str, MediaAsset] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "assets", MappingProxyType(dict(self.assets)))
 
     def track_ids(self) -> list[str]:
         return list(self.assets)

@@ -42,7 +42,6 @@ class ProtocolFailure(Exception):
 
     def __init__(self, detail: str, status: int = 0):
         super().__init__(detail if not status else f"{detail} (status {status})")
-        self.status = status
 
 
 # What a client's decoding of a 200 body raises when the body is not

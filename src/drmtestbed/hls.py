@@ -21,9 +21,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
+from types import MappingProxyType
 
 AUDIO_MAGIC = b"AUD0"
 BITRATE_LADDER = (320, 128, 64, 32, 16)
@@ -44,9 +45,10 @@ class ManifestError(Exception):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediaAsset:
-    """One catalog entry: raw audio bytes per bitrate variant.
+    """One catalog entry: raw audio bytes per bitrate variant, read-only
+    once built (`variants` is a read-only view of a copy of its dict).
 
     `cut` slices a variant into chunks once and hands out the same tuple
     of read-only views after that, so every CDN that serves the asset
@@ -56,11 +58,11 @@ class MediaAsset:
 
     asset_id: str
     title: str
-    variants: dict[int, bytes]
+    variants: Mapping[int, bytes]
     premium: bool = False
-    # (rate, first chunk's length) -> (the variant cut, its chunks); a
-    # variant shorter than the chunk size is one chunk, whatever the size
-    _cuts: dict[tuple[int, int], tuple[bytes, tuple[memoryview, ...]]] = field(
+    # (rate, first chunk's length) -> its chunks; a variant shorter than
+    # the chunk size is one chunk, whatever the size
+    _cuts: dict[tuple[int, int], tuple[memoryview, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -78,6 +80,7 @@ class MediaAsset:
                 raise ValueError(f"{self.asset_id}: bitrate {rate} not in ladder")
             if not blob:
                 raise ValueError(f"{self.asset_id}: empty variant {rate}")
+        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
 
     def top_bitrate(self) -> int:
         return max(self.variants)
@@ -91,23 +94,19 @@ class MediaAsset:
     def cut(self, rate: int, chunk_bytes: int) -> tuple[memoryview, ...]:
         """Read-only views of the rate's variant, chunk_bytes each (the
         last one ragged), as `segment` slices it. The same tuple comes
-        back on every call until the variant object at that rate is
-        replaced, which makes a fresh cut."""
+        back on every call."""
         variant = self.variant(rate)
         first = min(chunk_bytes, len(variant))
         chunks = self.cut_made(rate, first)
         if chunks is None:
             chunks = tuple(_slices(memoryview(variant).toreadonly(), chunk_bytes))
-            self._cuts[(rate, first)] = (variant, chunks)
+            self._cuts[(rate, first)] = chunks
         return chunks
 
     def cut_made(self, rate: int, first_chunk_bytes: int) -> tuple[memoryview, ...] | None:
-        """The cut of the rate's current variant whose first chunk is
+        """The cut of the rate's variant whose first chunk is
         first_chunk_bytes long, if `cut` has made it; never makes one."""
-        hit = self._cuts.get((rate, first_chunk_bytes))
-        if hit is not None and hit[0] is self.variants.get(rate):
-            return hit[1]
-        return None
+        return self._cuts.get((rate, first_chunk_bytes))
 
 
 def _slices(media, chunk_bytes: int) -> list:

@@ -93,7 +93,7 @@ class GaanaService:
         net.register(self.cdn.host, self.cdn.handler)
 
     def song_url(self, asset_id: str) -> str:
-        return f"https://{HOST_WWW}{SONG_PREFIX}{slugify(self.catalog.asset(asset_id).title)}"
+        return f"https://{HOST_WWW}{SONG_PREFIX}{slugify(self.catalog.assets[asset_id].title)}"
 
     def _handle_www(self, req: HttpRequest) -> HttpResponse:
         if req.method != "GET":
@@ -118,7 +118,7 @@ class GaanaService:
         return error_response(404, "no such page")
 
     def _song_page(self, asset_id: str) -> HttpResponse:
-        asset = self.catalog.asset(asset_id)
+        asset = self.catalog.assets[asset_id]
         grant = query_string(self.cdn.hls_grant(asset_id, FAR_FUTURE))
         path = {}
         for quality, rate in QUALITY_RATES.items():

@@ -55,7 +55,7 @@ class HungamaService:
         net.register(self.cdn.host, self.cdn.handler)
 
     def song_url(self, asset_id: str) -> str:
-        slug = slugify(self.catalog.asset(asset_id).title)
+        slug = slugify(self.catalog.assets[asset_id].title)
         return f"https://{HOST_WWW}/song/{slug}/{asset_id}"
 
     # token = b64(hmac(secret, song_id || expiry digits)) || expiry digits;
@@ -63,9 +63,6 @@ class HungamaService:
     def _token(self, song_id: str, expiry: str) -> str:
         tag = b64(hmac_sha1(self._token_secret, (song_id + expiry).encode("ascii")))
         return tag + expiry
-
-    def _mint_token(self, song_id: str) -> str:
-        return self._token(song_id, str(self.env.now() + self.token_ttl))
 
     def _token_valid(self, song_id: str, token: str) -> bool:
         expiry = token[_TAG_CHARS:]
@@ -96,8 +93,8 @@ class HungamaService:
         song_id = req.path[len(PLAYER_DATA_PREFIX):].strip("/")
         if song_id not in self.catalog.assets:
             return error_response(404, "no such track")
-        token = self._mint_token(song_id)
-        asset = self.catalog.asset(song_id)
+        token = self._token(song_id, str(self.env.now() + self.token_ttl))
+        asset = self.catalog.assets[song_id]
         return json_response(
             {
                 "media_id": song_id,

@@ -95,7 +95,7 @@ class SaavnService:
         net.register(self.cdn.host, self.cdn.handler)
 
     def song_url(self, asset_id: str) -> str:
-        slug = slugify(self.catalog.asset(asset_id).title)
+        slug = slugify(self.catalog.assets[asset_id].title)
         return f"https://{HOST_WWW}{SONG_PREFIX}{slug}/{asset_id}"
 
     def _open_token(self, token: str) -> str | None:
@@ -122,7 +122,7 @@ class SaavnService:
         asset_id = req.path.rstrip("/").rsplit("/", 1)[-1]
         if asset_id not in self.catalog.assets:
             return error_response(404, "no such song")
-        asset = self.catalog.asset(asset_id)
+        asset = self.catalog.assets[asset_id]
         # one 10-second segment per default-size chunk of the top variant
         top = asset.variant(asset.top_bitrate())
         data = {
@@ -147,7 +147,7 @@ class SaavnService:
         if asset_id is None:
             return error_response(403, "token rejected")
         rate = int(bit_rate)
-        if rate not in self.catalog.asset(asset_id).variants:
+        if rate not in self.catalog.assets[asset_id].variants:
             return error_response(404, "variant not stocked")
         answer = self._auth_answers.get((asset_id, rate))
         if answer is None:

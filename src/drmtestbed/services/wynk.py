@@ -189,7 +189,7 @@ class WynkService:
         net.register(self.cdn.host, self.cdn.handler)
 
     def song_url(self, asset_id: str) -> str:
-        slug = slugify(self.catalog.asset(asset_id).title)
+        slug = slugify(self.catalog.assets[asset_id].title)
         return f"https://wynk.in/music/song/{slug}/srch_{asset_id}"
 
     # ---- v1 ---------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_recovery_byte_identical_and_fast(bed):
             blob = b"".join(bed.run_client(service, track))
             slowest = max(slowest, time.perf_counter() - t0)
             runs += 1
-            exact = exact and blob == bed.catalog.asset(track).variant(320)
+            exact = exact and blob == bed.catalog.assets[track].variant(320)
     _verdict(
         1,
         "reference clients recover catalog bytes from every open service",

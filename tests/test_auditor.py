@@ -17,6 +17,7 @@ from drmtestbed.auditor import (
     audit,
     audit_all,
 )
+from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.services import saavn as saavn_mod
 from drmtestbed.testbed import SPECS, Testbed
 from drmtestbed.transport import TapRecord, error_response, split_url
@@ -148,11 +149,17 @@ class TestProbeMechanics:
         second = audit(bed, "wynk-v2")
         assert first == second
 
-    def test_audit_needs_open_and_premium_tracks(self, bed):
-        for asset in bed.catalog.assets.values():
-            asset.premium = True
+    def test_audit_needs_open_and_premium_tracks(self, bed, config, tmp_path):
+        # a built catalog is read-only, so the all-premium one is saved
+        # and loaded as a new bed
+        premium = {
+            asset_id: dataclasses.replace(asset, premium=True)
+            for asset_id, asset in bed.catalog.assets.items()
+        }
+        save_catalog(ServiceCatalog(assets=premium), tmp_path)
+        config.catalog_dir = str(tmp_path)
         with pytest.raises(ValueError):
-            audit(bed, "gaana")
+            audit(Testbed(config), "gaana")
 
     @pytest.mark.parametrize("spell", [str.upper, spaced_hex], ids=["upper", "spaced"])
     def test_hardcoded_keys_do_not_hang_on_the_config_spelling(self, config, spell):

@@ -95,10 +95,11 @@ def test_record_keeps_every_run():
 
 
 
-def _record(medians: dict, iqr: float = 0.01) -> dict:
+def _record(medians: dict, iqr: float = 0.01, src_tree: str = "1" * 40) -> dict:
     """A record holding only untraced medians: workload -> metric -> median."""
     return {
         "sha": "0" * 40,
+        "src_tree": src_tree,
         "workloads": {
             workload: {"untraced": {"metrics": {
                 name: {"median": median, "iqr": iqr} for name, median in metrics.items()
@@ -138,6 +139,51 @@ def test_compare_flags_a_median_worse_than_its_bound(rip_ms, rips_per_s, within)
     assert float(rate[4]) == pytest.approx(rips_per_s / 100.0, abs=1e-3)
     assert ("WORSE" in lines[1]) is (rip_ms > 1.25)
     assert ("WORSE" in lines[2]) is (rips_per_s < 75.0)
+
+
+@pytest.mark.parametrize(
+    "a_iqr, b_iqr, unresolved",
+    [
+        (0.01, 0.01, False),
+        (0.25, 0.25, False),  # exactly the bound times the median still tells
+        (0.26, 0.01, True),  # A's runs spread wider than the bound
+        (0.01, 0.26, True),  # B's runs do
+    ],
+)
+def test_compare_marks_a_metric_whose_runs_spread_wider_than_its_bound(
+    a_iqr, b_iqr, unresolved
+):
+    a = _record({"catalog": {"rip_ms.p50": 1.0, "rips_per_s": 100.0}}, iqr=a_iqr)
+    b = _record({"catalog": {"rip_ms.p50": 1.0, "rips_per_s": 100.0}}, iqr=b_iqr)
+    lines, ok = bench_record.compare(a, b, BOUNDS)
+    # the bound is relative to each record's own median: 0.26 is wider
+    # than 25% of rip_ms.p50's 1.0, not of rips_per_s's 100
+    assert ("unresolved" in lines[1]) is unresolved
+    assert "unresolved" not in lines[2]
+    assert ok  # a spread never sets the exit code
+
+
+def test_compare_marks_unresolved_beside_worse():
+    a = _record({"catalog": {"rip_ms.p50": 1.0, "rips_per_s": 100.0}})
+    b = _record({"catalog": {"rip_ms.p50": 2.0, "rips_per_s": 100.0}}, iqr=0.6)
+    lines, ok = bench_record.compare(a, b, BOUNDS)
+    assert not ok
+    assert lines[1].endswith("WORSE by 100.0% (bound 25%)  unresolved")
+
+
+def test_compare_command_names_each_records_sha_and_src_tree(tmp_path, capsys):
+    benchmark = json.loads((bench_record.ROOT / "BENCHMARK.json").read_bytes())
+    medians = {
+        w["name"]: {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+        for w in benchmark["workloads"]
+    }
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    a.write_text(json.dumps(_record(medians, src_tree="a" * 40)))
+    b.write_text(json.dumps(_record(medians, src_tree="b" * 40)))
+    assert bench_record.main(["compare", str(a), str(b)]) == 0
+    first, second = capsys.readouterr().out.splitlines()[:2]
+    assert first == f"A A.json sha {'0' * 40} src_tree {'a' * 40}"
+    assert second == f"B B.json sha {'0' * 40} src_tree {'b' * 40}"
 
 
 def test_compare_command_reads_the_bounds_and_sets_the_exit_code(tmp_path, capsys):

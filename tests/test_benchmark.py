@@ -299,7 +299,7 @@ def _oracle_blob(svc, catalog, track, header):
     # server's keyring and the catalog, independently of the CDN path and
     # of the keystreams the CDM keeps
     content_key, nonce = svc._license_keys[header[16:48]], header[32:48]
-    media = catalog.asset(track).variant(catalog.asset(track).top_bitrate())
+    media = catalog.assets[track].variant(catalog.assets[track].top_bitrate())
     ctr = Cipher(algorithms.AES(content_key), modes.CTR(nonce)).encryptor()
     return header[:bench.HEADER_BYTES] + ctr.update(media)
 
@@ -371,7 +371,7 @@ class StreamOracleMachine(RuleBasedStateMachine):
             )
             self.uris[track] = uri
             self.blobs[track] = _oracle_blob(svc, catalog, track, header)
-            asset = catalog.asset(track)
+            asset = catalog.assets[track]
             self.media[track] = asset.variant(asset.top_bitrate())
             self.handles[track] = self.cdm.install(license_resp.body)
             self.read_to[track] = self.decrypted_to[track] = 0
@@ -444,7 +444,7 @@ def test_cdn_blob_is_ciphertext_with_init_header(rig):
     _svc, net, _env, catalog = rig
     blob = net.get(_first_uri(net)).body
     assert blob[:4] == bench.INIT_MAGIC
-    media = catalog.asset("trk1").variant(320)
+    media = catalog.assets["trk1"].variant(320)
     assert len(blob) == bench.HEADER_BYTES + len(media)
     payload = blob[bench.HEADER_BYTES:]
     assert not payload.startswith(AUDIO_MAGIC)
@@ -482,7 +482,7 @@ def test_license_exchange_and_segment_decrypt(rig):
     assert resp.status == 200
     handle = cdm.install(resp.body)
     assert handle.startswith("cdmkey")
-    media = catalog.asset("trk1").variant(320)
+    media = catalog.assets["trk1"].variant(320)
     assert cdm.decrypt_segment(handle, blob[bench.HEADER_BYTES:]) == media
     # positional decrypt of an interior slice
     piece = cdm.decrypt_segment(handle, blob[bench.HEADER_BYTES + 100:][:64], position=100)
@@ -563,7 +563,7 @@ def test_each_cdm_walks_its_own_keystream(rig, monkeypatch):
     request = cdms[0].request_license(bench.extract_init_data(header))
     license_blob = net.post(bench.LICENSE_URL, body=request).body
     handles = [cdm.install(license_blob) for cdm in cdms]
-    media = catalog.asset("trk1").variant(catalog.asset("trk1").top_bitrate())
+    media = catalog.assets["trk1"].variant(catalog.assets["trk1"].top_bitrate())
     chunks = []
     for start in range(bench.HEADER_BYTES, bench.HEADER_BYTES + len(media), bench.SEGMENT_BYTES):
         end = start + bench.SEGMENT_BYTES - 1
@@ -600,21 +600,21 @@ def test_play_benchmark_recovers_media_through_the_cdm(rig):
     svc, net, env, catalog = rig
     for track in ("trk1", "trk2", "trk3"):
         media = b"".join(play_benchmark(net, track, PREMIUM, svc.make_cdm()))
-        assert media == catalog.asset(track).variant(320)
+        assert media == catalog.assets[track].variant(320)
 
 
 def test_play_benchmark_free_tier_stops_at_the_gate(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure) as info:
         play_benchmark(net, "trk3", FREE, svc.make_cdm())
-    assert info.value.status == 403
+    assert str(info.value).endswith("(status 403)")
 
 
 def test_play_benchmark_bad_credentials(rig):
     svc, net, env, _catalog = rig
     with pytest.raises(ProtocolFailure) as info:
         play_benchmark(net, "trk1", ("ada", "wrong"), svc.make_cdm())
-    assert info.value.status == 401
+    assert str(info.value).endswith("(status 401)")
 
 
 def test_play_benchmark_stops_at_a_refused_range(rig):
@@ -631,7 +631,7 @@ def test_play_benchmark_stops_at_a_refused_range(rig):
     net._routes[bench.HOST_CDN] = refuse_the_third
     with pytest.raises(ProtocolFailure, match="^chunk fetch refused") as info:
         play_benchmark(net, "trk1", PREMIUM, svc.make_cdm())
-    assert info.value.status == 403
+    assert str(info.value).endswith("(status 403)")
     step = bench.SEGMENT_BYTES
     assert ranges == [f"bytes={i * step}-{(i + 1) * step - 1}" for i in range(3)]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import random
 import tempfile
 
@@ -16,13 +18,15 @@ from drmtestbed.catalog import (
     save_catalog,
     slugify,
 )
+from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, BITRATE_LADDER, MediaAsset
+from drmtestbed.testbed import Testbed
 
 
 def test_demo_catalog_shape():
     cat = demo_catalog(random.Random(7))
     assert cat.track_ids() == ["trk1", "trk2", "trk3"]
-    assert [t for t in cat.track_ids() if cat.asset(t).premium] == ["trk3"]
+    assert [t for t in cat.track_ids() if cat.assets[t].premium] == ["trk3"]
     for asset in cat.assets.values():
         assert set(asset.variants) == {320, 128, 64, 32, 16}
         for blob in asset.variants.values():
@@ -38,6 +42,48 @@ def test_demo_catalog_deterministic_per_seed():
     c = demo_catalog(random.Random(8))
     assert a.assets["trk1"].variants[320] == b.assets["trk1"].variants[320]
     assert a.assets["trk1"].variants[320] != c.assets["trk1"].variants[320]
+
+
+_FROZEN = (TypeError, dataclasses.FrozenInstanceError)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda tb, asset: operator.setitem(asset.variants, 320, AUDIO_MAGIC + b"swapped"),
+        lambda tb, asset: operator.setitem(asset.variants, 999, b""),
+        lambda tb, asset: operator.delitem(asset.variants, 320),
+        lambda tb, asset: setattr(asset, "premium", True),
+        lambda tb, asset: setattr(asset, "title", "Renamed"),
+        lambda tb, asset: operator.setitem(tb.catalog.assets, "x", asset),
+        lambda tb, asset: operator.delitem(tb.catalog.assets, "trk1"),
+        lambda tb, asset: setattr(tb.catalog, "assets", {}),
+    ],
+    ids=["replace-variant", "add-empty-variant", "drop-variant", "premium", "title",
+         "add-asset", "drop-asset", "swap-assets"],
+)
+def test_a_built_bed_catalog_is_read_only(edit):
+    tb = Testbed(TestbedConfig())
+    asset = tb.catalog.assets["trk1"]
+    before = (dict(asset.variants), asset.premium, asset.title, dict(tb.catalog.assets))
+    with pytest.raises(_FROZEN):
+        edit(tb, asset)
+    assert (dict(asset.variants), asset.premium, asset.title, dict(tb.catalog.assets)) == before
+
+
+def test_the_dicts_a_caller_passed_stay_the_callers():
+    variants = {320: AUDIO_MAGIC + b"hi", 64: AUDIO_MAGIC + b"lo"}
+    asset = MediaAsset("t", "Title", variants)
+    assets = {"t": asset}
+    catalog = ServiceCatalog(assets=assets)
+    variants[320] = AUDIO_MAGIC + b"swapped"
+    variants[999] = b""
+    del variants[64]
+    assets["x"] = asset
+    del assets["t"]
+    assert asset.variants == {320: AUDIO_MAGIC + b"hi", 64: AUDIO_MAGIC + b"lo"}
+    assert asset.top_bitrate() == 320 and asset.variant(64) == AUDIO_MAGIC + b"lo"
+    assert catalog.track_ids() == ["t"] and catalog.assets["t"] is asset
 
 
 @pytest.mark.parametrize("title,slug", [
@@ -57,7 +103,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_catalog(tmp_path)
     assert loaded.track_ids() == cat.track_ids()
     for tid in cat.track_ids():
-        orig, back = cat.asset(tid), loaded.asset(tid)
+        orig, back = cat.assets[tid], loaded.assets[tid]
         assert back.title == orig.title
         assert back.premium == orig.premium
         assert back.variants == orig.variants
@@ -66,7 +112,7 @@ def test_save_load_round_trip(tmp_path):
 def test_load_without_meta_defaults(tmp_path):
     (tmp_path / "solo.128.aud").write_bytes(AUDIO_MAGIC + b"payload")
     cat = load_catalog(tmp_path)
-    asset = cat.asset("solo")
+    asset = cat.assets["solo"]
     assert asset.title == "solo"
     assert not asset.premium
     assert asset.variants == {128: AUDIO_MAGIC + b"payload"}
@@ -93,7 +139,7 @@ def test_asset_ids_with_dots_round_trip(tmp_path):
     save_catalog(ServiceCatalog(assets={"my.track.v2": asset}), tmp_path)
     loaded = load_catalog(tmp_path)
     assert loaded.track_ids() == ["my.track.v2"]
-    assert loaded.asset("my.track.v2").variants == {64: AUDIO_MAGIC + b"z"}
+    assert loaded.assets["my.track.v2"].variants == {64: AUDIO_MAGIC + b"z"}
 
 
 def _one_line(title: str) -> bool:
@@ -171,15 +217,15 @@ def test_load_takes_assets_and_rates_in_filename_order(tmp_path):
     _write(tmp_path, "a.b.64.aud", "a.64.aud", "a-x.64.aud", "a.320.aud", "a.16.aud")
     cat = load_catalog(tmp_path)
     assert cat.track_ids() == ["a-x", "a", "a.b"]
-    assert list(cat.asset("a").variants) == [16, 320, 64]
-    assert cat.asset("a").variants[320] == AUDIO_MAGIC + b"a.320.aud"
+    assert list(cat.assets["a"].variants) == [16, 320, 64]
+    assert cat.assets["a"].variants[320] == AUDIO_MAGIC + b"a.320.aud"
 
 
 def test_load_ignores_files_that_do_not_end_in_aud(tmp_path):
     _write(tmp_path, "alpha.64.aud", "notes.txt", "alpha.64.aud.bak", "alpha.32.AUD")
     cat = load_catalog(tmp_path)
     assert cat.track_ids() == ["alpha"]
-    assert list(cat.asset("alpha").variants) == [64]
+    assert list(cat.assets["alpha"].variants) == [64]
 
 
 def test_load_lists_dot_leading_names(tmp_path):

@@ -330,7 +330,7 @@ def test_cdn_serves_granted_hls_tree(node):
 
 def test_wynk_and_gaana_serve_the_same_chunk_objects(bed):
     # both serve each asset at 320/128/64 kbps, from its one cut
-    asset, sid = bed.catalog.asset("trk1"), wynk_mod.search_id("srch_trk1")
+    asset, sid = bed.catalog.assets["trk1"], wynk_mod.search_id("srch_trk1")
     wynk_grant = bed.wynk.cdn.hls_grant(sid, FAR_FUTURE)
     gaana_grant = bed.gaana.cdn.hls_grant("trk1", FAR_FUTURE)
     for rate in (320, 128, 64):
@@ -348,7 +348,7 @@ def test_wynk_and_gaana_serve_the_same_chunk_objects(bed):
 
 def test_saavn_and_hungama_serve_one_view_per_asset_and_rate(bed):
     # a whole file is the one chunk of the cut as long as the variant
-    asset = bed.catalog.asset("trk1")
+    asset = bed.catalog.assets["trk1"]
     for rate in (320, 64):
         bodies = []
         for cdn in (bed.saavn.cdn, bed.hungama.cdn):

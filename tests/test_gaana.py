@@ -49,7 +49,7 @@ def test_unknown_slug_404(rig):
 def test_page_paths_decrypt_to_authorized_uris(rig):
     svc, net, _env, catalog = rig
     block = _block(net, svc, "trk1")
-    assert block.title == catalog.asset("trk1").title
+    assert block.title == catalog.assets["trk1"].title
     assert set(block.path) == {"high", "medium", "low"}
     for quality, rate in gaana.QUALITY_RATES.items():
         uri = aes_cbc_decrypt(
@@ -123,13 +123,13 @@ def test_rip_client_per_quality(rig, quality, rate):
     media = b"".join(
         rip_gaana(net, svc.song_url("trk1"), PAGE_KEY, PAGE_IV, quality=quality)
     )
-    assert media == catalog.asset("trk1").variant(rate)
+    assert media == catalog.assets["trk1"].variant(rate)
 
 
 def test_rip_premium_track_without_account(rig):
     svc, net, env, catalog = rig
     media = b"".join(rip_gaana(net, svc.song_url("trk3"), PAGE_KEY, PAGE_IV))
-    assert media == catalog.asset("trk3").variant(320)
+    assert media == catalog.assets["trk3"].variant(320)
 
 
 def test_rip_unknown_quality_fails(rig):

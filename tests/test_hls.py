@@ -277,17 +277,6 @@ def test_cut_of_a_variant_shorter_than_the_chunk_is_one_chunk():
     assert asset.cut_made(320, 6) is whole
 
 
-def test_replaced_variant_gets_a_fresh_cut():
-    asset = MediaAsset("t", "Title", {320: b"abcdefghij"})
-    old = asset.cut(320, 4)
-    asset.variants[320] = b"ABCDEFGHIJ"
-    assert asset.cut_made(320, 4) is None
-    new = asset.cut(320, 4)
-    assert new is not old
-    assert list(map(bytes, new)) == [b"ABCD", b"EFGH", b"IJ"]
-    assert list(map(bytes, old)) == [b"abcd", b"efgh", b"ij"]
-
-
 @pytest.mark.parametrize("chunk", [0, -1])
 def test_cut_refuses_a_chunk_size_as_segment_does(chunk):
     asset = MediaAsset("t", "Title", {320: b"abc"})

@@ -49,7 +49,7 @@ def test_player_data_leaks_a_valid_token(rig):
     svc, net, _env, catalog = rig
     data = _player_data(net, "trk1")
     assert data["media_id"] == "trk1"
-    assert data["title"] == catalog.asset("trk1").title
+    assert data["title"] == catalog.assets["trk1"].title
     token = _token_of(data)
     # fixed-width tag, digits after
     assert len(token) > 28
@@ -72,7 +72,7 @@ def test_mdnurl_happy_path_default_quality(rig):
     assert "/file/trk1/320.aud" in media_url  # high is the default
     media = net.get(media_url)
     assert media.status == 200
-    assert media.body == catalog.asset("trk1").variant(320)
+    assert media.body == catalog.assets["trk1"].variant(320)
 
 
 @pytest.mark.parametrize("quality,rate", [("high", 320), ("medium", 128), ("low", 64)])
@@ -81,7 +81,7 @@ def test_mdnurl_quality_cookie(rig, quality, rate):
     token = _token_of(_player_data(net, "trk2"))
     resp = _mdnurl(net, "trk2", token, cookies={hungama.QUALITY_COOKIE: quality})
     media = net.get(json.loads(resp.body)["media_url"])
-    assert media.body == catalog.asset("trk2").variant(rate)
+    assert media.body == catalog.assets["trk2"].variant(rate)
 
 
 def test_mdnurl_rejects_unknown_quality(rig):
@@ -160,9 +160,9 @@ def test_static_asset_names_the_cookie(rig):
 
 def test_rip_client_default_and_quality(rig):
     svc, net, env, catalog = rig
-    assert rip_hungama(net, svc.song_url("trk1")) == (catalog.asset("trk1").variant(320),)
+    assert rip_hungama(net, svc.song_url("trk1")) == (catalog.assets["trk1"].variant(320),)
     assert rip_hungama(net, svc.song_url("trk3"), quality="low") == (
-        catalog.asset("trk3").variant(64),
+        catalog.assets["trk3"].variant(64),
     )
 
 

@@ -69,7 +69,7 @@ def _page_token(net, svc, asset_id):
 def test_parse_song_page_round_trip(rig):
     svc, net, _env, catalog = rig
     song = _page_token(net, svc, "trk1")
-    assert song.title == catalog.asset("trk1").title
+    assert song.title == catalog.assets["trk1"].title
     assert song.perma_url == svc.song_url("trk1")
     # the sealed blob opens back to the asset id under the page key
     raw = aes_cbc_decrypt(SEAL_KEY, SEAL_IV, b64_decode(song.encrypted_media_url))
@@ -111,7 +111,7 @@ def test_api_happy_path_no_account_needed(rig):
     auth_url = json.loads(resp.body)["auth_url"]
     media = net.get(auth_url)
     assert media.status == 200
-    assert media.body == catalog.asset("trk2").variant(320)
+    assert media.body == catalog.assets["trk2"].variant(320)
 
 
 @pytest.mark.parametrize("rate", ["320", "128", "64", "32", "16"])
@@ -120,7 +120,7 @@ def test_api_serves_every_ladder_rate(rig, rate):
     song = _page_token(net, svc, "trk1")
     resp = _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url, bit_rate=rate)
     media = net.get(json.loads(resp.body)["auth_url"])
-    assert media.body == catalog.asset("trk1").variant(int(rate))
+    assert media.body == catalog.assets["trk1"].variant(int(rate))
 
 
 def test_api_rejects_wrong_call_and_bit_rate(rig):
@@ -220,9 +220,9 @@ def test_api_accepts_non_canonical_base64_of_a_seal(rig):
     assert open_token_by_decrypt(catalog.assets, sibling) == "trk1"
     resp = _api(net, call=saavn.AUTH_CALL, url=sibling, bit_rate="320")
     assert resp.status == 200
-    assert net.get(json.loads(resp.body)["auth_url"]).body == catalog.asset(
+    assert net.get(json.loads(resp.body)["auth_url"]).body == catalog.assets[
         "trk1"
-    ).variant(320)
+    ].variant(320)
 
 
 def test_auth_answers_are_rendered_once_and_copied_out(rig, monkeypatch):
@@ -266,20 +266,20 @@ def test_grants_never_expire(rig):
     env.clock.advance(10 * 365 * 86400)  # ten years on
     media = net.get(auth_url)
     assert media.status == 200
-    assert media.body == catalog.asset("trk3").variant(128)
+    assert media.body == catalog.assets["trk3"].variant(128)
 
 
 def test_premium_track_needs_no_account_either(rig):
     # trk3 is the premium fixture; the api hands it out all the same
     svc, net, env, catalog = rig
     media = rip_saavn(net, svc.song_url("trk3"))
-    assert media == (catalog.asset("trk3").variant(320),)
+    assert media == (catalog.assets["trk3"].variant(320),)
 
 
 def test_rip_client_selects_bit_rate(rig):
     svc, net, env, catalog = rig
     media = rip_saavn(net, svc.song_url("trk1"), bit_rate="64")
-    assert media == (catalog.asset("trk1").variant(64),)
+    assert media == (catalog.assets["trk1"].variant(64),)
 
 
 def test_rip_client_surfaces_refusals(rig):

@@ -1,7 +1,7 @@
-"""A stateful model of server session state: wynk and benchmark plays
-as every principal, a clock that runs past each lifetime and is set
-back, and replays of captured requests, against two beds fed the same
-steps.
+"""A stateful model of server session state: plays of every service
+as every principal, a clock that runs past each lifetime (hungama's
+playback token's included) and is set back, and replays of captured
+requests, against two beds fed the same steps.
 
 Every expiring store logs its puts and pops, so the test can say from
 the store's own contract what it must and may hold: an entry no later
@@ -28,8 +28,10 @@ from drmtestbed.testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, Testbed
 from drmtestbed.transport import ALLOWED_STATUSES, copy_request, export_tap
 
 # lifetimes small enough that a few clock steps outlive each of them
-CONFIG = TestbedConfig(wynk_session_ttl=1800, bearer_ttl=900, grant_ttl=600)
-SERVICES = ("wynk-v1", "wynk-v2", "benchmark")
+CONFIG = TestbedConfig(
+    wynk_session_ttl=1800, bearer_ttl=900, grant_ttl=600, hungama_token_ttl=600
+)
+SERVICES = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama", "benchmark")
 PRINCIPALS = (DEFAULT_PRINCIPAL, FREE_TIER, ANONYMOUS)
 TRACKS = ("trk1", "trk2", "trk3")  # trk3 is premium
 STEPS = (1, 119, 599, 600, 899, 900, 1799, 1800, 1801, 4000)
@@ -121,7 +123,7 @@ class SessionModel(RuleBasedStateMachine):
         if service == "benchmark" and principal != DEFAULT_PRINCIPAL:
             # bad credentials never play; a free account never plays premium
             assert audio is None or (
-                principal == FREE_TIER and not self.bed.catalog.asset(track).premium
+                principal == FREE_TIER and not self.bed.catalog.assets[track].premium
             )
 
     @rule(seconds=st.sampled_from(STEPS))

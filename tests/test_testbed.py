@@ -77,7 +77,7 @@ class TestRunClient:
 
     def test_default_principal_gets_premium_benchmark_audio(self, bed):
         blob = b"".join(bed.run_client("benchmark", "trk3"))
-        assert blob == bed.catalog.asset("trk3").variant(320)
+        assert blob == bed.catalog.assets["trk3"].variant(320)
 
     def test_free_tier_is_refused_premium(self, bed):
         with pytest.raises(ProtocolFailure):
@@ -161,7 +161,7 @@ def test_config_chunk_bytes_reaches_every_hls_tree(service):
     # wynk and gaana both serve HLS; each CDN chunks by the config it was
     # built from, not by a size of its own
     bed = Testbed(TestbedConfig(chunk_bytes=4096))
-    top = bed.catalog.asset("trk1").variant(320)
+    top = bed.catalog.assets["trk1"].variant(320)
     tap = bed.net.attach_tap()
     try:
         result, client_error = bed.rip(service, "trk1")

@@ -376,7 +376,7 @@ def test_v1_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk2")
     media = b"".join(rip_wynk_v1(net, env, url))
-    assert media == catalog.asset("trk2").variant(320)
+    assert media == catalog.assets["trk2"].variant(320)
 
 
 # --------------------------------------------------------------- v2 priming
@@ -754,7 +754,7 @@ def test_v2_stream_on_a_clock_below_one_otp_window(clock):
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1", otp="000000").status == 401
     media = b"".join(rip_wynk_v2(net, env, svc.song_url("trk1"), sk=svc.sk))
-    assert media == catalog.asset("trk1").variant(320)
+    assert media == catalog.assets["trk1"].variant(320)
     result, client_error = Testbed(TestbedConfig(clock=clock)).rip("wynk-v2", "trk1")
     assert client_error == "" and result.matched_catalog
 
@@ -802,7 +802,7 @@ def test_v2_full_rip_matches_catalog(rig):
     svc, net, env, catalog = rig
     url = svc.song_url("trk3")
     media = b"".join(rip_wynk_v2(net, env, url, sk=svc.sk))
-    assert media == catalog.asset("trk3").variant(320)
+    assert media == catalog.assets["trk3"].variant(320)
 
 
 def test_v2_rip_fails_cleanly_when_asset_missing(rig):

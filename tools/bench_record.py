@@ -15,11 +15,21 @@ reference medians, and for every metric its unit, its sample counts,
 the value of every run, their median and their interquartile range.
 
 `compare` reads two records and the bounds in BENCHMARK.json, which it
-never changes. For each end-to-end metric and workload it prints both
-untraced medians, their ratio in the metric's "better" direction (above
-1 when B is better), both interquartile ranges, and "WORSE" where B's
-median is worse than A's by more than the metric's bound (relative to
-A's median). It exits 1 when any median is, else 0.
+never changes. It names each record's sha and src tree. For each
+end-to-end metric and workload it prints both untraced medians, their
+ratio in the metric's "better" direction (above 1 when B is better),
+both interquartile ranges, "WORSE" where B's median is worse than A's
+by more than the metric's bound (relative to A's median), and
+"unresolved" where either record's interquartile range is wider than
+the bound times that record's median, so that its runs spread too
+widely for the bound to tell. It exits 1 when any median is worse
+than its bound, else 0.
+
+What a pair of records can show: each record measures one tree, minutes
+or sessions apart from the other, and the machine drifts in between. Two
+records of one program 15 minutes apart have differed by about 6% on a
+median. So `compare` backs or refutes a gain of 10% or more; a gain
+under 10% rests on alternating runs of both trees, not on `compare`.
 
 Standard library only; needs Python 3.10.12, 3.11.4 or later for
 tarfile's `filter=` keyword. A run that exits nonzero or reports a
@@ -146,6 +156,8 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
             if worse > metric["bound"]:
                 within = False
                 verdict = f"  WORSE by {worse:.1%} (bound {metric['bound']:.0%})"
+            if any(r[name]["iqr"] > metric["bound"] * r[name]["median"] for r in (before, after)):
+                verdict += "  unresolved"
             lines.append(
                 f"{workload:<9} {name:<13} {was:>11.5g} {now:>11.5g} {ratio:>6.3f} "
                 f"{before[name]['iqr']:>10.3g} {after[name]['iqr']:>10.3g}{verdict}"
@@ -165,7 +177,8 @@ def compare_main(argv) -> int:
         for path in (args.a, args.b, ROOT / "BENCHMARK.json")
     )
     lines, within = compare(a, b, benchmark)
-    print(f"A {args.a.name} sha {a['sha']}\nB {args.b.name} sha {b['sha']}")
+    for label, path, record in (("A", args.a, a), ("B", args.b, b)):
+        print(f"{label} {path.name} sha {record['sha']} src_tree {record['src_tree']}")
     print("\n".join(lines))
     return 0 if within else 1
 
