@@ -14,11 +14,10 @@ Two probes recognise a constant rather than the property in general:
 in the client bundle. A license exchange on another path, or a bundle
 minified without that banner, reads "no".
 
-`premium_access_restrictions` only checks that the free principal fails
-on a premium track, never that the default principal plays one, so a
-service that serves premium tracks to nobody reads "yes". Checking that
-needs a default-principal premium run, whose exchanges would join the
-audit's transcript and move every digest pinned over it.
+The tapped reference run plays a premium track as the default
+principal, so `premium_access_restrictions` stands on both halves of
+its claim: the paying user plays that track, and the free principal
+does not. A service that serves premium tracks to nobody is refused.
 """
 
 from __future__ import annotations
@@ -117,11 +116,11 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
 
     mandatory_id = not _attempt(tb, spec, track, ANONYMOUS)
 
-    records, client_error = tb.tapped_run(spec.name, track)
+    records, client_error = tb.tapped_run(spec.name, premium)
     if client_error:
         raise AuditRefused(f"{spec.audit_name}: reference run failed: {client_error}")
 
-    rip = tap_rip(records, tb.catalog, spec.audit_name, track)
+    rip = tap_rip(records, tb.catalog, spec.audit_name, premium)
     encrypted = not rip.matched_catalog
     drm = any(rec.request.path == LICENSE_PATH for rec in records)
     replay_dies = _replay_rejected(tb, spec, records)

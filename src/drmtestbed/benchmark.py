@@ -117,7 +117,7 @@ class Cdm:
         self._counter = 0
 
     def request_license(self, init_data: bytes) -> bytes:
-        iv = self._env.rand_bytes(16)
+        iv = self._env.rng.randbytes(16)
         return _seal(self._device_key, init_data, iv)
 
     def install(self, license_bytes: bytes) -> str:
@@ -171,10 +171,10 @@ class BenchmarkService:
         # init data (key id + nonce), exactly what a CDM seals -> content key
         self._license_keys: dict[bytes, bytes] = {}
         for asset in catalog.assets.values():
-            key_id = env.rand_bytes(16)
-            content_key = env.rand_bytes(16)
-            nonce = env.rand_bytes(16)
-            media = asset.variant(asset.top_bitrate())
+            key_id = env.rng.randbytes(16)
+            content_key = env.rng.randbytes(16)
+            nonce = env.rng.randbytes(16)
+            media = asset.variant(max(asset.variants))
             header = INIT_MAGIC + bytes(12) + key_id + nonce
             self._streams[asset.asset_id] = (header, content_key, nonce, media)
             self._license_keys[key_id + nonce] = content_key
@@ -218,13 +218,13 @@ class BenchmarkService:
         if known is None or known[0] != password:
             return error_response(401, "bad credentials")
         sid = self.env.hex_token(32)
-        self._sessions.put(sid, username, self.env.now())
+        self._sessions.put(sid, username, self.env.clock.now())
         resp = json_response({"status": "ok", "user": username})
         resp.set_cookies[SESSION_COOKIE] = sid
         return resp
 
     def _token(self, req: HttpRequest) -> HttpResponse:
-        sid, now = req.cookies.get(SESSION_COOKIE, ""), self.env.now()
+        sid, now = req.cookies.get(SESSION_COOKIE, ""), self.env.clock.now()
         user = self._sessions.live(sid, now)
         if user is None:
             return error_response(401, "login first")
@@ -237,7 +237,7 @@ class BenchmarkService:
         header = req.headers.get("authorization", "")
         if not header.startswith("Bearer "):
             return None
-        return self._bearers.live(header[len("Bearer "):], self.env.now())
+        return self._bearers.live(header[len("Bearer "):], self.env.clock.now())
 
     def _resolve(self, req: HttpRequest) -> HttpResponse:
         user = self._bearer_user(req)
@@ -249,7 +249,7 @@ class BenchmarkService:
         asset = self.catalog.assets[asset_id]
         if asset.premium and self.users[user][1] != "premium":
             return error_response(403, "premium account required")
-        expires = self.env.now() + self.grant_ttl
+        expires = self.env.clock.now() + self.grant_ttl
         uris = [
             self._gate.signed_url(HOST_CDN, _stream_path(edge, asset_id), expires)
             for edge in EDGES
@@ -264,7 +264,7 @@ class BenchmarkService:
         asset_id = self._cdn_paths.get(req.path)
         if asset_id is None:
             return error_response(404, "no such object")
-        if not self._gate.admits(req.query, req.path, self.env.now()):
+        if not self._gate.admits(req.query, req.path, self.env.clock.now()):
             return error_response(403, "grant rejected")
         blob = self._stream_blob(asset_id)
         range_header = req.headers.get("range")
@@ -320,7 +320,7 @@ class BenchmarkService:
         content_key = self._license_keys.get(payload)
         if content_key is None:
             return error_response(403, "license denied")
-        iv = self.env.rand_bytes(16)
+        iv = self.env.rng.randbytes(16)
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},

@@ -1,11 +1,13 @@
 """Ground-truth media catalog shared by every simulated service.
 
 Variant files carry a 4-byte AUD0 magic so recovered streams are
-recognisable in a tap without guessing. On disk a catalog is one file
-per variant (<asset_id>.<bitrate>.aud) plus an optional <asset_id>.meta
-with title/premium, so a directory round-trips losslessly. The meta file
-is read line by line as UTF-8, so save_catalog refuses a title of more
-than one line or with no UTF-8 form, before it writes any file.
+recognisable in a tap without guessing; load_catalog refuses a file
+without it, and save_catalog a variant without it. On disk a catalog is
+one file per variant (<asset_id>.<bitrate>.aud) plus an optional
+<asset_id>.meta with title/premium, so a directory round-trips
+losslessly. The meta file is read line by line as UTF-8, so save_catalog
+refuses a title of more than one line or with no UTF-8 form. Every
+refusal of save_catalog comes before it writes any file.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ def save_catalog(catalog: ServiceCatalog, dirpath) -> None:
             asset.title.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ValueError(f"{asset.asset_id}: title {asset.title!r} has no UTF-8 form") from exc
+        for rate, blob in asset.variants.items():
+            if not blob.startswith(AUDIO_MAGIC):
+                raise ValueError(f"{asset.asset_id}: variant {rate} lacks the {AUDIO_MAGIC!r} magic")
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     for asset in catalog.assets.values():
@@ -99,7 +104,10 @@ def load_catalog(dirpath) -> ServiceCatalog:
         if not (asset_id and rate_text.isascii() and rate_text.isdigit()):
             raise ValueError(f"bad catalog filename {name}")
         with open(prefix + name, "rb", buffering=0) as fh:
-            variants.setdefault(asset_id, {})[int(rate_text)] = fh.read()
+            blob = fh.read()
+        if not blob.startswith(AUDIO_MAGIC):
+            raise ValueError(f"catalog file {name} lacks the {AUDIO_MAGIC!r} magic")
+        variants.setdefault(asset_id, {})[int(rate_text)] = blob
     assets = {}
     for asset_id, rates in variants.items():
         title, premium = asset_id, False

@@ -28,7 +28,7 @@ from .services import wynk as wynk_mod
 from .services.gaana import parse_song_page as parse_gaana_page
 from .services.saavn import parse_song_page as parse_saavn_page
 from .services.wynk import encode_cip, mix_it, search_id
-from .transport import DeterministicEnv, Network, query_string, split_url
+from .transport import DeterministicEnv, Network, query_string, split_url, uuid_like
 
 USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) testbed-player/1.0"
 
@@ -122,7 +122,7 @@ def rip_wynk_v1(
         net.post(
             f"https://{wynk_mod.HOST_ACCOUNT}{wynk_mod.V1_LOGIN_PATH}",
             body=json.dumps(
-                {"deviceId": env.uuid_like(), "userAgent": USER_AGENT}
+                {"deviceId": uuid_like(env.rng), "userAgent": USER_AGENT}
             ).encode("utf-8"),
         ),
         "device registration refused",
@@ -143,7 +143,7 @@ def rip_wynk_v1(
 def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
     """The priming dance: interleaved webassets fetches, the number
     exchange, then login. Returns the session material M."""
-    now = env.now()
+    now = env.clock.now()
     bk = wynk_mod.gen_bk(now, env.rng)
     device_id = wynk_mod.gen_device_id(env.rng)
     first, second = device_id[:36], device_id[36:]
@@ -156,7 +156,7 @@ def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
         net.post(
             f"https://{wynk_mod.HOST_CHECK}{wynk_mod.CHECK_PATH}",
             body=json.dumps({"pid": bk[half:]}).encode("utf-8"),
-            headers={"tk": str(env.now()), "bk": bk[:half]},
+            headers={"tk": str(env.clock.now()), "bk": bk[:half]},
         ),
         "check refused",
     )
@@ -165,7 +165,7 @@ def wynk_v2_handshake(net: Network, env: DeterministicEnv) -> dict:
         net.post(
             f"https://{wynk_mod.HOST_LOGIN}{wynk_mod.V2_LOGIN_PATH}",
             body=b"{}",
-            headers={"x-bsy-ptot": str(env.now()), "x-bsy-cip": encode_cip(bs)},
+            headers={"x-bsy-ptot": str(env.clock.now()), "x-bsy-cip": encode_cip(bs)},
         ),
         "login refused",
     )
@@ -180,8 +180,8 @@ def rip_wynk_v2(
 ) -> Chunks:
     session = wynk_v2_handshake(net, env)
     sid = search_id(song_url)
-    otp = wynk_mod.otp(session["dt"], sk, env.now())
-    sealed = passphrase_seal(session["kt"], otp.encode("ascii"), env.rand_bytes(8))
+    otp = wynk_mod.otp(session["dt"], sk, env.clock.now())
+    sealed = passphrase_seal(session["kt"], otp.encode("ascii"), env.rng.randbytes(8))
     stream = _wynk_stream_call(
         net,
         path=wynk_mod.V2_STREAM_PATH,

@@ -82,9 +82,6 @@ class MediaAsset:
                 raise ValueError(f"{self.asset_id}: empty variant {rate}")
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
 
-    def top_bitrate(self) -> int:
-        return max(self.variants)
-
     def variant(self, rate: int) -> bytes:
         try:
             return self.variants[rate]

@@ -71,7 +71,7 @@ class HungamaService:
         if not _hmac.compare_digest(token, self._token(song_id, expiry)):
             return False
         try:
-            return self.env.now() < int(expiry)
+            return self.env.clock.now() < int(expiry)
         except ValueError:  # past int()'s digit limit
             return False
 
@@ -93,7 +93,7 @@ class HungamaService:
         song_id = req.path[len(PLAYER_DATA_PREFIX):].strip("/")
         if song_id not in self.catalog.assets:
             return error_response(404, "no such track")
-        token = self._token(song_id, str(self.env.now() + self.token_ttl))
+        token = self._token(song_id, str(self.env.clock.now() + self.token_ttl))
         asset = self.catalog.assets[song_id]
         return json_response(
             {
@@ -115,7 +115,7 @@ class HungamaService:
         if quality not in QUALITY_RATES:
             return error_response(400, f"quality must be one of {list(QUALITY_RATES)}")
         rate = QUALITY_RATES[quality]
-        expires_at = self.env.now() + self.grant_ttl
+        expires_at = self.env.clock.now() + self.grant_ttl
         return json_response(
             {"media_url": self.cdn.signed_file_url(song_id, rate, expires_at)}
         )

@@ -124,7 +124,7 @@ class SaavnService:
             return error_response(404, "no such song")
         asset = self.catalog.assets[asset_id]
         # one 10-second segment per default-size chunk of the top variant
-        top = asset.variant(asset.top_bitrate())
+        top = asset.variant(max(asset.variants))
         data = {
             "song": {
                 "perma_url": self.song_url(asset_id),

@@ -208,7 +208,7 @@ class WynkService:
                 uid=self.env.hex_token(12),
                 token=self.env.hex_token(40),
             )
-            self._by_uid.put(login.uid, login, self.env.now())
+            self._by_uid.put(login.uid, login, self.env.clock.now())
             return json_response({"uid": login.uid, "token": login.token})
         return error_response(404, "no such endpoint")
 
@@ -234,7 +234,7 @@ class WynkService:
     def _grant_response(self, sid: str) -> HttpResponse:
         if sid not in self._sids:
             return error_response(404, "unknown content id")
-        grant = self.cdn.hls_grant(sid, self.env.now() + self.grant_ttl)
+        grant = self.cdn.hls_grant(sid, self.env.clock.now() + self.grant_ttl)
         return json_response(
             {"url": self.cdn.master_url(sid), "cookies": grant}
         )
@@ -246,7 +246,7 @@ class WynkService:
             uid, sep, _given = req.headers.get("x-bsy-utkn", "").partition(":")
             if not sep:
                 return error_response(403, "utkn malformed")
-            login = self._by_uid.live(uid, self.env.now())
+            login = self._by_uid.live(uid, self.env.clock.now())
             if login is None:
                 return error_response(401, "unknown uid")
             err = self._utkn_rejection(req, login)
@@ -279,10 +279,10 @@ class WynkService:
         if parsed is None:
             return error_response(404, "no such asset")
         _half, bk = parsed
-        handshake = self._by_bk.live(bk, self.env.now())
+        handshake = self._by_bk.live(bk, self.env.clock.now())
         if handshake is None:
             handshake = Handshake()
-            self._by_bk.put(bk, handshake, self.env.now())
+            self._by_bk.put(bk, handshake, self.env.clock.now())
         handshake.marks.add(m.group(2))
         # a one-pixel placeholder; the body never matters, the request does
         return HttpResponse(
@@ -299,7 +299,7 @@ class WynkService:
         if not isinstance(pid, str):
             return error_response(400, "pid required")
         bk = req.headers.get("bk", "") + pid
-        now = self.env.now()
+        now = self.env.clock.now()
         handshake = self._by_bk.live(bk, now)
         if handshake is None:
             return error_response(403, "unknown handshake")
@@ -317,7 +317,7 @@ class WynkService:
     def _handle_login(self, req: HttpRequest) -> HttpResponse:
         if req.method != "POST" or req.path != V2_LOGIN_PATH:
             return error_response(404, "no such endpoint")
-        now = self.env.now()
+        now = self.env.clock.now()
         handshake = self._by_cip.live(req.headers.get("x-bsy-cip", ""), now)
         if handshake is None:
             return error_response(403, "cip mismatch")
@@ -345,7 +345,7 @@ class WynkService:
         )
 
     def _v2_stream(self, req: HttpRequest) -> HttpResponse:
-        login = self._by_dt.live(req.headers.get("x-bsy-uuid", ""), self.env.now())
+        login = self._by_dt.live(req.headers.get("x-bsy-uuid", ""), self.env.clock.now())
         if login is None:
             return error_response(403, "unknown device token")
         err = self._utkn_rejection(req, login)
@@ -362,7 +362,7 @@ class WynkService:
             digits = passphrase_open(login.kt, sealed).decode("ascii")
         except (DecodeError, SealError, UnicodeDecodeError):
             return False
-        now = self.env.now()
+        now = self.env.clock.now()
         # this window's code and the last one's; no window starts before t0
         accepted = [
             otp(login.dt, self.sk, at)

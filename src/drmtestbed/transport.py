@@ -112,17 +112,8 @@ class DeterministicEnv:
         self.clock = Clock(clock_start)
         self.rng = random.Random(seed)
 
-    def now(self) -> int:
-        return self.clock.now()
-
     def hex_token(self, n_chars: int) -> str:
         return hex_digits(self.rng, n_chars)
-
-    def rand_bytes(self, n: int) -> bytes:
-        return self.rng.randbytes(n)
-
-    def uuid_like(self) -> str:
-        return uuid_like(self.rng)
 
 
 @dataclass(slots=True, init=False)

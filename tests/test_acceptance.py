@@ -170,7 +170,7 @@ def test_audit_matrix_golden(capsys):
 
 
 def _step_spit_out(net, env, art):
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     device_id = wynk.gen_device_id(env.rng)
     for half, mark in ((device_id[:36], "1"), (device_id[36:], "2")):
         name = wynk.mix_it(half.replace("-", ""), bk)
@@ -179,12 +179,12 @@ def _step_spit_out(net, env, art):
 
 
 def _step_check(net, env, art):
-    bk = art.get("bk", wynk.gen_bk(env.now(), env.rng))
+    bk = art.get("bk", wynk.gen_bk(env.clock.now(), env.rng))
     half = len(bk) // 2
     resp = net.post(
         f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
         body=json.dumps({"pid": bk[half:]}).encode(),
-        headers={"tk": str(env.now()), "bk": bk[:half]},
+        headers={"tk": str(env.clock.now()), "bk": bk[:half]},
     )
     if resp.status == 200:
         values = json.loads(resp.body)
@@ -196,7 +196,7 @@ def _step_login(net, env, art):
     resp = net.post(
         f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
         body=b"{}",
-        headers={"x-bsy-ptot": str(env.now()), "x-bsy-cip": wynk.encode_cip(bs)},
+        headers={"x-bsy-ptot": str(env.clock.now()), "x-bsy-cip": wynk.encode_cip(bs)},
     )
     art["issued"] = resp.status == 200
 
@@ -241,7 +241,7 @@ def test_handshake_order_and_otp_window():
             },
         ).status
 
-    now = tb.env.now()
+    now = tb.env.clock.now()
     accepted = [otp_status(now), otp_status(now - window)]
     rejected = [otp_status(now - 2 * window), otp_status(now + 2 * window)]
     window_ok = (
@@ -284,7 +284,7 @@ def test_credential_mutation_fuzz(bed):
     code = totp(
         (session["dt"] + bed.config.wynk_sk).encode("utf-8"),
         wynk.TOTP_PARAMS,
-        bed.env.now(),
+        bed.env.clock.now(),
     )
     t_header = b64(passphrase_seal(session["kt"], code.encode("ascii"), b"\x01" * 8))
 

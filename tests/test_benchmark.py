@@ -299,7 +299,7 @@ def _oracle_blob(svc, catalog, track, header):
     # server's keyring and the catalog, independently of the CDN path and
     # of the keystreams the CDM keeps
     content_key, nonce = svc._license_keys[header[16:48]], header[32:48]
-    media = catalog.assets[track].variant(catalog.assets[track].top_bitrate())
+    media = catalog.assets[track].variant(max(catalog.assets[track].variants))
     ctr = Cipher(algorithms.AES(content_key), modes.CTR(nonce)).encryptor()
     return header[:bench.HEADER_BYTES] + ctr.update(media)
 
@@ -372,7 +372,7 @@ class StreamOracleMachine(RuleBasedStateMachine):
             self.uris[track] = uri
             self.blobs[track] = _oracle_blob(svc, catalog, track, header)
             asset = catalog.assets[track]
-            self.media[track] = asset.variant(asset.top_bitrate())
+            self.media[track] = asset.variant(max(asset.variants))
             self.handles[track] = self.cdm.install(license_resp.body)
             self.read_to[track] = self.decrypted_to[track] = 0
         self.served = []  # (response, the bytes it carried when served)
@@ -503,14 +503,14 @@ def test_license_rejects_unsealed_or_foreign_requests(rig):
 def test_license_request_that_opens_to_the_wrong_length_is_malformed(rig):
     # sealed under the device key, so it opens, but is not 32 bytes of init data
     svc, net, env, _catalog = rig
-    request = bench._seal(svc.device_key, bytes(16), env.rand_bytes(16))
+    request = bench._seal(svc.device_key, bytes(16), env.rng.randbytes(16))
     resp = net.post(bench.LICENSE_URL, body=request)
     assert (resp.status, json.loads(resp.body)) == (403, {"error": "request malformed"})
 
 
 def test_cdm_refuses_a_license_that_opens_to_the_wrong_length(rig):
     svc, _net, env, _catalog = rig
-    license_blob = bench._seal(svc.device_key, bytes(32), env.rand_bytes(16))
+    license_blob = bench._seal(svc.device_key, bytes(32), env.rng.randbytes(16))
     with pytest.raises(bench.LicenseError, match="payload malformed"):
         svc.make_cdm().install(license_blob)
 
@@ -563,7 +563,7 @@ def test_each_cdm_walks_its_own_keystream(rig, monkeypatch):
     request = cdms[0].request_license(bench.extract_init_data(header))
     license_blob = net.post(bench.LICENSE_URL, body=request).body
     handles = [cdm.install(license_blob) for cdm in cdms]
-    media = catalog.assets["trk1"].variant(catalog.assets["trk1"].top_bitrate())
+    media = catalog.assets["trk1"].variant(max(catalog.assets["trk1"].variants))
     chunks = []
     for start in range(bench.HEADER_BYTES, bench.HEADER_BYTES + len(media), bench.SEGMENT_BYTES):
         end = start + bench.SEGMENT_BYTES - 1

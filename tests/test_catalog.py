@@ -82,7 +82,7 @@ def test_the_dicts_a_caller_passed_stay_the_callers():
     assets["x"] = asset
     del assets["t"]
     assert asset.variants == {320: AUDIO_MAGIC + b"hi", 64: AUDIO_MAGIC + b"lo"}
-    assert asset.top_bitrate() == 320 and asset.variant(64) == AUDIO_MAGIC + b"lo"
+    assert max(asset.variants) == 320 and asset.variant(64) == AUDIO_MAGIC + b"lo"
     assert catalog.track_ids() == ["t"] and catalog.assets["t"] is asset
 
 
@@ -155,7 +155,8 @@ def _catalogs(draw):
     assets = {}
     for asset_id in ids:
         rates = draw(st.sets(st.sampled_from(BITRATE_LADDER), min_size=1))
-        variants = {rate: draw(st.binary(min_size=1, max_size=8)) for rate in rates}
+        # the format requires the magic; its refusal has its own tests
+        variants = {rate: AUDIO_MAGIC + draw(st.binary(max_size=8)) for rate in rates}
         assets[asset_id] = MediaAsset(asset_id, draw(st.text()), variants, draw(st.booleans()))
     return ServiceCatalog(assets=assets)
 
@@ -203,12 +204,31 @@ def test_save_refuses_a_title_with_no_utf8_form(tmp_path, title):
     assert list(tmp_path.iterdir()) == []  # not even the valid asset's files
 
 
+@pytest.mark.parametrize("blob", [b"x", b"AUD", b"aud0tail", b"\x00AUD0"])
+def test_save_refuses_a_variant_without_the_magic(tmp_path, blob):
+    good = MediaAsset("t0", "fine", {64: AUDIO_MAGIC})
+    bad = MediaAsset("t1", "fine", {64: AUDIO_MAGIC, 32: blob})
+    with pytest.raises(ValueError, match="^t1: variant 32 lacks the b'AUD0' magic$"):
+        save_catalog(ServiceCatalog(assets={"t0": good, "t1": bad}), tmp_path)
+    assert list(tmp_path.iterdir()) == []  # not even the valid asset's files
+
+
 # ------------------------------------------------ what load_catalog lists
 
 
 def _write(root, *names):
     for name in names:
         (root / name).write_bytes(AUDIO_MAGIC + name.encode())
+
+
+@pytest.mark.parametrize("blob", [b"", b"AUD", b"xAUD0", b"\x00\x00\x00\x00tail"])
+def test_load_names_the_one_file_without_the_magic(tmp_path, blob):
+    # the ripper finds whole-file media by the magic, so a catalog of
+    # files without it would read as encrypted when served in the clear
+    _write(tmp_path, "a.64.aud", "b.64.aud")
+    (tmp_path / "b.32.aud").write_bytes(blob)
+    with pytest.raises(ValueError, match=r"^catalog file b\.32\.aud lacks"):
+        load_catalog(tmp_path)
 
 
 def test_load_takes_assets_and_rates_in_filename_order(tmp_path):

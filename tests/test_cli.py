@@ -193,6 +193,23 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"testbed: asset id {asset_id!r} is not ")
 
+    @pytest.mark.parametrize("argv", [
+        ["rip", "--service", "jiosaavn", "--track", "trk1", "--out", "rip.aud"],
+        ["audit", "--format", "json"],
+    ], ids=["rip", "audit"])
+    def test_catalog_files_without_the_magic_exit_64(self, tmp_path, monkeypatch, capsys, argv):
+        # the ripper finds whole-file media by the magic: such a catalog
+        # would fail plaintext rips and audit them as encrypted
+        monkeypatch.chdir(tmp_path)  # `rip` would write its --out here
+        catalog = tmp_path / "cat"
+        save_catalog(demo_catalog(Random(3)), catalog)
+        for path in catalog.glob("*.aud"):
+            path.write_bytes(b"\x00" * 4 + path.read_bytes()[4:])
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"catalog_dir = {catalog}\n", encoding="utf-8")
+        assert main([*argv, "--config", str(conf)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("testbed: catalog file trk1.128.aud ")
+
     @pytest.mark.parametrize("line", ["gaana_key=00", "__class__=x", "rip=1"])
     def test_config_key_that_is_not_a_field_exits_64(self, tmp_path, capsys, line):
         conf = tmp_path / "t.conf"

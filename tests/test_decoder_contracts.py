@@ -94,7 +94,7 @@ def _hungama_token(expiry: str) -> str:
 
 def _live_hungama_token() -> str:
     """The token the service hands out for trk1 now."""
-    return HUNGAMA._token("trk1", str(HUNGAMA.env.now() + HUNGAMA.token_ttl))
+    return HUNGAMA._token("trk1", str(HUNGAMA.env.clock.now() + HUNGAMA.token_ttl))
 
 
 _MASTER = render_master([(320000, "https://c.example/320/index.m3u8")])

@@ -26,8 +26,8 @@ from drmtestbed.transport import export_tap
 GOLDEN_SHA256 = {
     # audit_all, every service x demo track, then the quality rips, all on
     # one default bed
-    "bed.export_tap": "89a16fc0c00fe550ea0a56ce0eb337abbe2d5f14c8661227a9d9a259f6fb502e",
-    "bed.fields": "d51a0b3de602bf5091333c1075fbb5a75a0c784be4bd6ee4ba84ba47853e225c",
+    "bed.export_tap": "821886d1a0fe3f8e10a3b030bcfb0ccc3a4d093ba13692bc5903791a89e121ec",
+    "bed.fields": "fe443f2bf18fe622efb7838b3adc11c8b92e06c77639289a079c7a7b7d15c604",
     "cli.demo": "347b657685f6993c66269f3188777b62b7a318cf802ad6fa460241bbd846288e",
     "cli.audit.text": "eb3ac8755f3c98f8993a5997ce32bf3b18dd06ec5811046789107b7b035a334f",
     "cli.audit.json": "9344413b59d1c6204972fd184bfd16ff5a57d65bd171539a6901731d80071a8e",

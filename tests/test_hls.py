@@ -42,7 +42,7 @@ def test_media_asset_validation():
 
 def test_media_asset_accessors():
     asset = MediaAsset("t", "Title", {64: b"low", 320: b"hi", 128: b"mid"})
-    assert asset.top_bitrate() == 320
+    assert max(asset.variants) == 320
     assert asset.variant(64) == b"low"
     assert not asset.premium
 

@@ -14,19 +14,32 @@ alone can refuse an anonymous or a free user only by refusing the
 default one too. Their `mandatory_user_identification` and
 `premium_access_restrictions` rows stay in the table as strict xfails:
 each flips its cell, or would, but shuts the default principal out.
+
+`PRINCIPAL_ROWS` lends those clients an identity from the test side:
+every request a client makes while the bed runs it for a principal
+carries an `x-principal` header naming that principal (anonymous sends
+none), and a CDN refuses gated media unless the header names a principal
+it allows. With an identity to tell apart, each of the ten cells flips.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 
 import pytest
 
 from drmtestbed import benchmark as bench
-from drmtestbed.auditor import EXTENDED_AUDIT_SERVICES, PRACTICE_FIELDS, audit_all
+from drmtestbed.auditor import (
+    EXTENDED_AUDIT_SERVICES,
+    PRACTICE_FIELDS,
+    AuditRefused,
+    audit,
+    audit_all,
+)
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
-from drmtestbed.testbed import SPECS, Testbed
+from drmtestbed.testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, SPECS, Testbed
 from drmtestbed.transport import (
     HttpRequest,
     HttpResponse,
@@ -88,27 +101,35 @@ def _xor_media(service):
     return perturb
 
 
+def _gate_cdn_media(bed, service, premium_only, admits) -> None:
+    """The service's CDN refuses media (of premium tracks only, or of
+    every track) to a request that admits(request) turns away."""
+    gated = {
+        id(variant)
+        for asset in bed.catalog.assets.values()
+        if asset.premium or not premium_only
+        for variant in asset.variants.values()
+    }
+
+    def edit(request, answer):
+        response = answer(request)
+        body = response.body
+        # a CDN copies no media: a body is a variant or a view of one
+        media = body.obj if isinstance(body, memoryview) else body
+        if id(media) in gated and not admits(request):
+            return error_response(401, "sign in")
+        return response
+
+    _wrap(bed, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
+
+
 def _cdn_demands_identity(service, premium_only):
     """The service's CDN refuses media (of premium tracks only, or of
     every track) to a request that carries no `authorization` header."""
     def perturb(bed):
-        gated = {
-            id(variant)
-            for asset in bed.catalog.assets.values()
-            if asset.premium or not premium_only
-            for variant in asset.variants.values()
-        }
-
-        def edit(request, answer):
-            response = answer(request)
-            body = response.body
-            # a CDN copies no media: a body is a variant or a view of one
-            media = body.obj if isinstance(body, memoryview) else body
-            if id(media) in gated and "authorization" not in request.headers:
-                return error_response(401, "sign in")
-            return response
-
-        _wrap(bed, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
+        _gate_cdn_media(
+            bed, service, premium_only, lambda request: "authorization" in request.headers
+        )
     return perturb
 
 
@@ -208,6 +229,68 @@ ROWS = [
 ]
 
 
+_IDENTITY_FIELDS = ("mandatory_user_identification", "premium_access_restrictions")
+_PRINCIPAL = contextvars.ContextVar("principal", default=ANONYMOUS)
+_PRINCIPAL_HEADER = "x-principal"
+
+
+def _present_principals(bed) -> None:
+    """While the bed runs a client for a principal, every request that
+    client makes names the principal in an `x-principal` header; an
+    anonymous one sends none. `authorization` cannot carry it, since the
+    benchmark's Bearer token already does."""
+    run_client, request = bed.run_client, bed.net.request
+
+    def run_as(service, track, quality=None, principal=DEFAULT_PRINCIPAL):
+        token = _PRINCIPAL.set(principal)
+        try:
+            return run_client(service, track, quality, principal)
+        finally:
+            _PRINCIPAL.reset(token)
+
+    def request_as(method, url, *, headers=None, **kw):
+        principal = _PRINCIPAL.get()
+        if principal != ANONYMOUS:
+            headers = {**(headers or {}), _PRINCIPAL_HEADER: principal}
+        return request(method, url, headers=headers, **kw)
+
+    bed.run_client, bed.net.request = run_as, request_as
+
+
+def _cdn_admits_principals(service, premium_only):
+    """Principals present themselves, and the service's CDN refuses media
+    of premium tracks to all but the default principal, or of every
+    track to an anonymous one."""
+    allowed = {DEFAULT_PRINCIPAL} if premium_only else {DEFAULT_PRINCIPAL, FREE_TIER}
+
+    def perturb(bed):
+        _present_principals(bed)
+        _gate_cdn_media(
+            bed, service, premium_only,
+            lambda request: request.headers.get(_PRINCIPAL_HEADER) in allowed,
+        )
+    return perturb
+
+
+def _cdn_peers(service) -> list[str]:
+    """The service first, then every other service its CDN serves."""
+    return [service] + [
+        peer for peer, owner in _CDN_OWNER.items()
+        if owner == _CDN_OWNER[service] and peer != service
+    ]
+
+
+# one row per identity cell; a wynk perturbation reaches both wynk cells
+PRINCIPAL_ROWS = [
+    _row(name, field, _cdn_peers(service), _cdn_admits_principals(service, premium_only))
+    for service in ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
+    for name, field, premium_only in (
+        ("cdn-wants-principal", _IDENTITY_FIELDS[0], False),
+        ("cdn-wants-principal-for-premium", _IDENTITY_FIELDS[1], True),
+    )
+]
+
+
 def _perturbed_bed(perturb, config) -> Testbed:
     bed = Testbed(TestbedConfig(**config))
     if perturb is not None:
@@ -215,7 +298,7 @@ def _perturbed_bed(perturb, config) -> Testbed:
     return bed
 
 
-@pytest.mark.parametrize("field, services, perturb, config", ROWS)
+@pytest.mark.parametrize("field, services, perturb, config", ROWS + PRINCIPAL_ROWS)
 def test_a_perturbation_flips_only_its_cells(field, services, perturb, config):
     bed = _perturbed_bed(perturb, config)
     for service in services:
@@ -249,3 +332,31 @@ def test_every_identity_probe_has_a_row_per_service():
         for field in ("mandatory_user_identification", "premium_access_restrictions")
         for service in EXTENDED_AUDIT_SERVICES
     }
+
+
+def test_every_identity_cell_has_a_principal_row():
+    cells = [(param.values[0], param.values[1][0]) for param in PRINCIPAL_ROWS]
+    assert sorted(cells) == sorted(
+        (field, service)
+        for field in _IDENTITY_FIELDS
+        for service in EXTENDED_AUDIT_SERVICES
+        if service != "spotify-benchmark"
+    )
+
+
+def test_presented_principals_alone_move_no_verdict():
+    bed = Testbed()
+    _present_principals(bed)
+    cards = audit_all(bed, EXTENDED_AUDIT_SERVICES)
+    assert {name: tuple(card.as_dict().values()) for name, card in cards.items()} == EXPECTED
+
+
+@pytest.mark.parametrize("service", ["jiosaavn", "gaana", "hungama", "wynk-v2", "wynk-v1"])
+def test_premium_served_to_nobody_refuses_the_row(service):
+    # the reference run plays the premium track as the paying user, so a
+    # service that serves premium media to no one has no "yes" to earn
+    bed = _perturbed_bed(_cdn_demands_identity(service, premium_only=True), {})
+    with pytest.raises(AuditRefused, match=(
+        rf"^{service}: reference run failed: .*\(status 401\)$"
+    )):
+        audit(bed, service)

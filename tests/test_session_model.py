@@ -13,17 +13,26 @@ key, and no benchmark CDN body is a run of catalog plaintext. Any
 exception a step raises, from `dispatch` or a client, fails the run.
 The machine runs derandomized with a fixed budget, so a failure
 reproduces on every run.
+
+One rule takes, for each `CONFIG` lifetime, an answered request of an
+earlier play that this lifetime governs. It moves the clock to the
+first second that lifetime, counted from the play, no longer covers,
+and replays the request: it must be refused. A run must cross each
+lifetime's expiry at least `EXPIRY_FLOOR` times that way, so the model
+cannot quietly stop reaching expired state.
 """
 
 from __future__ import annotations
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from drmtestbed import benchmark as bench
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
+from drmtestbed.services import hungama as hungama_mod
+from drmtestbed.services import wynk as wynk_mod
 from drmtestbed.testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, Testbed
 from drmtestbed.transport import ALLOWED_STATUSES, copy_request, export_tap
 
@@ -35,6 +44,23 @@ SERVICES = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama", "benchmark")
 PRINCIPALS = (DEFAULT_PRINCIPAL, FREE_TIER, ANONYMOUS)
 TRACKS = ("trk1", "trk2", "trk3")  # trk3 is premium
 STEPS = (1, 119, 599, 600, 899, 900, 1799, 1800, 1801, 4000)
+# each CONFIG lifetime -> (host, path) -> whether it governs that request
+GOVERNS = {
+    "hungama_token_ttl": lambda host, path: (
+        host == hungama_mod.HOST_WWW and path.startswith(hungama_mod.MDNURL_PREFIX)
+    ),
+    # both stream calls find their login in a store of this lifetime
+    "wynk_session_ttl": lambda host, path: host == wynk_mod.HOST_PLAYBACK,
+    "bearer_ttl": lambda host, path: host == bench.HOST_API and (
+        path == bench.TOKEN_PATH or path.startswith(bench.RESOLVE_PREFIX)
+    ),
+    # saavn and gaana sign grants that never expire
+    "grant_ttl": lambda host, path: host in (
+        wynk_mod.HOST_CDN, hungama_mod.HOST_CDN, bench.HOST_CDN
+    ),
+}
+EXPIRY_FLOOR = 20  # replays per lifetime that crossed its expiry, in one run
+crossed = []  # the lifetime of every such replay in the current run
 
 
 def _stores(bed: Testbed) -> dict:
@@ -80,11 +106,14 @@ class SessionModel(RuleBasedStateMachine):
         for name, store in _stores(self.bed).items():
             _log_calls(store, self.calls.setdefault(name, []))
         self.captured = []  # requests the bed has seen, for replay
+        # lifetime -> (request, clock) of each answered request a play
+        # made that the lifetime governs; a play issues its own credentials
+        self.governed = {lifetime: [] for lifetime in GOVERNS}
 
     def _on_both(self, step):
         """step(bed) on the bed and on its twin, each under a fresh tap;
         both must put the same bytes on the wire. Returns the bed's
-        result."""
+        result and tap records."""
         results, taps = [], []
         for bed in (self.bed, self.twin):
             taps.append(bed.net.attach_tap())
@@ -96,7 +125,7 @@ class SessionModel(RuleBasedStateMachine):
         assert export_tap(mine) == export_tap(twins)
         self._keys_stay_confined(mine)
         self.captured += [rec.request for rec in mine]
-        return results[0]
+        return results[0], mine
 
     def _keys_stay_confined(self, records):
         for rec in records:
@@ -117,7 +146,13 @@ class SessionModel(RuleBasedStateMachine):
             except ProtocolFailure:
                 return None
 
-        audio = self._on_both(run)
+        now = self.bed.env.clock.now()
+        audio, records = self._on_both(run)
+        for rec in records:
+            if rec.response.status == 200:
+                for lifetime, governs in GOVERNS.items():
+                    if governs(rec.request.headers["host"], rec.request.path):
+                        self.governed[lifetime].append((rec.request, now))
         if audio is not None:
             assert b"".join(audio) in self.variants
         if service == "benchmark" and principal != DEFAULT_PRINCIPAL:
@@ -132,7 +167,7 @@ class SessionModel(RuleBasedStateMachine):
 
     @rule(seconds=st.sampled_from(STEPS))
     def set_back(self, seconds):
-        self._on_both(lambda bed: bed.env.clock.set_to(bed.env.now() - seconds))
+        self._on_both(lambda bed: bed.env.clock.set_to(bed.env.clock.now() - seconds))
 
     @rule(pick=st.integers(min_value=0))
     def replay(self, pick):
@@ -140,12 +175,32 @@ class SessionModel(RuleBasedStateMachine):
             return
         request = self.captured[pick % len(self.captured)]
         host = request.headers["host"]
-        response = self._on_both(lambda bed: bed.net.dispatch(host, copy_request(request)))
+        response, _ = self._on_both(
+            lambda bed: bed.net.dispatch(host, copy_request(request))
+        )
         assert response.status in ALLOWED_STATUSES
+
+    @precondition(lambda self: any(self.governed.values()))
+    @rule(data=st.data())
+    def replay_once_expired(self, data):
+        for lifetime, answered in self.governed.items():
+            if not answered:
+                continue
+            request, played_at = data.draw(st.sampled_from(answered), label=lifetime)
+            expired_at = played_at + getattr(CONFIG, lifetime)
+            host = request.headers["host"]
+
+            def replay(bed):
+                bed.env.clock.set_to(expired_at)
+                return bed.net.dispatch(host, copy_request(request))
+
+            response, _ = self._on_both(replay)
+            assert response.status != 200, (lifetime, request.path, expired_at)
+            crossed.append(lifetime)
 
     @invariant()
     def stores_hold_only_their_live_window(self):
-        now = self.bed.env.now()
+        now = self.bed.env.clock.now()
         twin_stores = _stores(self.twin)
         for name, store in _stores(self.bed).items():
             assert len(store) == len(twin_stores[name])
@@ -183,4 +238,13 @@ SessionModel.TestCase.settings = settings(
     max_examples=30, stateful_step_count=40, derandomize=True, deadline=None,
     database=None,
 )
-test_session_model = SessionModel.TestCase
+
+
+class test_session_model(SessionModel.TestCase):
+    """The machine's run, then its floor of crossed expiries."""
+
+    def runTest(self):
+        crossed.clear()
+        super().runTest()
+        counts = {lifetime: crossed.count(lifetime) for lifetime in GOVERNS}
+        assert min(counts.values()) >= EXPIRY_FLOOR, counts

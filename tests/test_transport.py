@@ -111,9 +111,9 @@ def test_env_determinism_and_shapes():
     a = DeterministicEnv(seed=13, clock_start=500)
     b = DeterministicEnv(seed=13, clock_start=500)
     assert a.hex_token(40) == b.hex_token(40)
-    assert a.rand_bytes(32) == b.rand_bytes(32)
-    assert a.uuid_like() == b.uuid_like()
-    assert a.now() == 500
+    assert a.rng.randbytes(32) == b.rng.randbytes(32)
+    assert uuid_like(a.rng) == uuid_like(b.rng)
+    assert a.clock.now() == 500
 
     c = DeterministicEnv(seed=14, clock_start=500)
     assert a.hex_token(40) != c.hex_token(40)
@@ -123,7 +123,7 @@ def test_env_token_shapes():
     env = DeterministicEnv(seed=1, clock_start=0)
     token = env.hex_token(12)
     assert len(token) == 12 and all(ch in "0123456789abcdef" for ch in token)
-    uid = env.uuid_like()
+    uid = uuid_like(env.rng)
     chunks = uid.split("-")
     assert [len(c) for c in chunks] == [8, 4, 4, 4, 12]
 
@@ -166,7 +166,7 @@ def test_hex_token_draws_what_the_choice_loop_draws(seed, n):
 @given(seed=_SEEDS)
 def test_uuid_like_draws_what_the_choice_loop_draws(seed):
     env, old = DeterministicEnv(seed, 0), random.Random(seed)
-    assert env.uuid_like() == _old_uuid_like(old)
+    assert uuid_like(env.rng) == _old_uuid_like(old)
     assert uuid_like(env.rng) == _old_uuid_like(old)
     assert env.rng.random() == old.random()
 

@@ -29,6 +29,7 @@ from drmtestbed.transport import (
     Network,
     copy_request,
     export_tap,
+    uuid_like,
 )
 from drmtestbed.webassets import MINIFIED_BANNER
 from test_golden import PINNED_TAP_SHA256
@@ -104,7 +105,7 @@ def test_wynk_pk_is_base64_of_api_root():
 
 def test_gen_bk_and_device_id_shapes():
     env = DeterministicEnv(seed=5, clock_start=1_700_000_000)
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     epoch, _, tail = bk.partition("-")
     assert epoch == "1700000000"
     assert len(tail) == 16 and all(c in "0123456789abcdef" for c in tail)
@@ -122,7 +123,7 @@ def test_mix_it_interleaves_cyclically():
 
 def test_parse_mix_inverts_mix_it():
     env = DeterministicEnv(seed=9, clock_start=1_700_000_000)
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     half = wynk.gen_device_id(env.rng).replace("-", "")[:32]
     parsed = wynk._parse_mix(wynk.mix_it(half, bk))
     assert parsed == (half, bk)
@@ -214,7 +215,7 @@ def test_parse_mix_agrees_with_the_hand_walk(mix):
 
 def test_parse_mix_rejects_junk():
     env = DeterministicEnv(seed=9, clock_start=1_700_000_000)
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     half = "0123456789abcdef" * 2
     good = wynk.mix_it(half, bk)
 
@@ -249,7 +250,7 @@ def test_v1_login_issues_uid_and_token(rig):
     _svc, net, env, _catalog = rig
     resp = net.post(
         f"https://{wynk.HOST_ACCOUNT}{wynk.V1_LOGIN_PATH}",
-        body=json.dumps({"deviceId": env.uuid_like(), "userAgent": "ua"}).encode(),
+        body=json.dumps({"deviceId": uuid_like(env.rng), "userAgent": "ua"}).encode(),
     )
     assert resp.status == 200
     payload = json.loads(resp.body)
@@ -274,7 +275,7 @@ def test_v1_login_requires_device_and_agent(rig, body):
 def _v1_register(net, env):
     resp = net.post(
         f"https://{wynk.HOST_ACCOUNT}{wynk.V1_LOGIN_PATH}",
-        body=json.dumps({"deviceId": env.uuid_like(), "userAgent": "ua"}).encode(),
+        body=json.dumps({"deviceId": uuid_like(env.rng), "userAgent": "ua"}).encode(),
     )
     return json.loads(resp.body)
 
@@ -383,7 +384,7 @@ def test_v1_full_rip_matches_catalog(rig):
 
 
 def _prime(net, env, *, marks=("1", "2")):
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     device_id = wynk.gen_device_id(env.rng)
     halves = {"1": device_id[:36], "2": device_id[36:]}
     for mark in marks:
@@ -398,7 +399,7 @@ def _check(net, env, bk, *, tk=None):
     return net.post(
         f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
         body=json.dumps({"pid": bk[half:]}).encode(),
-        headers={"tk": str(tk if tk is not None else env.now()), "bk": bk[:half]},
+        headers={"tk": str(tk if tk is not None else env.clock.now()), "bk": bk[:half]},
     )
 
 
@@ -407,7 +408,7 @@ def _login(net, env, bs, *, ptot=None):
         f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
         body=b"{}",
         headers={
-            "x-bsy-ptot": str(ptot if ptot is not None else env.now()),
+            "x-bsy-ptot": str(ptot if ptot is not None else env.clock.now()),
             "x-bsy-cip": wynk.encode_cip(bs),
         },
     )
@@ -439,7 +440,7 @@ def test_invalid_mix_names_are_404_and_create_no_state(rig):
 def test_mix_name_with_a_trailing_newline_is_404(rig):
     # dispatched directly: urlsplit would strip the newline from a URL
     svc, net, env, _catalog = rig
-    bk = wynk.gen_bk(env.now(), env.rng)
+    bk = wynk.gen_bk(env.clock.now(), env.rng)
     half = wynk.gen_device_id(env.rng)[:36].replace("-", "")
     path = f"/webassets/{wynk.mix_it(half, bk)}_1.jpg"
     resp = net.dispatch(wynk.HOST_ASSETS, HttpRequest("GET", path + "\n"))
@@ -451,16 +452,16 @@ def test_mix_name_with_a_trailing_newline_is_404(rig):
 
 def test_check_requires_known_bk(rig):
     _svc, net, env, _catalog = rig
-    resp = _check(net, env, wynk.gen_bk(env.now(), env.rng))  # never primed
+    resp = _check(net, env, wynk.gen_bk(env.clock.now(), env.rng))  # never primed
     assert resp.status == 403
 
 
 def test_check_requires_fresh_tk(rig):
     _svc, net, env, _catalog = rig
     bk = _prime(net, env)
-    assert _check(net, env, bk, tk=env.now() - wynk.CLOCK_SKEW - 1).status == 401
-    assert _check(net, env, bk, tk=env.now() + wynk.CLOCK_SKEW + 1).status == 401
-    assert _check(net, env, bk, tk=env.now() - wynk.CLOCK_SKEW).status == 200
+    assert _check(net, env, bk, tk=env.clock.now() - wynk.CLOCK_SKEW - 1).status == 401
+    assert _check(net, env, bk, tk=env.clock.now() + wynk.CLOCK_SKEW + 1).status == 401
+    assert _check(net, env, bk, tk=env.clock.now() - wynk.CLOCK_SKEW).status == 200
 
 
 def test_check_rejects_non_ascii_digits_in_tk(rig):
@@ -500,13 +501,13 @@ def test_check_requires_pid(rig):
     resp = net.post(
         f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
         body=b"{}",
-        headers={"tk": str(env.now()), "bk": bk[:len(bk) // 2]},
+        headers={"tk": str(env.clock.now()), "bk": bk[:len(bk) // 2]},
     )
     assert resp.status == 400
     resp = net.post(
         f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
         body=json.dumps({"pid": 123}).encode(),
-        headers={"tk": str(env.now()), "bk": bk[:len(bk) // 2]},
+        headers={"tk": str(env.clock.now()), "bk": bk[:len(bk) // 2]},
     )
     assert resp.status == 400
 
@@ -544,7 +545,7 @@ def test_login_requires_fresh_ptot(rig):
     bk = _prime(net, env)
     check = json.loads(_check(net, env, bk).body)
     bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    assert _login(net, env, bs, ptot=env.now() - wynk.CLOCK_SKEW - 1).status == 401
+    assert _login(net, env, bs, ptot=env.clock.now() - wynk.CLOCK_SKEW - 1).status == 401
     assert _login(net, env, bs).status == 200
 
 
@@ -591,13 +592,13 @@ def test_login_finds_its_handshake_without_recomputing_cips(rig, monkeypatch):
     resp = net.post(
         f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
         body=b"{}",
-        headers={"x-bsy-ptot": str(env.now()), "x-bsy-cip": cip},
+        headers={"x-bsy-ptot": str(env.clock.now()), "x-bsy-cip": cip},
     )
     assert resp.status == 200
     assert calls == []
     # the cip named puzzle 149's handshake, and the login it made is live
     # under both its device token and its uid
-    body, now = json.loads(resp.body), env.now()
+    body, now = json.loads(resp.body), env.clock.now()
     assert svc._by_cip.live(cip, now) is svc._by_bk.live(bk, now)
     assert svc._by_dt.live(body["dt"], now) is svc._by_uid.live(body["uid"], now)
 
@@ -648,7 +649,7 @@ def _v2_stream_response(net, env, session, sid, *, otp_at=None, otp=None,
     code = otp if otp is not None else totp(
         (session["dt"] + WYNK_SK).encode("utf-8"),
         wynk.TOTP_PARAMS,
-        env.now() if otp_at is None else otp_at,
+        env.clock.now() if otp_at is None else otp_at,
     )
     sealed = passphrase_seal(kt or session["kt"], code.encode("ascii"), b"\x01" * 8)
     return net.post(
@@ -676,11 +677,11 @@ def test_v2_accepts_previous_totp_step_only(rig):
     session = wynk_v2_handshake(net, env)
     window = wynk.TOTP_PARAMS.window_seconds
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.now() - window).status == 200
+                               otp_at=env.clock.now() - window).status == 200
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.now() - 2 * window).status == 401
+                               otp_at=env.clock.now() - 2 * window).status == 401
     assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.now() + 2 * window).status == 401
+                               otp_at=env.clock.now() + 2 * window).status == 401
 
 
 def test_v2_rejects_wrong_seal_key(rig):
