@@ -32,10 +32,9 @@ from .testbed import ANONYMOUS, FREE_TIER, SPECS, ServiceSpec, Testbed
 from .transport import copy_request
 from .webassets import MINIFIED_BANNER
 
-# the five services the comparison table covers, plus the legacy flow,
-# which is auditable but was already retired when the table was drawn
+# the five services the comparison table covers; the legacy wynk-v1 flow
+# is auditable too, but was already retired when the table was drawn
 AUDIT_SERVICES = ("spotify-benchmark", "wynk-v2", "jiosaavn", "gaana", "hungama")
-EXTENDED_AUDIT_SERVICES = AUDIT_SERVICES + ("wynk-v1",)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ KEY_PAIR_PARAM = "Key-Pair-Id"
 # "never expires" for services whose grants carry no practical timeout
 FAR_FUTURE = 4102444800  # 2100-01-01T00:00:00Z
 # seconds the auditor's replay probe jumps forward; a clock this close to
-# FAR_FUTURE would see the never-expiring grants die, so a bed refuses it
+# FAR_FUTURE would see the never-expiring grants die, so a config refuses it
 REPLAY_HORIZON = 7200
 
 # every path a CdnNode serves ends in one of these extensions

@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .auditor import AUDIT_SERVICES, AuditRefused, audit_all
 from .config import ConfigError, TestbedConfig, load_config
-from .report import FORMATS, RunReport, UsageError, render_report
+from .report import FORMATS, RunReport, render_report
 from .testbed import RIP_SERVICES, Testbed
 
 EXIT_OK = 0
@@ -64,9 +65,9 @@ def build_parser() -> _Parser:
 def _load(args) -> TestbedConfig:
     cfg = load_config(args.config) if args.config else TestbedConfig()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "clock", None) is not None:
-        cfg.clock = args.clock
+        cfg = replace(cfg, clock=args.clock)
     return cfg
 
 
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
     except AuditRefused as exc:
         print(f"testbed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ConfigError, UsageError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"testbed: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,6 +4,9 @@ Everything has a working default so `testbed demo` runs with no file at
 all; a config file only overrides. These are the only defaults: every
 service reads its settings and secrets from a TestbedConfig. Secrets are
 hex so the file stays one printable line per key.
+
+A config is read-only. It refuses an out-of-range clock or lifetime when
+it is made, and a bad key when that key is read.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .cdn import FAR_FUTURE, REPLAY_HORIZON
 from .hls import DEFAULT_CHUNK_BYTES
 
 
@@ -18,7 +22,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestbedConfig:
     seed: int = 7
     clock: int = 1700000000
@@ -40,6 +44,22 @@ class TestbedConfig:
     gaana_key_hex: str = "a45bd1087e92cf36610b54afc3d278e9"
     gaana_iv_hex: str = "0cf3a871469de2b5871e90cd5336ab14"
     device_key_hex: str = "5e21b7da93c604f8ab176ce0421f98d3"
+
+    def __post_init__(self):
+        # wynk-v2's stamps are unsigned decimals and TOTP counts from t0 = 0
+        if self.clock < 0:
+            raise ConfigError(f"clock must be 0 or later, got {self.clock}")
+        # the replay probe must not carry the clock to where FAR_FUTURE
+        # grants expire, or the audit would read a timeout nobody set
+        if self.clock + REPLAY_HORIZON >= FAR_FUTURE:
+            raise ConfigError(
+                f"clock must be before {FAR_FUTURE - REPLAY_HORIZON}, got {self.clock}"
+            )
+        # a lifetime under 1 s refuses the bed's own clients, which the
+        # audit would read as a practice the service does not have
+        for name in TTL_FIELDS:
+            if (ttl := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be 1 or more, got {ttl}")
 
     def key(self, name: str) -> bytes:
         """The bytes of the `*_hex` field `name`, whose hex may be in any
@@ -76,7 +96,7 @@ _INT_FIELDS = {
 
 
 def parse_config(text: str) -> TestbedConfig:
-    cfg = TestbedConfig()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -89,12 +109,11 @@ def parse_config(text: str) -> TestbedConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in _INT_FIELDS:
             try:
-                setattr(cfg, key, int(value))
+                value = int(value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {key} wants an integer") from exc
-        else:
-            setattr(cfg, key, value)
-    return cfg
+        values[key] = value
+    return TestbedConfig(**values)
 
 
 def load_config(path) -> TestbedConfig:

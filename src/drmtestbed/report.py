@@ -16,10 +16,6 @@ from .ripper import RipResult
 FORMATS = ("text", "json")
 
 
-class UsageError(Exception):
-    pass
-
-
 @dataclass
 class RunReport:
     rips: list[RipResult] = field(default_factory=list)
@@ -108,4 +104,4 @@ def render_report(report: RunReport, fmt: str = "text") -> str:
         return _render_json(report)
     if fmt == "text":
         return _render_text(report)
-    raise UsageError(f"unknown report format {fmt!r}, want one of {FORMATS}")
+    raise ValueError(f"unknown report format {fmt!r}, want one of {FORMATS}")

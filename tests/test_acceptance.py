@@ -14,8 +14,10 @@ from itertools import permutations
 from random import Random
 
 from aes_reference import cbc_encrypt, ctr_xor
+from test_auditor import EXPECTED
 from test_crypto_kit import oracle_hmac_sha1, oracle_totp
 
+from drmtestbed.auditor import AUDIT_SERVICES
 from drmtestbed.cli import main
 from drmtestbed.clients import wynk_v2_handshake
 from drmtestbed.config import TestbedConfig
@@ -46,16 +48,10 @@ from drmtestbed.transport import export_tap, split_url
 
 INSECURE = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
 
-# golden practices matrix, one column per audited service, rows in
-# PRACTICE_FIELDS order: user id, stream encryption, hardcoded keys,
+# golden practices matrix: the comparison table's rows of EXPECTED, each
+# in PRACTICE_FIELDS order: user id, stream encryption, hardcoded keys,
 # drm, cookie timeout, premium gating, obfuscation
-GOLDEN_AUDIT = {
-    "spotify-benchmark": (True, True, False, True, True, True, True),
-    "wynk-v2": (False, False, True, False, True, False, True),
-    "jiosaavn": (False, False, False, False, False, False, True),
-    "gaana": (False, False, True, False, False, False, True),
-    "hungama": (False, False, False, False, False, False, True),
-}
+GOLDEN_AUDIT = {name: EXPECTED[name] for name in AUDIT_SERVICES}
 
 # characters a one-byte edit may substitute: the credential alphabets
 # plus nearby punctuation, minus query-string structure ("&", "?", "#")

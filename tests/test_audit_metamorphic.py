@@ -15,13 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drmtestbed.auditor import EXTENDED_AUDIT_SERVICES, PRACTICE_FIELDS, audit_all
+from drmtestbed.auditor import PRACTICE_FIELDS, audit_all
 from drmtestbed.cdn import FAR_FUTURE, REPLAY_HORIZON
 from drmtestbed.config import ConfigError, TestbedConfig
 from drmtestbed.testbed import Testbed
 
 from test_acceptance import GOLDEN_AUDIT
-from test_auditor import EXPECTED
+from test_auditor import EXPECTED, EXTENDED_AUDIT_SERVICES
 
 LAST_CLOCK = FAR_FUTURE - REPLAY_HORIZON - 1
 

@@ -247,6 +247,13 @@ class TestUsage:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "testbed: clock must be 0 or later, got -1\n")
 
+    def test_a_config_file_must_be_valid_without_the_flags(self, tmp_path, capsys):
+        # the file is read into a config before --clock replaces its clock
+        conf = tmp_path / "t.conf"
+        conf.write_text("clock = -1\n", encoding="utf-8")
+        assert main(["demo", "--config", str(conf), "--clock", "5"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "testbed: clock must be 0 or later, got -1\n")
+
     @pytest.mark.parametrize("route", ["demo-flag", "audit-file"])
     @pytest.mark.parametrize("clock", ["4102437600", "4102444800"])
     def test_clock_whose_replay_reaches_far_future_exits_64(

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drmtestbed.cdn import FAR_FUTURE, REPLAY_HORIZON
 from drmtestbed.config import (
     KEY_BYTES,
     KEY_FIELDS,
+    TTL_FIELDS,
     ConfigError,
     TestbedConfig,
     load_config,
@@ -79,6 +81,29 @@ class TestDefaults:
             cfg.device_key_hex,
         ]
         assert len(set(secrets)) == len(secrets)
+
+
+LAST_CLOCK = FAR_FUTURE - REPLAY_HORIZON - 1
+
+# (field, value, the ConfigError message) for each out-of-range setting
+OUT_OF_RANGE = [
+    ("clock", -1, "clock must be 0 or later, got -1"),
+    ("clock", LAST_CLOCK + 1, f"clock must be before {LAST_CLOCK + 1}, got {LAST_CLOCK + 1}"),
+    *((name, 0, f"{name} must be 1 or more, got 0") for name in TTL_FIELDS),
+]
+# each way to make a config with one field set
+MAKERS = {
+    "constructor": lambda name, value: TestbedConfig(**{name: value}),
+    "replace": lambda name, value: replace(TestbedConfig(), **{name: value}),
+    "parse_config": lambda name, value: parse_config(f"{name} = {value}"),
+}
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
+@pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)
+def test_an_out_of_range_setting_is_refused_when_made(make, name, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make(name, value)
 
 
 class TestParsing:

@@ -31,7 +31,6 @@ import pytest
 
 from drmtestbed import benchmark as bench
 from drmtestbed.auditor import (
-    EXTENDED_AUDIT_SERVICES,
     PRACTICE_FIELDS,
     AuditRefused,
     audit,
@@ -49,7 +48,7 @@ from drmtestbed.transport import (
 )
 from drmtestbed.webassets import MINIFIED_BANNER
 
-from test_auditor import EXPECTED
+from test_auditor import EXPECTED, EXTENDED_AUDIT_SERVICES
 
 _SPEC = {spec.audit_name: spec for spec in SPECS}
 _CDN_OWNER = {

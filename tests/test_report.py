@@ -8,7 +8,7 @@ import json
 import pytest
 
 from drmtestbed.auditor import PRACTICE_FIELDS, PracticesScorecard
-from drmtestbed.report import FORMATS, RunReport, UsageError, render_report
+from drmtestbed.report import FORMATS, RunReport, render_report
 from drmtestbed.ripper import RipResult
 
 
@@ -125,5 +125,5 @@ class TestErrors:
 
     @pytest.mark.parametrize("fmt", ["xml", "TEXT", "", "yaml"])
     def test_unknown_format_raises_usage_error(self, fmt):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
             render_report(RunReport(), fmt)

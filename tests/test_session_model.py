@@ -16,10 +16,12 @@ reproduces on every run.
 
 One rule takes, for each `CONFIG` lifetime, an answered request of an
 earlier play that this lifetime governs. It moves the clock to the
-first second that lifetime, counted from the play, no longer covers,
-and replays the request: it must be refused. A run must cross each
-lifetime's expiry at least `EXPIRY_FLOOR` times that way, so the model
-cannot quietly stop reaching expired state.
+first second that lifetime no longer covers, and replays the request:
+it must be refused. A lifetime counts from the play, except that of a
+benchmark token request: its login session lives from the latest token
+granted on it, by a play or by a replay, since each grant renews it. A
+run must cross each lifetime's expiry at least `EXPIRY_FLOOR` times
+that way, so the model cannot quietly stop reaching expired state.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ class SessionModel(RuleBasedStateMachine):
         # lifetime -> (request, clock) of each answered request a play
         # made that the lifetime governs; a play issues its own credentials
         self.governed = {lifetime: [] for lifetime in GOVERNS}
+        self.renewed = {}  # bench_sid -> clock of the latest token granted on it
 
     def _on_both(self, step):
         """step(bed) on the bed and on its twin, each under a fresh tap;
@@ -124,6 +127,10 @@ class SessionModel(RuleBasedStateMachine):
         mine, twins = (tap.records() for tap in taps)
         assert export_tap(mine) == export_tap(twins)
         self._keys_stay_confined(mine)
+        for rec in mine:
+            if rec.request.path == bench.TOKEN_PATH and rec.response.status == 200:
+                sid = rec.request.cookies[bench.SESSION_COOKIE]
+                self.renewed[sid] = self.bed.env.clock.now()
         self.captured += [rec.request for rec in mine]
         return results[0], mine
 
@@ -184,19 +191,24 @@ class SessionModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def replay_once_expired(self, data):
         for lifetime, answered in self.governed.items():
-            if not answered:
-                continue
-            request, played_at = data.draw(st.sampled_from(answered), label=lifetime)
-            expired_at = played_at + getattr(CONFIG, lifetime)
-            host = request.headers["host"]
+            if answered:
+                request, played_at = data.draw(st.sampled_from(answered), label=lifetime)
+                self._replay_at_expiry(lifetime, request, played_at)
 
-            def replay(bed):
-                bed.env.clock.set_to(expired_at)
-                return bed.net.dispatch(host, copy_request(request))
+    def _replay_at_expiry(self, lifetime, request, played_at):
+        start = played_at
+        if request.path == bench.TOKEN_PATH:
+            start = self.renewed[request.cookies[bench.SESSION_COOKIE]]
+        expired_at = start + getattr(CONFIG, lifetime)
+        host = request.headers["host"]
 
-            response, _ = self._on_both(replay)
-            assert response.status != 200, (lifetime, request.path, expired_at)
-            crossed.append(lifetime)
+        def replay(bed):
+            bed.env.clock.set_to(expired_at)
+            return bed.net.dispatch(host, copy_request(request))
+
+        response, _ = self._on_both(replay)
+        assert response.status != 200, (lifetime, request.path, expired_at)
+        crossed.append(lifetime)
 
     @invariant()
     def stores_hold_only_their_live_window(self):
@@ -248,3 +260,18 @@ class test_session_model(SessionModel.TestCase):
         super().runTest()
         counts = {lifetime: crossed.count(lifetime) for lifetime in GOVERNS}
         assert min(counts.values()) >= EXPIRY_FLOOR, counts
+
+
+def test_a_replayed_token_request_renews_its_session():
+    """The shape of the run `hypothesis.seed(6)` drew: a token request
+    replayed while its login session lives renews that session, so the
+    request is refused only bearer_ttl after the replay, not the play."""
+    machine = SessionModel()
+    played_at = machine.bed.env.clock.now()
+    machine.play(service="benchmark", principal=DEFAULT_PRINCIPAL, track="trk1")
+    token = next(req for req in machine.captured if req.path == bench.TOKEN_PATH)
+    machine.advance(seconds=600)
+    machine.replay(pick=machine.captured.index(token))
+    machine._replay_at_expiry("bearer_ttl", token, played_at)
+    assert machine.bed.env.clock.now() == played_at + 600 + CONFIG.bearer_ttl
+    machine.stores_hold_only_their_live_window()

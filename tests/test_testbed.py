@@ -6,10 +6,12 @@ import gc
 import math
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from drmtestbed import clients
+from drmtestbed.auditor import audit
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TTL_FIELDS, ConfigError, TestbedConfig
@@ -220,6 +222,16 @@ def test_build_refuses_a_lifetime_under_one_second(field, ttl):
 
 def test_build_accepts_a_one_second_lifetime():
     Testbed(TestbedConfig(**{field: 1 for field in TTL_FIELDS}))
+
+
+def test_a_built_beds_config_cannot_drift_from_its_services(bed):
+    # the services copied their settings at build, and the audit reads
+    # the secrets from the config, so the config must not change after
+    for name, value in [("wynk_sk", "x"), ("clock", 5), ("wynk_cdn_secret_hex", "00"),
+                        ("bearer_ttl", 60)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(bed.config, name, value)
+    assert audit(bed, "wynk-v2").hardcoded_keys is True
 
 
 def test_build_names_the_asset_missing_a_served_rate(tmp_path):
