@@ -12,7 +12,10 @@ Two probes recognise a constant rather than the property in general:
 `drm_scheme` looks for a request on the benchmark's `LICENSE_PATH`, and
 `obfuscation_minification` looks for the one `MINIFIED_BANNER` string
 in the client bundle. A license exchange on another path, or a bundle
-minified without that banner, reads "no".
+minified without that banner, reads "no". `hardcoded_keys` counts a
+secret only as a quoted string literal (`"…"`), the way every bundle
+ships one, so a short secret that is also script text (a `wynk_sk` of
+`var`) is not found in a bundle that does not ship it.
 
 The tapped reference run plays a premium track as the default
 principal, so `premium_access_restrictions` stands on both halves of
@@ -128,7 +131,7 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
     if fetched.status != 200:
         raise AuditRefused(f"{spec.audit_name}: bundle fetch failed (status {fetched.status})")
     bundle = fetched.body.decode("utf-8", errors="replace")
-    hardcoded = any(secret in bundle for secret in tb.secret_material())
+    hardcoded = any(f'"{secret}"' in bundle for secret in tb.secret_material())
     obfuscated = MINIFIED_BANNER in bundle
 
     premium_gated = not _attempt(tb, spec, premium, FREE_TIER)

@@ -98,7 +98,8 @@ def _fetch_hls(net: Network, entry_url: str, grant_query: dict[str, str]) -> Chu
 # ---- wynk ------------------------------------------------------------------
 
 
-def _wynk_stream_call(net, *, path, query, uid, token, extra_headers):
+def _wynk_stream_call(net, *, path, query, uid, token, extra_headers) -> Chunks:
+    """The signed stream call both generations make, then its HLS."""
     qs = query_string(query)
     body = "{}"
     utkn = wynk_mod.utkn(uid, token, wynk_mod.stream_message("POST", path, qs, body))
@@ -109,7 +110,8 @@ def _wynk_stream_call(net, *, path, query, uid, token, extra_headers):
         body=body.encode("ascii"),
         headers=headers,
     )
-    return _expect_json(resp, "stream authorization refused")
+    stream = _expect_json(resp, "stream authorization refused")
+    return _fetch_hls(net, stream["url"], stream["cookies"])
 
 
 @_protocol
@@ -128,7 +130,7 @@ def rip_wynk_v1(
         "device registration refused",
     )
     sid = search_id(song_url)
-    stream = _wynk_stream_call(
+    return _wynk_stream_call(
         net,
         path=f"{wynk_mod.V1_STREAM_PREFIX}{sid}{wynk_mod.V1_STREAM_SUFFIX}",
         query=dict(wynk_mod.STREAM_QUERY),
@@ -136,7 +138,6 @@ def rip_wynk_v1(
         token=reg["token"],
         extra_headers={},
     )
-    return _fetch_hls(net, stream["url"], stream["cookies"])
 
 
 @_protocol
@@ -182,7 +183,7 @@ def rip_wynk_v2(
     sid = search_id(song_url)
     otp = wynk_mod.otp(session["dt"], sk, env.clock.now())
     sealed = passphrase_seal(session["kt"], otp.encode("ascii"), env.rng.randbytes(8))
-    stream = _wynk_stream_call(
+    return _wynk_stream_call(
         net,
         path=wynk_mod.V2_STREAM_PATH,
         query=dict(wynk_mod.STREAM_QUERY, id=sid),  # id last: it is signed in order
@@ -190,7 +191,6 @@ def rip_wynk_v2(
         token=session["token"],
         extra_headers={"x-bsy-uuid": session["dt"], "x-bsy-t": b64(sealed)},
     )
-    return _fetch_hls(net, stream["url"], stream["cookies"])
 
 
 # ---- jiosaavn ----------------------------------------------------------------

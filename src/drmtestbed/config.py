@@ -5,8 +5,9 @@ all; a config file only overrides. These are the only defaults: every
 service reads its settings and secrets from a TestbedConfig. Secrets are
 hex so the file stays one printable line per key.
 
-A config is read-only. It refuses an out-of-range clock or lifetime when
-it is made, and a bad key when that key is read.
+A config is read-only. It refuses a field of the wrong type and an
+out-of-range clock, lifetime or chunk size when it is made, and a bad
+key when that key is read.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class TestbedConfig:
     device_key_hex: str = "5e21b7da93c604f8ab176ce0421f98d3"
 
     def __post_init__(self):
+        for name, want in _FIELD_TYPES.items():
+            # `is`, not isinstance: a bool is an int, and no setting is one
+            if type(value := getattr(self, name)) is not want:
+                raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
         # wynk-v2's stamps are unsigned decimals and TOTP counts from t0 = 0
         if self.clock < 0:
             raise ConfigError(f"clock must be 0 or later, got {self.clock}")
@@ -56,10 +61,11 @@ class TestbedConfig:
                 f"clock must be before {FAR_FUTURE - REPLAY_HORIZON}, got {self.clock}"
             )
         # a lifetime under 1 s refuses the bed's own clients, which the
-        # audit would read as a practice the service does not have
-        for name in TTL_FIELDS:
-            if (ttl := getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be 1 or more, got {ttl}")
+        # audit would read as a practice the service does not have; a
+        # chunk under 1 byte cuts no media at all
+        for name in (*TTL_FIELDS, "chunk_bytes"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be 1 or more, got {value}")
 
     def key(self, name: str) -> bytes:
         """The bytes of the `*_hex` field `name`, whose hex may be in any
@@ -89,10 +95,8 @@ KEY_BYTES = {
 KEY_FIELDS = tuple(f.name for f in fields(TestbedConfig) if f.name.endswith("_hex"))
 TTL_FIELDS = tuple(f.name for f in fields(TestbedConfig) if f.name.endswith("_ttl"))
 
-_FIELDS = {f.name for f in fields(TestbedConfig)}
-_INT_FIELDS = {
-    f.name for f in fields(TestbedConfig) if f.type == "int"
-}
+# each field's declared type; the annotations are strings here
+_FIELD_TYPES = {f.name: {"int": int, "str": str}[f.type] for f in fields(TestbedConfig)}
 
 
 def parse_config(text: str) -> TestbedConfig:
@@ -105,9 +109,9 @@ def parse_config(text: str) -> TestbedConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in _INT_FIELDS:
+        if _FIELD_TYPES[key] is int:
             try:
                 value = int(value)
             except ValueError as exc:

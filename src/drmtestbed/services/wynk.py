@@ -2,9 +2,12 @@
 hardened replacement (v2) that layers a priming handshake, a number
 puzzle and a sealed one-time code on top of the same signature scheme.
 
-Both generations share one account store, one CDN and one static client
-bundle, because that is how the real deployment behaved: the patch
-changed the handshake, not the infrastructure.
+Both generations share one account store, one CDN, one static client
+bundle and one stream authorization path, because that is how the real
+deployment behaved: the patch changed the handshake, not the
+infrastructure. v2's stream path adds the device token and the one-time
+code on top; a v2 login still streams through the v1 endpoint, with no
+code, since the path and not the login decides what is asked for.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class WynkService:
         slug = slugify(self.catalog.assets[asset_id].title)
         return f"https://wynk.in/music/song/{slug}/srch_{asset_id}"
 
-    # ---- v1 ---------------------------------------------------------------
+    # ---- v1 login, and the stream call both generations share ---------------
 
     def _handle_account(self, req: HttpRequest) -> HttpResponse:
         if req.method == "POST" and req.path == V1_LOGIN_PATH:
@@ -212,51 +215,49 @@ class WynkService:
             return json_response({"uid": login.uid, "token": login.token})
         return error_response(404, "no such endpoint")
 
-    def _utkn_rejection(self, req: HttpRequest, login: Login) -> HttpResponse | None:
-        """The x-bsy-utkn check both stream calls share, on the live login
-        each found its own way: the header must be the whole utkn this
-        login writes for this request, so a base64 spelled any other way
-        (RFC 4648 section 3.5) is refused. None when it holds."""
+    def _handle_playback(self, req: HttpRequest) -> HttpResponse:
+        """The stream call of both generations. Each finds its live login its
+        own way; then the header must be the whole utkn that login writes for
+        this request, v2's path adds the one-time code, and the sid is granted."""
+        path = req.path
+        v2 = path == V2_STREAM_PATH
+        if req.method != "POST" or not (
+            v2 or (path.startswith(V1_STREAM_PREFIX) and path.endswith(V1_STREAM_SUFFIX))
+        ):
+            return error_response(404, "no such endpoint")
+        now = self.env.clock.now()
         given = req.headers.get("x-bsy-utkn", "")
+        if v2:
+            login = self._by_dt.live(req.headers.get("x-bsy-uuid", ""), now)
+            if login is None:
+                return error_response(403, "unknown device token")
+            sid = req.query.get("id", "")
+        else:
+            uid, sep, _digest = given.partition(":")
+            if not sep:
+                return error_response(403, "utkn malformed")
+            login = self._by_uid.live(uid, now)
+            if login is None:
+                return error_response(401, "unknown uid")
+            sid = path[len(V1_STREAM_PREFIX):-len(V1_STREAM_SUFFIX)]
         try:
             # a lone surrogate in the body, path or query has no UTF-8
             # form, so no client could have signed the message
             body_text = req.body.decode("utf-8")
-            msg = stream_message(req.method, req.path, query_string(req.query), body_text)
+            msg = stream_message(req.method, path, query_string(req.query), body_text)
             want = utkn(login.uid, login.token, msg)
         except UnicodeError:
             return error_response(403, "utkn mismatch")
+        # a base64 spelled any other way (RFC 4648 section 3.5) is refused;
         # compare_digest raises on a str that is not ASCII
         if not (given.isascii() and _hmac.compare_digest(given, want)):
             return error_response(403, "utkn mismatch")
-        return None
-
-    def _grant_response(self, sid: str) -> HttpResponse:
+        if v2 and not self._fresh_otp(req.headers.get("x-bsy-t", ""), login, now):
+            return error_response(401, "stale or unreadable otp")
         if sid not in self._sids:
             return error_response(404, "unknown content id")
-        grant = self.cdn.hls_grant(sid, self.env.clock.now() + self.grant_ttl)
-        return json_response(
-            {"url": self.cdn.master_url(sid), "cookies": grant}
-        )
-
-    def _handle_playback(self, req: HttpRequest) -> HttpResponse:
-        if req.method == "POST" and req.path.startswith(V1_STREAM_PREFIX):
-            if not req.path.endswith(V1_STREAM_SUFFIX):
-                return error_response(404, "no such endpoint")
-            uid, sep, _given = req.headers.get("x-bsy-utkn", "").partition(":")
-            if not sep:
-                return error_response(403, "utkn malformed")
-            login = self._by_uid.live(uid, self.env.clock.now())
-            if login is None:
-                return error_response(401, "unknown uid")
-            err = self._utkn_rejection(req, login)
-            if err is not None:
-                return err
-            sid = req.path[len(V1_STREAM_PREFIX):-len(V1_STREAM_SUFFIX)]
-            return self._grant_response(sid)
-        if req.method == "POST" and req.path == V2_STREAM_PATH:
-            return self._v2_stream(req)
-        return error_response(404, "no such endpoint")
+        grant = self.cdn.hls_grant(sid, now + self.grant_ttl)
+        return json_response({"url": self.cdn.master_url(sid), "cookies": grant})
 
     # ---- v2 handshake -------------------------------------------------------
 
@@ -344,25 +345,12 @@ class WynkService:
             }
         )
 
-    def _v2_stream(self, req: HttpRequest) -> HttpResponse:
-        login = self._by_dt.live(req.headers.get("x-bsy-uuid", ""), self.env.clock.now())
-        if login is None:
-            return error_response(403, "unknown device token")
-        err = self._utkn_rejection(req, login)
-        if err is not None:
-            return err
-        if not self._fresh_otp(req.headers.get("x-bsy-t", ""), login):
-            return error_response(401, "stale or unreadable otp")
-        sid = req.query.get("id", "")
-        return self._grant_response(sid)
-
-    def _fresh_otp(self, header: str, login: Login) -> bool:
+    def _fresh_otp(self, header: str, login: Login, now: int) -> bool:
         try:
             sealed = b64_decode(header)
             digits = passphrase_open(login.kt, sealed).decode("ascii")
         except (DecodeError, SealError, UnicodeDecodeError):
             return False
-        now = self.env.clock.now()
         # this window's code and the last one's; no window starts before t0
         accepted = [
             otp(login.dt, self.sk, at)

@@ -128,10 +128,6 @@ class TestScorecards:
         cards = audit_all(bed, services=EXTENDED_AUDIT_SERVICES)
         assert tuple(cards) == EXTENDED_AUDIT_SERVICES
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="hardcoded_keys finds a short wynk_sk in any bundle's script text",
-    )
     def test_a_short_wynk_sk_is_found_only_in_the_bundles_that_ship_keys(self):
         for sk in ("var", "a"):
             cards = audit_all(Testbed(TestbedConfig(wynk_sk=sk)), EXTENDED_AUDIT_SERVICES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -90,6 +91,7 @@ OUT_OF_RANGE = [
     ("clock", -1, "clock must be 0 or later, got -1"),
     ("clock", LAST_CLOCK + 1, f"clock must be before {LAST_CLOCK + 1}, got {LAST_CLOCK + 1}"),
     *((name, 0, f"{name} must be 1 or more, got 0") for name in TTL_FIELDS),
+    ("chunk_bytes", 0, "chunk_bytes must be 1 or more, got 0"),
 ]
 # each way to make a config with one field set
 MAKERS = {
@@ -103,6 +105,26 @@ MAKERS = {
 @pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)
 def test_an_out_of_range_setting_is_refused_when_made(make, name, value, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
+        make(name, value)
+
+
+# (field, value, the ConfigError message) for each value no config file
+# can spell, since parse_config converts every int field
+WRONGLY_TYPED = [
+    ("clock", "5", "clock must be int, got '5'"),
+    ("grant_ttl", None, "grant_ttl must be int, got None"),
+    ("seed", "x", "seed must be int, got 'x'"),
+    ("seed", True, "seed must be int, got True"),
+    ("wynk_sk", 5, "wynk_sk must be str, got 5"),
+    ("catalog_dir", None, "catalog_dir must be str, got None"),
+]
+
+
+@pytest.mark.parametrize("make", [MAKERS["constructor"], MAKERS["replace"]],
+                         ids=["constructor", "replace"])
+@pytest.mark.parametrize("name,value,message", WRONGLY_TYPED)
+def test_a_wrongly_typed_field_is_refused_when_made(make, name, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         make(name, value)
 
 

@@ -198,7 +198,7 @@ ROWS = [
          ["spotify-benchmark"], _everyone_premium),
     _row("device-key-in-bundle", "hardcoded_keys", ["spotify-benchmark"],
          _edit_bundle("spotify-benchmark", lambda bed, text: text
-                      + bed.config.key("device_key_hex").hex())),
+                      + f';var deviceKey="{bed.config.key("device_key_hex").hex()}"')),
     # wynk-v1 and wynk-v2 ship one bundle
     *(
         _row("no-banner", "obfuscation_minification", services,

@@ -813,6 +813,96 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
         rip_wynk_v2(net, env, url, sk=svc.sk)
 
 
+# ------------------------------------------------------ one stream handler
+
+SID = "bsycdn1_trk1"
+V1_PATH = f"{wynk.V1_STREAM_PREFIX}{SID}{wynk.V1_STREAM_SUFFIX}"
+V2 = {"path": wynk.V2_STREAM_PATH, "sid": SID}
+GRANTED = (200, {"url", "cookies"})  # a grant's keys; the test then fetches with it
+
+
+def _stream_call(net, env, login, *, method="POST", path=V1_PATH, sid=None,
+                 uid=None, token=None, utkn=None, dt=None, otp=False):
+    """A stream call signed as `login` (or as the uid and token given);
+    `sid` adds v2's id query, `dt` the device token header and `otp` the
+    login's one-time code sealed with its kt."""
+    query = dict(wynk.STREAM_QUERY)
+    if sid is not None:
+        query["id"] = sid
+    qs = "&".join(f"{k}={v}" for k, v in query.items())
+    msg = wynk.stream_message(method, path, qs, "{}")
+    headers = {"x-bsy-utkn": utkn or wynk.utkn(uid or login["uid"], token or login["token"], msg)}
+    if dt is not None:
+        headers["x-bsy-uuid"] = dt
+    if otp:
+        code = wynk.otp(login["dt"], WYNK_SK, env.clock.now())
+        headers["x-bsy-t"] = b64(passphrase_seal(login["kt"], code.encode("ascii"), b"\x01" * 8))
+    return net.request(
+        method, f"https://{wynk.HOST_PLAYBACK}{path}?{qs}", body=b"{}", headers=headers
+    )
+
+
+def _refused(status, error):
+    return (status, {"error": error})
+
+
+# one row per answer of the playback host, each call made as the v1 login
+# or the v2 login of one bed
+STREAM_ANSWERS = [
+    ("get-on-the-v1-path", lambda call, v1, v2: call(v1, method="GET"),
+     _refused(404, "no such endpoint")),
+    ("get-on-the-v2-path",
+     lambda call, v1, v2: call(v2, method="GET", **V2, dt=v2["dt"], otp=True),
+     _refused(404, "no such endpoint")),
+    ("v1-prefix-without-the-suffix",
+     lambda call, v1, v2: call(v1, path=wynk.V1_STREAM_PREFIX + SID),
+     _refused(404, "no such endpoint")),
+    ("utkn-with-no-colon", lambda call, v1, v2: call(v1, utkn="no-colon-here"),
+     _refused(403, "utkn malformed")),
+    ("unknown-uid", lambda call, v1, v2: call(v1, uid="0" * 12),
+     _refused(401, "unknown uid")),
+    ("v1-utkn-mismatch", lambda call, v1, v2: call(v1, token="f" * 40),
+     _refused(403, "utkn mismatch")),
+    ("unknown-sid-on-the-v1-path",
+     lambda call, v1, v2: call(
+         v1, path=f"{wynk.V1_STREAM_PREFIX}bsycdn1_missing{wynk.V1_STREAM_SUFFIX}"),
+     _refused(404, "unknown content id")),
+    ("v1-login-on-the-v1-path", lambda call, v1, v2: call(v1), GRANTED),
+    # the v1 endpoint never asks for the code, whichever login signs
+    ("v2-login-on-the-v1-path-with-no-code", lambda call, v1, v2: call(v2), GRANTED),
+    ("v1-login-on-the-v2-path", lambda call, v1, v2: call(v1, **V2),
+     _refused(403, "unknown device token")),
+    ("unknown-device-token",
+     lambda call, v1, v2: call(v2, **V2, dt="0" * 32, otp=True),
+     _refused(403, "unknown device token")),
+    ("v2-utkn-mismatch",
+     lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True, token="f" * 40),
+     _refused(403, "utkn mismatch")),
+    ("v2-login-on-the-v2-path-with-no-code",
+     lambda call, v1, v2: call(v2, **V2, dt=v2["dt"]),
+     _refused(401, "stale or unreadable otp")),
+    ("unknown-sid-on-the-v2-path",
+     lambda call, v1, v2: call(v2, path=wynk.V2_STREAM_PATH, sid="bsycdn1_missing",
+                               dt=v2["dt"], otp=True),
+     _refused(404, "unknown content id")),
+    ("v2-login-on-the-v2-path",
+     lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True), GRANTED),
+]
+
+
+@pytest.mark.parametrize(
+    "make,want", [pytest.param(make, want, id=name) for name, make, want in STREAM_ANSWERS]
+)
+def test_every_answer_of_the_stream_handler(rig, make, want):
+    _svc, net, env, _catalog = rig
+    v1, v2 = _v1_register(net, env), wynk_v2_handshake(net, env)
+    resp = make(lambda login, **kw: _stream_call(net, env, login, **kw), v1, v2)
+    body = json.loads(resp.body)
+    assert (resp.status, set(body) if resp.status == 200 else body) == want
+    if resp.status == 200:
+        assert net.get(body["url"], extra_query=body["cookies"]).status == 200
+
+
 @pytest.mark.parametrize("service", ["wynk-v1", "wynk-v2"])
 def test_stream_query_value_with_a_lone_surrogate_is_403(service):
     # a lone surrogate has no UTF-8 form, so the signed message cannot be
