@@ -12,10 +12,11 @@ Two probes recognise a constant rather than the property in general:
 `drm_scheme` looks for a request on the benchmark's `LICENSE_PATH`, and
 `obfuscation_minification` looks for the one `MINIFIED_BANNER` string
 in the client bundle. A license exchange on another path, or a bundle
-minified without that banner, reads "no". `hardcoded_keys` counts a
-secret only as a quoted string literal (`"…"`), the way every bundle
-ships one, so a short secret that is also script text (a `wynk_sk` of
-`var`) is not found in a bundle that does not ship it.
+minified without that banner, reads "no". `hardcoded_keys` judges a
+bundle only on the secrets its row in `SPECS` names, each as a quoted
+string literal (`"…"`), the way every bundle ships one: a short secret
+that is also script text (a `wynk_sk` of `var`), or that equals another
+service's literal (`high` among hungama's qualities), is not found there.
 
 The tapped reference run plays a premium track as the default
 principal, so `premium_access_restrictions` stands on both halves of
@@ -30,6 +31,7 @@ from dataclasses import asdict, dataclass, fields
 from .benchmark import LICENSE_PATH
 from .cdn import REPLAY_HORIZON
 from .clients import ProtocolFailure
+from .config import KEY_FIELDS
 from .ripper import tap_rip
 from .testbed import ANONYMOUS, FREE_TIER, SPECS, ServiceSpec, Testbed
 from .transport import copy_request
@@ -131,7 +133,10 @@ def audit(tb: Testbed, service: str) -> PracticesScorecard:
     if fetched.status != 200:
         raise AuditRefused(f"{spec.audit_name}: bundle fetch failed (status {fetched.status})")
     bundle = fetched.body.decode("utf-8", errors="replace")
-    hardcoded = any(f'"{secret}"' in bundle for secret in tb.secret_material())
+    # each as a bundle ships it: a key as lower-case hex, however the config spells it
+    cfg = tb.config
+    shipped = (cfg.key(n).hex() if n in KEY_FIELDS else getattr(cfg, n) for n in spec.secrets)
+    hardcoded = any(f'"{secret}"' in bundle for secret in shipped)
     obfuscated = MINIFIED_BANNER in bundle
 
     premium_gated = not _attempt(tb, spec, premium, FREE_TIER)

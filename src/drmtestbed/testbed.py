@@ -14,7 +14,7 @@ from typing import Callable
 from . import benchmark as bench
 from . import clients
 from .catalog import demo_catalog, load_catalog
-from .config import KEY_FIELDS, TestbedConfig
+from .config import TestbedConfig
 from .ripper import RipResult, tap_rip
 from .services import gaana as gaana_mod
 from .services import hungama as hungama_mod
@@ -33,6 +33,7 @@ class ServiceSpec:
     audit_name: str  # its column in the practices table
     bundle_url: str  # the static client script the auditor reads
     auth_path: re.Pattern  # path of the exchange that buys stream authorization
+    secrets: tuple[str, ...]  # the config fields whose values the service holds
     # (bed, track, quality, principal) -> the audio as a tuple of chunks;
     # a lambda, so clients.* is looked up on every call rather than bound once
     client: Callable[[Testbed, str, str | None, str], clients.Chunks]
@@ -43,18 +44,19 @@ def _path(pattern: str) -> re.Pattern:
 
 
 _WYNK_BUNDLE = f"https://{wynk_mod.HOST_ASSETS}{wynk_mod.ASSET_PATH}"
+_WYNK_SECRETS = ("wynk_sk", "wynk_cdn_secret_hex")
 
 SPECS = (
     ServiceSpec(
         "wynk-v1", "wynk-v1", _WYNK_BUNDLE,
-        _path(re.escape(wynk_mod.V1_STREAM_PREFIX) + ".*"),
+        _path(re.escape(wynk_mod.V1_STREAM_PREFIX) + ".*"), _WYNK_SECRETS,
         lambda tb, track, quality, principal: clients.rip_wynk_v1(
             tb.net, tb.env, tb.wynk.song_url(track)
         ),
     ),
     ServiceSpec(
         "wynk-v2", "wynk-v2", _WYNK_BUNDLE,
-        _path(re.escape(wynk_mod.V2_STREAM_PATH)),
+        _path(re.escape(wynk_mod.V2_STREAM_PATH)), _WYNK_SECRETS,
         lambda tb, track, quality, principal: clients.rip_wynk_v2(
             tb.net, tb.env, tb.wynk.song_url(track), sk=tb.wynk.sk
         ),
@@ -63,6 +65,7 @@ SPECS = (
         "jiosaavn", "jiosaavn",
         f"https://{saavn_mod.HOST_WWW}{saavn_mod.ASSET_PATH}",
         _path(re.escape(saavn_mod.API_PATH)),
+        ("saavn_cdn_secret_hex", "saavn_seal_key_hex", "saavn_seal_iv_hex"),
         lambda tb, track, quality, principal: clients.rip_saavn(
             tb.net, tb.saavn.song_url(track), bit_rate=quality
         ),
@@ -71,6 +74,7 @@ SPECS = (
         "gaana", "gaana",
         f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}",
         _path(r".*/master\.m3u8"),
+        ("gaana_cdn_secret_hex", "gaana_key_hex", "gaana_iv_hex"),
         lambda tb, track, quality, principal: clients.rip_gaana(
             tb.net, tb.gaana.song_url(track),
             tb.gaana.page_key, tb.gaana.page_iv, quality=quality,
@@ -80,6 +84,7 @@ SPECS = (
         "hungama", "hungama",
         f"https://{hungama_mod.HOST_WWW}{hungama_mod.ASSET_PATH}",
         _path(re.escape(hungama_mod.MDNURL_PREFIX) + ".*"),
+        ("hungama_cdn_secret_hex", "hungama_token_secret_hex"),
         lambda tb, track, quality, principal: clients.rip_hungama(
             tb.net, tb.hungama.song_url(track), quality=quality
         ),
@@ -88,6 +93,7 @@ SPECS = (
         "benchmark", "spotify-benchmark",
         f"https://{bench.HOST_API}{bench.ASSET_PATH}",
         _path(re.escape(bench.RESOLVE_PREFIX) + ".*"),
+        ("benchmark_cdn_secret_hex", "device_key_hex"),
         lambda tb, track, quality, principal: clients.play_benchmark(
             tb.net, track, tb.benchmark_credentials(principal),
             tb.benchmark.make_cdm(),
@@ -141,14 +147,6 @@ class Testbed:
         return [a.asset_id for a in self.catalog.assets.values() if a.premium]
 
     # ---- service knowledge -----------------------------------------------------
-
-    def secret_material(self) -> list[str]:
-        """Strings that must never show up in client-visible static assets
-        unless the service really does hardcode them: `wynk_sk`, and each
-        key as the lower-case hex of its decoded bytes, the form a bundle
-        ships it in, however the config spells it."""
-        cfg = self.config
-        return [cfg.wynk_sk, *(cfg.key(name).hex() for name in KEY_FIELDS)]
 
     def benchmark_credentials(self, principal: str) -> tuple[str, str]:
         if principal == ANONYMOUS:

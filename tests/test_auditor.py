@@ -129,7 +129,9 @@ class TestScorecards:
         assert tuple(cards) == EXTENDED_AUDIT_SERVICES
 
     def test_a_short_wynk_sk_is_found_only_in_the_bundles_that_ship_keys(self):
-        for sk in ("var", "a"):
+        # script text, a hungama quality and jiosaavn bit rates: each is a
+        # literal of a bundle that does not hold wynk_sk
+        for sk in ("var", "a", "high", "128", "16"):
             cards = audit_all(Testbed(TestbedConfig(wynk_sk=sk)), EXTENDED_AUDIT_SERVICES)
             shipped = {name for name, card in cards.items() if card.hardcoded_keys}
             assert shipped == {"wynk-v2", "wynk-v1", "gaana"}, sk

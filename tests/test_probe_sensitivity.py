@@ -1,11 +1,11 @@
 """Probe sensitivity: each practices probe can flip, and flips alone.
 
 Each row applies one perturbation to a default bed and names the cells
-it must flip. The audit of every service must then read `EXPECTED` with
-exactly those cells flipped. On a second bed with the same perturbation,
-the default principal must still play an open and a premium track on
-each service the row names: a change that shuts the paying user out is
-an outage, not a practice.
+it must flip, if any. The audit of every service must then read
+`EXPECTED` with exactly those cells flipped. On a second bed with the
+same perturbation, the default principal must still play an open and a
+premium track on each service the row names: a change that shuts the
+paying user out is an outage, not a practice.
 
 Five reference clients (wynk-v1, wynk-v2, jiosaavn, gaana, hungama)
 present no identity, so the bed serves the default principal, an
@@ -180,7 +180,7 @@ def _move_license(bed):
 def _row(name, field, services, perturb=None, marks=(), **config):
     return pytest.param(
         field, tuple(services), perturb, config,
-        id=f"{field}-{'+'.join(services)}-{name}", marks=marks,
+        id=f"{field}-{'+'.join(services) or 'none'}-{name}", marks=marks,
     )
 
 
@@ -199,6 +199,14 @@ ROWS = [
     _row("device-key-in-bundle", "hardcoded_keys", ["spotify-benchmark"],
          _edit_bundle("spotify-benchmark", lambda bed, text: text
                       + f';var deviceKey="{bed.config.key("device_key_hex").hex()}"')),
+    _row("token-secret-in-bundle", "hardcoded_keys", ["hungama"],
+         _edit_bundle("hungama", lambda bed, text: text
+                      + f';var tokenSecret="{bed.config.key("hungama_token_secret_hex").hex()}"')),
+    # a bundle is judged only on its own service's secrets, so another
+    # service's key in it flips no cell
+    _row("gaana-key-in-hungama-bundle", "hardcoded_keys", [],
+         _edit_bundle("hungama", lambda bed, text: text
+                      + f';var mediaKey="{bed.config.key("gaana_key_hex").hex()}"')),
     # wynk-v1 and wynk-v2 ship one bundle
     *(
         _row("no-banner", "obfuscation_minification", services,
@@ -315,7 +323,7 @@ def test_a_perturbation_flips_only_its_cells(field, services, perturb, config):
 
 
 def test_every_probe_has_a_row_that_flips_it():
-    flipping = {param.values[0] for param in ROWS if not param.marks}
+    flipping = {param.values[0] for param in ROWS if param.values[1] and not param.marks}
     assert flipping == set(PRACTICE_FIELDS)
 
 

@@ -6,7 +6,7 @@ import gc
 import math
 import random
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -14,7 +14,7 @@ from drmtestbed import clients
 from drmtestbed.auditor import audit
 from drmtestbed.catalog import ServiceCatalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
-from drmtestbed.config import TTL_FIELDS, ConfigError, TestbedConfig
+from drmtestbed.config import KEY_FIELDS, TTL_FIELDS, ConfigError, TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
 from drmtestbed.transport import HttpRequest, copy_request
@@ -61,11 +61,16 @@ class TestWiring:
         for spec in SPECS:
             assert bed.net.get(spec.bundle_url).status == 200
 
-    def test_secret_material_is_nonempty_hex_or_sk(self, bed):
-        material = bed.secret_material()
-        assert bed.config.wynk_sk in material
-        assert bed.config.device_key_hex in material
-        assert len(material) == len(set(material))
+    def test_every_secret_is_held_by_one_service(self):
+        # a setting no row holds would go unaudited; a service is known
+        # by its bundle, so wynk-v1 and wynk-v2 count as one
+        holders = {}
+        for spec in SPECS:
+            for name in spec.secrets:
+                holders.setdefault(name, set()).add(spec.bundle_url)
+        assert set(holders) <= {f.name for f in fields(TestbedConfig)}
+        assert set(holders) >= {"wynk_sk", *KEY_FIELDS}
+        assert {name: len(urls) for name, urls in holders.items()} == dict.fromkeys(holders, 1)
 
 
 class TestRunClient:
