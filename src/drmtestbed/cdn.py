@@ -40,6 +40,7 @@ CONTENT_TYPES = {
     "m3u8": "application/vnd.apple.mpegurl",
     "aud": "audio/aud",
 }
+MASTER_FILE = "master.m3u8"  # at an HLS asset's root, and in each variant's directory
 
 
 def issue_grant(
@@ -174,12 +175,11 @@ class CdnNode:
             index = segment_index(len(chunks), self.url(base))
             content.update(zip([uri[origin:] for uri, _seconds in index], chunks))
             content[f"{base}index.m3u8"] = render_index(index).encode("utf-8")
-            # single-variant master, for services that hand out one URI
-            # per quality instead of a combined ladder
+            # a one-variant master too, for services that hand out a URI per quality
             entry = (rate * 1000, self.url(f"{base}index.m3u8"))
-            content[f"{base}master.m3u8"] = render_master([entry]).encode("utf-8")
+            content[f"{base}{MASTER_FILE}"] = render_master([entry]).encode("utf-8")
             master.append(entry)
-        content[f"/hls/{key}/master.m3u8"] = render_master(master).encode("utf-8")
+        content[f"/hls/{key}/{MASTER_FILE}"] = render_master(master).encode("utf-8")
 
     def add_file_asset(self, key: str, asset: MediaAsset, bitrates=None) -> None:
         content, base = self._content, f"/file/{key}/"
@@ -196,10 +196,10 @@ class CdnNode:
         return self._gate.signed_url(self.host, f"/file/{key}/{rate}.aud", expires_at)
 
     def master_url(self, key: str) -> str:
-        return self.url(f"/hls/{key}/master.m3u8")
+        return self.url(f"/hls/{key}/{MASTER_FILE}")
 
     def variant_master_url(self, key: str, rate: int) -> str:
-        return self.url(f"/hls/{key}/{rate}/master.m3u8")
+        return self.url(f"/hls/{key}/{rate}/{MASTER_FILE}")
 
     # ---- serving ------------------------------------------------------------
 

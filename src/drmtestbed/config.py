@@ -70,7 +70,8 @@ class TestbedConfig:
     def key(self, name: str) -> bytes:
         """The bytes of the `*_hex` field `name`, whose hex may be in any
         case with spaces between bytes. A ConfigError naming the field
-        when the hex is bad, empty, or not the length KEY_BYTES sets."""
+        when the hex is bad, empty, not the length KEY_BYTES sets, or
+        shorter than MIN_KEY_BYTES."""
         raw = getattr(self, name)
         try:
             data = bytes.fromhex(raw)
@@ -81,10 +82,15 @@ class TestbedConfig:
             raise ConfigError(f"{name} must be {want_len} bytes, got {len(data)}")
         if not data:
             raise ConfigError(f"{name} is empty")
+        if len(data) < MIN_KEY_BYTES:
+            raise ConfigError(f"{name} must be {MIN_KEY_BYTES} bytes or more, got {len(data)}")
         return data
 
 
-# the byte length of each sized key; every other key is any length but zero
+# the byte length of each sized key; every other key is MIN_KEY_BYTES or
+# more, since a shorter one can equal an ordinary literal of the bundle
+# the hardcoded-keys probe searches for it
+MIN_KEY_BYTES = 16
 KEY_BYTES = {
     "saavn_seal_key_hex": 16,
     "saavn_seal_iv_hex": 16,

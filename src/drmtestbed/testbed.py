@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import benchmark as bench
-from . import clients
+from . import cdn, clients
 from .catalog import demo_catalog, load_catalog
 from .config import TestbedConfig
 from .ripper import RipResult, tap_rip
@@ -73,7 +73,7 @@ SPECS = (
     ServiceSpec(
         "gaana", "gaana",
         f"https://{gaana_mod.HOST_WWW}{gaana_mod.ASSET_PATH}",
-        _path(r".*/master\.m3u8"),
+        _path(".*/" + re.escape(cdn.MASTER_FILE)),
         ("gaana_cdn_secret_hex", "gaana_key_hex", "gaana_iv_hex"),
         lambda tb, track, quality, principal: clients.rip_gaana(
             tb.net, tb.gaana.song_url(track),

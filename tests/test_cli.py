@@ -227,6 +227,15 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"testbed: {field} is empty\n"
 
+    def test_a_one_byte_secret_exits_64(self, tmp_path, capsys):
+        # jiosaavn's audit read such a secret as shipped: "16" is one of its bitRates
+        conf = tmp_path / "t.conf"
+        conf.write_text("saavn_cdn_secret_hex = 16\n", encoding="utf-8")
+        assert main(["audit", "--config", str(conf)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "testbed: saavn_cdn_secret_hex must be 16 bytes or more, got 1\n"
+        )
+
     def test_config_file_reaches_the_testbed(self, tmp_path, capsys):
         conf = tmp_path / "t.conf"
         conf.write_text("seed = 3\nclock = 1600000000\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from drmtestbed.cdn import FAR_FUTURE, REPLAY_HORIZON
 from drmtestbed.config import (
     KEY_BYTES,
     KEY_FIELDS,
+    MIN_KEY_BYTES,
     TTL_FIELDS,
     ConfigError,
     TestbedConfig,
@@ -20,7 +21,7 @@ from drmtestbed.config import (
     parse_config,
 )
 
-# the *_hex secrets of any length but zero
+# the *_hex secrets of any length from MIN_KEY_BYTES up
 UNSIZED_SECRETS = (
     "wynk_cdn_secret_hex",
     "saavn_cdn_secret_hex",
@@ -176,9 +177,20 @@ class TestParsing:
             cfg.key("saavn_seal_iv_hex")
         assert "16 bytes" in str(err.value)
 
-    def test_variable_length_secret_allows_any_size(self):
-        cfg = parse_config("wynk_cdn_secret_hex = ff00")
-        assert cfg.key("wynk_cdn_secret_hex") == b"\xff\x00"
+    @pytest.mark.parametrize("field", UNSIZED_SECRETS)
+    def test_variable_length_secret_allows_16_bytes_or_more(self, field):
+        for size in (16, 17, 64):
+            assert parse_config(f"{field} = {bytes(range(size)).hex()}").key(field) == bytes(range(size))
+        cfg = parse_config(f"{field} = {bytes(range(15)).hex()}")
+        with pytest.raises(ConfigError, match=f"^{field} must be 16 bytes or more, got 15$"):
+            cfg.key(field)
+
+    def test_a_secret_as_short_as_a_bundle_literal_is_refused(self):
+        # "16" is one of jiosaavn's bitRates, so the audit read this secret
+        # as shipped in a bundle that ships none
+        cfg = parse_config("saavn_cdn_secret_hex = 16")
+        with pytest.raises(ConfigError, match="^saavn_cdn_secret_hex must be 16 bytes or more, got 1$"):
+            cfg.key("saavn_cdn_secret_hex")
 
     @pytest.mark.parametrize("field", UNSIZED_SECRETS)
     def test_empty_secret_rejected(self, field):
@@ -228,13 +240,14 @@ def _key_spellings(draw):
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(KEY_FIELDS), st.one_of(_key_spellings(), st.text(max_size=40)))
 def test_key_decodes_or_raises_config_error(name, value):
-    """parse_config then key() yields bytes of the table length or raises
-    ConfigError: never a bare ValueError or TypeError."""
+    """parse_config then key() yields bytes of the table length, and at
+    least MIN_KEY_BYTES, or raises ConfigError: never a bare ValueError or
+    TypeError."""
     try:
         data = parse_config(f"{name} = {value}").key(name)
     except ConfigError:
         return
-    assert data and len(data) == KEY_BYTES.get(name, len(data))
+    assert len(data) == KEY_BYTES.get(name, len(data)) >= MIN_KEY_BYTES
     assert data.hex() == "".join(value.split()).lower()
 
 
