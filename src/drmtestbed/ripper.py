@@ -14,17 +14,17 @@ whole file as a cut of one chunk) is that variant by identity and no
 byte is read. Any other candidate is compared with the variant's bytes,
 chunk by chunk. The ripper only looks a cut up and never makes one.
 
-A segment URI is matched by its host and path: an absolute URL, or an
-absolute path on the playlist's host. A path-relative URI (RFC 8216
-section 4.1 resolves it against the playlist's URL) is not resolved, so
-a playlist naming its segments that way yields no candidate; no
-simulated CDN writes one.
+A segment URI is matched by its host and path. A URI with no host (an
+absolute path, or a path-relative one such as `seg0.ts` or `../p/seg0.ts`)
+is first resolved against its playlist's URL, as RFC 8216 section 4.1
+says; a URI of another scheme, such as `a:seg0.ts`, matches no fetch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_
+from urllib.parse import urljoin
 
 from .catalog import ServiceCatalog
 from .hls import AUDIO_MAGIC, M3U_HEADER, ManifestError, parse_index
@@ -57,8 +57,8 @@ def _decode_text(body: bytes | memoryview) -> str | None:
 def _index_candidates(records):
     """(chunk bodies in playlist order, seqs) of every index playlist in
     the transcript whose chunks all crossed the wire too. A segment is
-    its URI's host and path (a URI with no host is on its playlist's
-    host, RFC 8216 section 4.1), and the last fetch of it wins."""
+    its URI's host and path (a URI with no host is resolved against its
+    playlist's URL, RFC 8216 section 4.1), and the last fetch of it wins."""
     last_by_uri = None  # built once the first playlist turns up
     out = []
     for rec in records:
@@ -87,9 +87,11 @@ def _index_candidates(records):
         for uri, _seconds in index:
             try:
                 host, path = url_host_path(uri)
+                if not host:
+                    host, path = url_host_path(urljoin(f"https://{origin}{rec.request.path}", uri))
             except ValueError:  # urlsplit refuses it, so no fetch had that URL
                 break
-            hit = last_by_uri.get((host or origin, path))
+            hit = last_by_uri.get((host, path))
             if hit is None:
                 break
             chunks.append(hit.response.body)

@@ -43,7 +43,7 @@ def _matrix(cfg: TestbedConfig, services=EXTENDED_AUDIT_SERVICES) -> dict:
     return {name: tuple(card.as_dict().values()) for name, card in cards.items()}
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**64),
     clock=st.integers(0, LAST_CLOCK),
@@ -56,7 +56,7 @@ def test_no_seed_clock_or_chunk_size_moves_the_matrix(seed, clock, chunk_bytes):
     assert _matrix(cfg, tuple(GOLDEN_AUDIT)) == GOLDEN_AUDIT
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(
     field=st.sampled_from(sorted(GOVERNED)),
     ttl=st.integers(1, 4 * REPLAY_HORIZON) | st.integers(1, 10**9),

@@ -171,7 +171,7 @@ def _titled(title: str) -> ServiceCatalog:
     return ServiceCatalog(assets={"t1": MediaAsset("t1", title, {64: AUDIO_MAGIC})})
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(_catalogs())
 @example(_titled("a\nb"))
 @example(_titled("x\u2028y"))

@@ -63,7 +63,7 @@ def test_grant_query_round_trip():
     assert split_url(url)[2] == grant
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     secret=st.binary(min_size=1, max_size=40),
     prefix=st.text(),

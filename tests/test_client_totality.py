@@ -47,7 +47,7 @@ def _spoil(body: bytes, mode: str, at: int, mask: int) -> bytes:
     return body[:at] + bytes([body[at] ^ mask]) + body[at + 1:]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     service=st.sampled_from(RIP_SERVICES),
     nth=st.integers(0, 11),

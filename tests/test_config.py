@@ -237,7 +237,7 @@ def _key_spellings(draw):
     return text
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@settings(max_examples=1000)
 @given(st.sampled_from(KEY_FIELDS), st.one_of(_key_spellings(), st.text(max_size=40)))
 def test_key_decodes_or_raises_config_error(name, value):
     """parse_config then key() yields bytes of the table length, and at

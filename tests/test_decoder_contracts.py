@@ -206,7 +206,7 @@ def test_pinned_near_misses_meet_the_contract(name):
 
 
 @pytest.mark.parametrize("name", CONTRACTS)
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_drawn_inputs_meet_the_contract(name, data):
     _check(name, data.draw(CONTRACTS[name][3], label="input"))

@@ -8,7 +8,7 @@ from drmtestbed import cdn
 from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_gaana
 from drmtestbed.config import TestbedConfig
-from drmtestbed.crypto_kit import CryptoError, aes_cbc_decrypt, b64, b64_decode
+from drmtestbed.crypto_kit import CryptoError, aes_cbc_decrypt, b64_decode
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import gaana
 from drmtestbed.transport import DeterministicEnv, Network

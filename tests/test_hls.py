@@ -337,7 +337,7 @@ def test_index_render_parse_identity(segments):
 
 
 @given(st.lists(st.tuples(st.integers(-5, 10 ** 9), st.text(max_size=12)), max_size=4))
-@settings(max_examples=80, derandomize=True)
+@settings(max_examples=80)
 def test_render_master_writes_only_what_parses_back(entries):
     try:
         text = render_master(entries)
@@ -348,7 +348,7 @@ def test_render_master_writes_only_what_parses_back(entries):
 
 @given(st.lists(st.tuples(st.text(max_size=12), st.floats(min_value=-1.0, max_value=10 ** 6)),
                 max_size=4))
-@settings(max_examples=80, derandomize=True)
+@settings(max_examples=80)
 def test_render_index_writes_only_what_parses_back(segments):
     try:
         text = render_index(segments)

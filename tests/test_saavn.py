@@ -202,7 +202,7 @@ _TOKENS = st.one_of(
 
 
 @given(token=_TOKENS)
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 def test_open_token_agrees_with_decrypting(table, token):
     open_token, asset_ids = table
     assert open_token(token) == open_token_by_decrypt(asset_ids, token)

@@ -249,10 +249,7 @@ class SessionModel(RuleBasedStateMachine):
                     later_put = max(later_put, expires - store.ttl)
 
 
-SessionModel.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=40, derandomize=True, deadline=None,
-    database=None,
-)
+SessionModel.TestCase.settings = settings(max_examples=30, stateful_step_count=40)
 
 
 class test_session_model(SessionModel.TestCase):

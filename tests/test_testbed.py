@@ -10,14 +10,16 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+from drmtestbed import benchmark as bench
 from drmtestbed import clients
 from drmtestbed.auditor import audit
-from drmtestbed.catalog import ServiceCatalog, save_catalog
+from drmtestbed.catalog import ServiceCatalog, demo_catalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import KEY_FIELDS, TTL_FIELDS, ConfigError, TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
+from drmtestbed.services import gaana, hungama, saavn, wynk
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
-from drmtestbed.transport import HttpRequest, copy_request
+from drmtestbed.transport import DeterministicEnv, HttpRequest, copy_request
 
 CLIENT_FUNCTIONS = {
     "wynk-v1": "rip_wynk_v1",
@@ -26,6 +28,14 @@ CLIENT_FUNCTIONS = {
     "gaana": "rip_gaana",
     "hungama": "rip_hungama",
     "benchmark": "play_benchmark",
+}
+SERVICE_CLASSES = {
+    "wynk-v1": wynk.WynkService,
+    "wynk-v2": wynk.WynkService,
+    "jiosaavn": saavn.SaavnService,
+    "gaana": gaana.GaanaService,
+    "hungama": hungama.HungamaService,
+    "benchmark": bench.BenchmarkService,
 }
 
 
@@ -71,6 +81,26 @@ class TestWiring:
         assert set(holders) <= {f.name for f in fields(TestbedConfig)}
         assert set(holders) >= {"wynk_sk", *KEY_FIELDS}
         assert {name: len(urls) for name, urls in holders.items()} == dict.fromkeys(holders, 1)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_a_row_names_the_secrets_its_service_reads(self, spec):
+        # the hardcoded-keys probe looks only for the row's secrets, so a
+        # secret the service reads but the row leaves out goes unaudited
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(cfg, name)
+
+            def key(self, name):
+                read.add(name)
+                return cfg.key(name)
+
+        cfg = TestbedConfig()
+        env = DeterministicEnv(cfg.seed, cfg.clock)
+        SERVICE_CLASSES[spec.name](demo_catalog(env.rng), env, Recording())
+        assert read & {"wynk_sk", *KEY_FIELDS} == set(spec.secrets)
 
 
 class TestRunClient:

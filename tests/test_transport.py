@@ -135,7 +135,7 @@ def test_env_token_shapes():
 
 _HEX = "0123456789abcdef"
 _SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
-_RNG_EQUIVALENCE = settings(max_examples=60, derandomize=True, deadline=None)
+_RNG_EQUIVALENCE = settings(max_examples=60)
 
 
 def _choice_loop(rng, n):
@@ -355,7 +355,7 @@ def _urlsplit_parts(url):
 @example("https://a[b/p")  # urlsplit raises
 @example("https://h.test")
 @example("seg_00001.ts")
-@settings(derandomize=True, max_examples=1000)
+@settings(max_examples=1000)
 def test_splits_agree_with_urlsplit(url):
     # urlsplit is the reference for the direct split of plain URLs and for
     # everything handed back to urlsplit; url_host_path is the ripper's

@@ -1,5 +1,5 @@
 """No package module imports a name it never uses, or defines a
-private name it never reads.
+private name it never reads, and neither does a test or tool script.
 
 A deletion that leaves an import or a private helper behind is caught
 here rather than by a reader. Package `__init__.py` files are exempt
@@ -11,7 +11,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "drmtestbed"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "drmtestbed"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -93,7 +94,7 @@ def test_the_walk_sees_every_private_definition():
 
 def _offenders(check, modules) -> dict[str, list[str]]:
     return {
-        path.relative_to(PACKAGE).as_posix(): found
+        path.relative_to(ROOT).as_posix(): found
         for path in modules
         if (found := check(path.read_text(encoding="utf-8")))
     }
@@ -110,3 +111,11 @@ def test_no_module_defines_a_private_name_it_never_reads():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert PACKAGE / "services" / "wynk.py" in modules
     assert _offenders(_dead_private_names, modules) == {}
+
+
+def test_no_test_or_tool_script_leaves_an_import_or_private_name_unread():
+    scripts = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+    assert ROOT / "tests" / "conftest.py" in scripts
+    assert ROOT / "tools" / "bench_record.py" in scripts
+    assert _offenders(_unused_imports, scripts) == {}
+    assert _offenders(_dead_private_names, scripts) == {}

@@ -208,7 +208,7 @@ _MIX_NAMES = st.one_of(
 
 
 @given(mix=_MIX_NAMES)
-@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@settings(max_examples=600)
 def test_parse_mix_agrees_with_the_hand_walk(mix):
     assert wynk._parse_mix(mix) == parse_mix_by_walk(mix)
 
