@@ -21,7 +21,7 @@ from ..transport import (
     error_response,
     query_string,
 )
-from ..webassets import page_response, script_response
+from ..webassets import PageError, page_response, script_response
 
 HOST_WWW = "gaana.com"
 HOST_CDN = "stream.gaana.com"
@@ -46,23 +46,23 @@ class GaanaPathBlock:
 
 def parse_song_page(html: str) -> GaanaPathBlock:
     """The playSong block of a song page: a string title and an object
-    of string paths, or ValueError for any page that does not carry
+    of string paths, or PageError for any page that does not carry
     them, and no other exception."""
     start = html.find(_SPAN_OPEN)
     if start < 0:
-        raise ValueError("no playSong span on page")
+        raise PageError("no playSong span on page")
     start += len(_SPAN_OPEN)
     end = html.find(_SPAN_CLOSE, start)
     if end < 0:
-        raise ValueError("unterminated playSong span")
+        raise PageError("unterminated playSong span")
     try:
         data = json.loads(html[start:end])
         title, path = data["title"], data["path"]
     except (ValueError, LookupError, TypeError, RecursionError):
-        raise ValueError("playSong span lacks a title and paths") from None
+        raise PageError("playSong span lacks a title and paths") from None
     if not (isinstance(title, str) and isinstance(path, dict)
             and all(isinstance(value, str) for value in path.values())):
-        raise ValueError("playSong span lacks a title and paths")
+        raise PageError("playSong span lacks a title and paths")
     return GaanaPathBlock(title=title, path=path)
 
 

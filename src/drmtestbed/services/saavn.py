@@ -22,7 +22,7 @@ from ..transport import (
     error_response,
     json_response,
 )
-from ..webassets import page_response, script_response
+from ..webassets import PageError, page_response, script_response
 
 HOST_WWW = "www.jiosaavn.com"
 HOST_CDN = "aac.saavncdn.com"
@@ -47,22 +47,22 @@ class SaavnSongData:
 def parse_song_page(html: str) -> SaavnSongData:
     """Pull the data blob out of a song page the way a scraper would:
     find the assignment, slice to the closing script tag, json-load.
-    The contract: the song's three string fields, or ValueError for
+    The contract: the song's three string fields, or PageError for
     any page that does not carry them, and no other exception."""
     start = html.find(_DATA_PREFIX)
     if start < 0:
-        raise ValueError("no __INITIAL_DATA__ on page")
+        raise PageError("no __INITIAL_DATA__ on page")
     start += len(_DATA_PREFIX)
     end = html.find(";</script>", start)
     if end < 0:
-        raise ValueError("unterminated data blob")
+        raise PageError("unterminated data blob")
     try:
         song = json.loads(html[start:end])["song"]
         fields = song["perma_url"], song["encrypted_media_url"], song["title"]
     except (ValueError, LookupError, TypeError, RecursionError):
-        raise ValueError("data blob lacks the song fields") from None
+        raise PageError("data blob lacks the song fields") from None
     if not all(isinstance(value, str) for value in fields):
-        raise ValueError("data blob lacks the song fields")
+        raise PageError("data blob lacks the song fields")
     return SaavnSongData(*fields)
 
 

@@ -11,6 +11,10 @@ from .transport import HttpResponse
 MINIFIED_BANNER = "/*! player bundle - minified, do not edit */"
 
 
+class PageError(ValueError):
+    """A song page that does not carry what its service embeds."""
+
+
 def script_response(lines: list[str]) -> HttpResponse:
     body = MINIFIED_BANNER + "\n" + ";".join(lines) + ";\n"
     return HttpResponse(

@@ -23,6 +23,7 @@ from drmtestbed.testbed import SPECS, Testbed
 from drmtestbed.transport import TapRecord, error_response, split_url
 
 from test_config import spaced_hex
+from test_transport import wrap_route
 # one row per service, in PRACTICE_FIELDS order
 EXPECTED = {
     "spotify-benchmark": (True, True, False, True, True, True, True),
@@ -40,13 +41,11 @@ EXTENDED_AUDIT_SERVICES = tuple(EXPECTED)
 def refuse_on(bed, host, refused) -> None:
     """Wrap host's handler so that a request refused(request) names a
     status for gets that status instead of its answer."""
-    answer = bed.net._routes[host]
-
-    def handler(request):
+    def edit(request, answer):
         status = refused(request)
         return error_response(status, "refused") if status else answer(request)
 
-    bed.net._routes[host] = handler
+    wrap_route(bed.net, host, edit)
 
 
 def refuse_saavn_auth_without_cookies(bed) -> None:

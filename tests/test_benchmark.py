@@ -21,6 +21,8 @@ from drmtestbed.transport import (
     DeterministicEnv, HttpRequest, Network, error_response, split_url,
 )
 
+from test_transport import wrap_route
+
 DEVICE_KEY = bytes.fromhex("5e21b7da93c604f8ab176ce0421f98d3")
 
 PREMIUM = ("ada", "correct-horse-battery")
@@ -616,16 +618,15 @@ def test_play_benchmark_bad_credentials(rig):
 
 def test_play_benchmark_stops_at_a_refused_range(rig):
     svc, net, _env, _catalog = rig
-    serve = net._routes[bench.HOST_CDN]  # no public way to wrap a route
     ranges = []
 
-    def refuse_the_third(req):
+    def refuse_the_third(req, serve):
         ranges.append(req.headers["range"])
         if len(ranges) == 3:
             return error_response(403, "range refused")
         return serve(req)
 
-    net._routes[bench.HOST_CDN] = refuse_the_third
+    wrap_route(net, bench.HOST_CDN, refuse_the_third)
     with pytest.raises(ProtocolFailure, match="^chunk fetch refused") as info:
         play_benchmark(net, "trk1", PREMIUM, svc.make_cdm())
     assert str(info.value).endswith("(status 403)")
@@ -642,15 +643,14 @@ def test_play_benchmark_stops_at_an_empty_last_range():
     svc = bench.BenchmarkService(catalog, env, TestbedConfig())
     net = Network()
     svc.mount(net)
-    serve = net._routes[bench.HOST_CDN]  # no public way to wrap a route
     bodies = []
 
-    def record(req):
+    def record(req, serve):
         resp = serve(req)
         bodies.append(resp.body)
         return resp
 
-    net._routes[bench.HOST_CDN] = record
+    wrap_route(net, bench.HOST_CDN, record)
     chunks = play_benchmark(net, "trk1", PREMIUM, svc.make_cdm())
     assert [len(b) for b in bodies] == [bench.SEGMENT_BYTES] * 3 + [0]
     assert len(chunks) == 3

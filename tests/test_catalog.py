@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -257,6 +259,18 @@ def test_load_refuses_a_directory_named_like_a_variant(tmp_path):
     _write(tmp_path, "alpha.64.aud")
     (tmp_path / "dir.128.aud").mkdir()
     with pytest.raises(IsADirectoryError):
+        load_catalog(tmp_path)
+
+
+def test_load_reads_an_unlistable_directory_as_one_with_no_variant(tmp_path, monkeypatch):
+    # root may list any directory, so the listing itself is made to refuse
+    _write(tmp_path, "alpha.64.aud")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    with pytest.raises(ValueError, match=f"^no .aud files under {re.escape(str(tmp_path))}$"):
         load_catalog(tmp_path)
 
 

@@ -38,6 +38,7 @@ from drmtestbed.hls import ManifestError, parse_index, parse_master, render_inde
 from drmtestbed.services import gaana, saavn, wynk
 from drmtestbed.services.hungama import HungamaService
 from drmtestbed.transport import DeterministicEnv, split_url
+from drmtestbed.webassets import PageError
 
 KEY, IV = bytes(range(16)), bytes(range(16, 32))
 SECRET, KEY_PAIR = b"grant-secret", "K1"
@@ -150,13 +151,13 @@ CONTRACTS = {
         _near_misses_text("https://", "https://[", "https://h.example/p?"),
     ),
     "saavn.parse_song_page": (
-        saavn.parse_song_page, ValueError,
+        saavn.parse_song_page, PageError,
         [f"{_SAAVN}{{}};</script>", f"{_SAAVN}[];</script>", f"{_SAAVN}{DEEP};</script>",
          f'{_SAAVN}{{"song":1}};</script>', f'{_SAAVN}{{"song":[]}};</script>'],
         _near_misses_text(_SAAVN, _SAAVN + '{"song":', suffix=";</script>"),
     ),
     "gaana.parse_song_page": (
-        gaana.parse_song_page, ValueError,
+        gaana.parse_song_page, PageError,
         [f'{_GAANA}{{"title":1,"path":1}}</span>', f"{_GAANA}[]</span>",
          f"{_GAANA}{DEEP}</span>", f'{_GAANA}{{"title":"t"}}</span>'],
         _near_misses_text(_GAANA, _GAANA + '{"title":"t","path":', suffix="</span>"),

@@ -12,7 +12,7 @@ from drmtestbed.crypto_kit import CryptoError, aes_cbc_decrypt, b64_decode
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import gaana
 from drmtestbed.transport import DeterministicEnv, Network
-from drmtestbed.webassets import MINIFIED_BANNER
+from drmtestbed.webassets import MINIFIED_BANNER, PageError
 
 PAGE_KEY = bytes.fromhex("a45bd1087e92cf36610b54afc3d278e9")
 PAGE_IV = bytes.fromhex("0cf3a871469de2b5871e90cd5336ab14")
@@ -35,9 +35,9 @@ def _block(net, svc, asset_id):
 
 
 def test_parse_song_page_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(PageError):
         gaana.parse_song_page("<html>bare</html>")
-    with pytest.raises(ValueError):
+    with pytest.raises(PageError):
         gaana.parse_song_page('<span class="sourcelist" data-type="playSong">{"x": 1')
 
 

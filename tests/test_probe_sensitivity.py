@@ -8,12 +8,12 @@ premium track on each service the row names: a change that shuts the
 paying user out is an outage, not a practice.
 
 Five reference clients (wynk-v1, wynk-v2, jiosaavn, gaana, hungama)
-present no identity, so the bed serves the default principal, an
-anonymous one and a free one alike. A change to one of their services
-alone can refuse an anonymous or a free user only by refusing the
-default one too. Their `mandatory_user_identification` and
-`premium_access_restrictions` rows stay in the table as strict xfails:
-each flips its cell, or would, but shuts the default principal out.
+present no identity: run for the default principal, an anonymous one
+or a free one, each sends the same requests, which one test pins. A
+change to one of their services alone can refuse an anonymous or a free
+user only by refusing the default one too, so `ROWS` has no row for
+their `mandatory_user_identification` or `premium_access_restrictions`
+cells.
 
 `PRINCIPAL_ROWS` lends those clients an identity from the test side:
 every request a client makes while the bed runs it for a principal
@@ -36,7 +36,6 @@ from drmtestbed.auditor import (
     audit,
     audit_all,
 )
-from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import TestbedConfig
 from drmtestbed.testbed import ANONYMOUS, DEFAULT_PRINCIPAL, FREE_TIER, SPECS, Testbed
 from drmtestbed.transport import (
@@ -49,6 +48,7 @@ from drmtestbed.transport import (
 from drmtestbed.webassets import MINIFIED_BANNER
 
 from test_auditor import EXPECTED, EXTENDED_AUDIT_SERVICES
+from test_transport import wrap_route
 
 _SPEC = {spec.audit_name: spec for spec in SPECS}
 _CDN_OWNER = {
@@ -57,12 +57,6 @@ _CDN_OWNER = {
 }
 _XOR = bytes(i ^ 0x5A for i in range(256))
 _MOVED_LICENSE_PATH = "/v2/license"
-
-
-def _wrap(bed, host, edit) -> None:
-    """Route host's requests through edit(request, answer)."""
-    answer = bed.net._routes[host]  # no public way to wrap a route
-    bed.net._routes[host] = lambda request: edit(request, answer)
 
 
 def _with_body(response, body) -> HttpResponse:
@@ -83,7 +77,7 @@ def _edit_bundle(service, change):
                 response = _with_body(response, text.encode("utf-8"))
             return response
 
-        _wrap(bed, host, edit)
+        wrap_route(bed.net, host, edit)
     return perturb
 
 
@@ -96,7 +90,7 @@ def _xor_media(service):
                 response = _with_body(response, bytes(response.body).translate(_XOR))
             return response
 
-        _wrap(bed, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
+        wrap_route(bed.net, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
     return perturb
 
 
@@ -119,16 +113,14 @@ def _gate_cdn_media(bed, service, premium_only, admits) -> None:
             return error_response(401, "sign in")
         return response
 
-    _wrap(bed, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
+    wrap_route(bed.net, getattr(bed, _CDN_OWNER[service]).cdn.host, edit)
 
 
-def _cdn_demands_identity(service, premium_only):
-    """The service's CDN refuses media (of premium tracks only, or of
-    every track) to a request that carries no `authorization` header."""
+def _cdn_demands_identity(service):
+    """The service's CDN refuses media of premium tracks to a request
+    that carries no `authorization` header."""
     def perturb(bed):
-        _gate_cdn_media(
-            bed, service, premium_only, lambda request: "authorization" in request.headers
-        )
+        _gate_cdn_media(bed, service, True, lambda request: "authorization" in request.headers)
     return perturb
 
 
@@ -173,23 +165,15 @@ def _move_license(bed):
         )
         return answer(moved)
 
-    _wrap(bed, bench.HOST_API, resolve)
-    _wrap(bed, bench.HOST_LICENSE, license_)
+    wrap_route(bed.net, bench.HOST_API, resolve)
+    wrap_route(bed.net, bench.HOST_LICENSE, license_)
 
 
-def _row(name, field, services, perturb=None, marks=(), **config):
+def _row(name, field, services, perturb=None, **config):
     return pytest.param(
         field, tuple(services), perturb, config,
-        id=f"{field}-{'+'.join(services) or 'none'}-{name}", marks=marks,
+        id=f"{field}-{'+'.join(services) or 'none'}-{name}",
     )
-
-
-_NO_IDENTITY = pytest.mark.xfail(
-    strict=True,
-    raises=ProtocolFailure,
-    reason="the reference client presents no identity, so the service "
-    "can refuse an anonymous or a free user only by refusing the default one",
-)
 
 ROWS = [
     _row("nobody-logs-in", "mandatory_user_identification",
@@ -222,21 +206,11 @@ ROWS = [
     _row("token-ttl-60", "cookie_auth_timeout", ["hungama"], hungama_token_ttl=60),
     _row("bearer-ttl-1e9", "cookie_auth_timeout", ["spotify-benchmark"], bearer_ttl=10**9),
     _row("license-moved", "drm_scheme", ["spotify-benchmark"], _move_license),
-    # one row per cell; wynk-v1 and wynk-v2 share a CDN, so their
-    # perturbations reach both
-    *(
-        _row(name, field, [service], _cdn_demands_identity(service, premium_only),
-             marks=_NO_IDENTITY)
-        for service in ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
-        for name, field, premium_only in (
-            ("cdn-wants-identity", "mandatory_user_identification", False),
-            ("cdn-wants-identity-for-premium", "premium_access_restrictions", True),
-        )
-    ),
 ]
 
 
 _IDENTITY_FIELDS = ("mandatory_user_identification", "premium_access_restrictions")
+_NO_IDENTITY_CLIENTS = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
 _PRINCIPAL = contextvars.ContextVar("principal", default=ANONYMOUS)
 _PRINCIPAL_HEADER = "x-principal"
 
@@ -290,7 +264,7 @@ def _cdn_peers(service) -> list[str]:
 # one row per identity cell; a wynk perturbation reaches both wynk cells
 PRINCIPAL_ROWS = [
     _row(name, field, _cdn_peers(service), _cdn_admits_principals(service, premium_only))
-    for service in ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
+    for service in _NO_IDENTITY_CLIENTS
     for name, field, premium_only in (
         ("cdn-wants-principal", _IDENTITY_FIELDS[0], False),
         ("cdn-wants-principal-for-premium", _IDENTITY_FIELDS[1], True),
@@ -323,32 +297,44 @@ def test_a_perturbation_flips_only_its_cells(field, services, perturb, config):
 
 
 def test_every_probe_has_a_row_that_flips_it():
-    flipping = {param.values[0] for param in ROWS if param.values[1] and not param.marks}
+    flipping = {param.values[0] for param in ROWS if param.values[1]}
     assert flipping == set(PRACTICE_FIELDS)
 
 
-def test_every_identity_probe_has_a_row_per_service():
+def test_every_identity_cell_has_a_row():
     cells = {
         (param.values[0], service)
-        for param in ROWS
-        if param.values[0] in ("mandatory_user_identification", "premium_access_restrictions")
+        for param in ROWS + PRINCIPAL_ROWS
+        if param.values[0] in _IDENTITY_FIELDS
         for service in param.values[1]
     }
     assert cells == {
-        (field, service)
-        for field in ("mandatory_user_identification", "premium_access_restrictions")
-        for service in EXTENDED_AUDIT_SERVICES
+        (field, service) for field in _IDENTITY_FIELDS for service in EXTENDED_AUDIT_SERVICES
     }
 
 
-def test_every_identity_cell_has_a_principal_row():
-    cells = [(param.values[0], param.values[1][0]) for param in PRINCIPAL_ROWS]
-    assert sorted(cells) == sorted(
-        (field, service)
-        for field in _IDENTITY_FIELDS
-        for service in EXTENDED_AUDIT_SERVICES
-        if service != "spotify-benchmark"
-    )
+def _requests_as(service, principal) -> list[tuple]:
+    """Every request the service's client sends, run for principal on a
+    fresh default bed, for an open and a premium track."""
+    bed = Testbed()
+    tap = bed.net.attach_tap()
+    for track in (bed.open_tracks()[0], bed.premium_tracks()[0]):
+        bed.run_client(_SPEC[service].name, track, principal=principal)
+    bed.net.detach_tap(tap)
+    return [
+        (r.method, r.path, tuple(r.query.items()), tuple(r.headers.items()),
+         tuple(r.cookies.items()), r.body)
+        for r in (record.request for record in tap.records())
+    ]
+
+
+@pytest.mark.parametrize("service", _NO_IDENTITY_CLIENTS)
+def test_the_weak_clients_present_no_identity(service):
+    # why ROWS holds no identity row for these services
+    default = _requests_as(service, DEFAULT_PRINCIPAL)
+    assert default
+    for principal in (ANONYMOUS, FREE_TIER):
+        assert _requests_as(service, principal) == default
 
 
 def test_presented_principals_alone_move_no_verdict():
@@ -362,7 +348,7 @@ def test_presented_principals_alone_move_no_verdict():
 def test_premium_served_to_nobody_refuses_the_row(service):
     # the reference run plays the premium track as the paying user, so a
     # service that serves premium media to no one has no "yes" to earn
-    bed = _perturbed_bed(_cdn_demands_identity(service, premium_only=True), {})
+    bed = _perturbed_bed(_cdn_demands_identity(service), {})
     with pytest.raises(AuditRefused, match=(
         rf"^{service}: reference run failed: .*\(status 401\)$"
     )):

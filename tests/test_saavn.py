@@ -24,7 +24,7 @@ from drmtestbed.crypto_kit import (
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import saavn
 from drmtestbed.transport import DeterministicEnv, Network
-from drmtestbed.webassets import MINIFIED_BANNER
+from drmtestbed.webassets import MINIFIED_BANNER, PageError
 
 SEAL_KEY = bytes.fromhex("3d8a1f650b72c49ee8135a0c9746fd2b")
 SEAL_IV = bytes.fromhex("71e04cb82f9ad6135c68020d94b7fae3")
@@ -77,12 +77,12 @@ def test_parse_song_page_round_trip(rig):
 
 
 def test_parse_song_page_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(PageError):
         saavn.parse_song_page("<html>nothing here</html>")
-    with pytest.raises(ValueError):
+    with pytest.raises(PageError):
         saavn.parse_song_page("window.__INITIAL_DATA__ = {\"song\": {}")
     song = {"perma_url": 1, "encrypted_media_url": "e", "title": "t"}
-    with pytest.raises(ValueError, match="lacks the song fields"):
+    with pytest.raises(PageError, match="lacks the song fields"):
         saavn.parse_song_page(f"window.__INITIAL_DATA__ = {json.dumps({'song': song})};</script>")
 
 

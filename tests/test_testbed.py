@@ -140,6 +140,13 @@ class TestRunClient:
         assert bed.benchmark.users[user] == (password, "free")
         assert bed.benchmark_credentials("anonymous") == ("nobody", "wrong-password")
 
+    def test_a_benchmark_with_no_free_user_refuses_the_free_principal(self, bed):
+        bed.benchmark.users = {"ada": bed.benchmark.users["ada"]}
+        with pytest.raises(ValueError, match="^no free user configured$"):
+            bed.benchmark_credentials("free")
+        with pytest.raises(ValueError, match="^no free user configured$"):
+            audit(bed, "spotify-benchmark")
+
 
 class TestServiceSpecs:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)

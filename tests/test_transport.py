@@ -393,6 +393,13 @@ def test_extra_query_never_leaks_into_the_next_split():
 # ----------------------------------------------------------------- network
 
 
+def wrap_route(net, host, edit) -> None:
+    """Route host's requests through edit(request, answer), where answer
+    is the handler it replaces; edit returns the response."""
+    answer = net._routes[host]  # no public way to wrap a route
+    net._routes[host] = lambda request: edit(request, answer)
+
+
 def _echo_network():
     net = Network()
 

@@ -280,56 +280,18 @@ def _v1_register(net, env):
     return json.loads(resp.body)
 
 
-def _v1_stream_response(net, sid, uid, token, *, tamper=False):
+def _v1_stream_response(net, sid, uid, token):
     query = dict(wynk.STREAM_QUERY)
     qs = "&".join(f"{k}={v}" for k, v in query.items())
     path = f"{wynk.V1_STREAM_PREFIX}{sid}{wynk.V1_STREAM_SUFFIX}"
     body = "{}"
     msg = wynk.stream_message("POST", path, qs, body)
     digest = hmac_sha1(token.encode("ascii"), msg.encode("utf-8"))
-    if tamper:
-        digest = bytes([digest[0] ^ 1]) + digest[1:]
     return net.post(
         f"https://{wynk.HOST_PLAYBACK}{path}?{qs}",
         body=body.encode(),
         headers={"x-bsy-utkn": f"{uid}:{b64(digest)}"},
     )
-
-
-def test_v1_signed_stream_grants_working_cookies(rig, ):
-    _svc, net, env, catalog = rig
-    reg = _v1_register(net, env)
-    resp = _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])
-    assert resp.status == 200
-    stream = json.loads(resp.body)
-    master = net.get(stream["url"], extra_query=stream["cookies"])
-    assert master.status == 200
-    assert master.body.startswith(b"#EXTM3U")
-
-
-def test_v1_rejects_tampered_signature_with_403(rig):
-    _svc, net, env, _catalog = rig
-    reg = _v1_register(net, env)
-    resp = _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"], tamper=True)
-    assert resp.status == 403
-
-
-def test_v1_rejects_unknown_uid_with_401(rig):
-    _svc, net, env, _catalog = rig
-    reg = _v1_register(net, env)
-    resp = _v1_stream_response(net, "bsycdn1_trk1", "000000000000", reg["token"])
-    assert resp.status == 401
-
-
-def test_v1_rejects_malformed_utkn_with_403(rig):
-    _svc, net, _env, _catalog = rig
-    qs = "&".join(f"{k}={v}" for k, v in wynk.STREAM_QUERY)
-    resp = net.post(
-        f"https://{wynk.HOST_PLAYBACK}{wynk.V1_STREAM_PREFIX}x{wynk.V1_STREAM_SUFFIX}?{qs}",
-        body=b"{}",
-        headers={"x-bsy-utkn": "no-colon-here"},
-    )
-    assert resp.status == 403
 
 
 def test_v1_session_expires_after_ttl(rig):
@@ -364,13 +326,6 @@ def test_v1_signature_binds_the_query_string(rig):
         headers={"x-bsy-utkn": f"{reg['uid']}:{b64(digest)}"},
     )
     assert resp.status == 403
-
-
-def test_v1_unknown_content_id_is_404_after_auth(rig):
-    _svc, net, env, _catalog = rig
-    reg = _v1_register(net, env)
-    resp = _v1_stream_response(net, "bsycdn1_missing", reg["uid"], reg["token"])
-    assert resp.status == 404
 
 
 def test_v1_full_rip_matches_catalog(rig):
@@ -637,15 +592,13 @@ def test_handshake_returns_session_material(rig):
 
 
 def _v2_stream_response(net, env, session, sid, *, otp_at=None, otp=None,
-                        kt=None, uuid=None, tamper=False):
+                        kt=None, uuid=None):
     query = dict(wynk.STREAM_QUERY)
     query["id"] = sid
     qs = "&".join(f"{k}={v}" for k, v in query.items())
     body = "{}"
     msg = wynk.stream_message("POST", wynk.V2_STREAM_PATH, qs, body)
     digest = hmac_sha1(session["token"].encode("ascii"), msg.encode("utf-8"))
-    if tamper:
-        digest = bytes([digest[0] ^ 1]) + digest[1:]
     code = otp if otp is not None else totp(
         (session["dt"] + WYNK_SK).encode("utf-8"),
         wynk.TOTP_PARAMS,
@@ -661,15 +614,6 @@ def _v2_stream_response(net, env, session, sid, *, otp_at=None, otp=None,
             "x-bsy-t": b64(sealed),
         },
     )
-
-
-def test_v2_stream_happy_path(rig):
-    _svc, net, env, _catalog = rig
-    session = wynk_v2_handshake(net, env)
-    resp = _v2_stream_response(net, env, session, "bsycdn1_trk1")
-    assert resp.status == 200
-    stream = json.loads(resp.body)
-    assert net.get(stream["url"], extra_query=stream["cookies"]).status == 200
 
 
 def test_v2_accepts_previous_totp_step_only(rig):
@@ -706,28 +650,6 @@ def test_v2_rejects_unsealed_or_garbage_otp_header(rig):
             headers={"x-bsy-utkn": utkn, "x-bsy-uuid": session["dt"], "x-bsy-t": bad_t},
         )
         assert resp.status == 401
-
-
-def test_v2_rejects_unknown_device_token(rig):
-    _svc, net, env, _catalog = rig
-    session = wynk_v2_handshake(net, env)
-    resp = _v2_stream_response(net, env, session, "bsycdn1_trk1", uuid="0" * 32)
-    assert resp.status == 403
-
-
-def test_v2_rejects_tampered_signature(rig):
-    _svc, net, env, _catalog = rig
-    session = wynk_v2_handshake(net, env)
-    resp = _v2_stream_response(net, env, session, "bsycdn1_trk1", tamper=True)
-    assert resp.status == 403
-
-
-def test_v2_rejects_uid_not_matching_device(rig):
-    _svc, net, env, _catalog = rig
-    session = wynk_v2_handshake(net, env)
-    other = dict(session, uid="000000000000")
-    resp = _v2_stream_response(net, env, other, "bsycdn1_trk1")
-    assert resp.status == 403
 
 
 def test_v2_session_expires(rig):
@@ -877,6 +799,9 @@ STREAM_ANSWERS = [
      _refused(403, "unknown device token")),
     ("v2-utkn-mismatch",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True, token="f" * 40),
+     _refused(403, "utkn mismatch")),
+    ("v2-utkn-under-another-uid",
+     lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True, uid="0" * 12),
      _refused(403, "utkn mismatch")),
     ("v2-login-on-the-v2-path-with-no-code",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"]),
