@@ -779,11 +779,16 @@ STREAM_ANSWERS = [
     ("v1-prefix-without-the-suffix",
      lambda call, v1, v2: call(v1, path=wynk.V1_STREAM_PREFIX + SID),
      _refused(404, "no such endpoint")),
+    ("v1-suffix-without-the-prefix",
+     lambda call, v1, v2: call(v1, path=f"/streaming/{SID}{wynk.V1_STREAM_SUFFIX}"),
+     _refused(404, "no such endpoint")),
     ("utkn-with-no-colon", lambda call, v1, v2: call(v1, utkn="no-colon-here"),
      _refused(403, "utkn malformed")),
     ("unknown-uid", lambda call, v1, v2: call(v1, uid="0" * 12),
      _refused(401, "unknown uid")),
     ("v1-utkn-mismatch", lambda call, v1, v2: call(v1, token="f" * 40),
+     _refused(403, "utkn mismatch")),
+    ("utkn-digest-not-ascii", lambda call, v1, v2: call(v1, utkn=f"{v1['uid']}:\u00e9"),
      _refused(403, "utkn mismatch")),
     ("unknown-sid-on-the-v1-path",
      lambda call, v1, v2: call(
