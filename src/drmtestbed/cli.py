@@ -84,7 +84,7 @@ def _cmd_rip(args) -> int:
     )
     if client_error:
         print(f"client: {client_error}", file=sys.stderr)
-    if result.succeeded and result.matched_catalog:
+    if result.matched_catalog:
         return EXIT_OK
     print("rip failed: transcript yielded no catalog media", file=sys.stderr)
     return EXIT_PROTOCOL

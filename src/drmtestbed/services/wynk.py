@@ -274,9 +274,7 @@ class WynkService:
                 ]
             )
         m = _MIX_PATTERN.fullmatch(req.path)
-        if m is None:
-            return error_response(404, "no such asset")
-        parsed = _parse_mix(m.group(1))
+        parsed = m and _parse_mix(m.group(1))
         if parsed is None:
             return error_response(404, "no such asset")
         _half, bk = parsed

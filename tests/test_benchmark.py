@@ -17,9 +17,7 @@ from drmtestbed.catalog import ServiceCatalog, demo_catalog
 from drmtestbed.clients import ProtocolFailure, play_benchmark
 from drmtestbed.config import TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
-from drmtestbed.transport import (
-    DeterministicEnv, HttpRequest, Network, error_response, split_url,
-)
+from drmtestbed.transport import DeterministicEnv, Network, error_response
 
 from test_transport import wrap_route
 
@@ -78,56 +76,6 @@ def test_login_sets_session_cookie(rig):
     assert resp.status == 200
     sid = resp.set_cookies[bench.SESSION_COOKIE]
     assert len(sid) == 32
-
-
-@pytest.mark.parametrize("body", [
-    b"", b"no json", b"{}", b'{"username": "ada"}',
-    b'{"username": "ada", "password": "wrong"}',
-    b'{"username": "ghost", "password": "x"}',
-])
-def test_login_refuses_bad_credentials(rig, body):
-    _svc, net, _env, _catalog = rig
-    resp = net.post(f"https://{bench.HOST_API}{bench.LOGIN_PATH}", body=body)
-    assert resp.status in (400, 401)
-    assert bench.SESSION_COOKIE not in resp.set_cookies
-
-
-@pytest.mark.parametrize("payload", [
-    {"username": [], "password": "x"},
-    {"username": {}, "password": "x"},
-    {"username": "ada", "password": ["correct-horse-battery"]},
-    {"username": None, "password": None},
-    {"username": 7, "password": 7},
-])
-def test_login_rejects_non_string_credentials(rig, payload):
-    _svc, net, _env, _catalog = rig
-    resp = net.post(
-        f"https://{bench.HOST_API}{bench.LOGIN_PATH}", body=json.dumps(payload).encode()
-    )
-    assert resp.status == 400
-    assert json.loads(resp.body)["error"] == "username and password required"
-    assert bench.SESSION_COOKIE not in resp.set_cookies
-
-
-def test_token_requires_session(rig):
-    _svc, net, _env, _catalog = rig
-    assert net.post(f"https://{bench.HOST_API}{bench.TOKEN_PATH}").status == 401
-    assert net.post(
-        f"https://{bench.HOST_API}{bench.TOKEN_PATH}",
-        cookies={bench.SESSION_COOKIE: "f" * 32},
-    ).status == 401
-
-
-def test_resolve_requires_live_bearer(rig):
-    svc, net, env, _catalog = rig
-    assert _resolve(net, "0" * 48).status == 401
-    resp = net.get(f"https://{bench.HOST_API}{bench.RESOLVE_PREFIX}trk1",
-                   headers={"authorization": "Token abc"})
-    assert resp.status == 401
-    bearer = _bearer(net)
-    assert _resolve(net, bearer).status == 200
-    env.clock.advance(svc.bearer_ttl)
-    assert _resolve(net, bearer).status == 401
 
 
 def test_bearer_store_holds_only_the_live_window(rig):
@@ -193,20 +141,6 @@ def test_session_lives_bearer_ttl_from_its_last_grant(rig):
     assert (idle.status, json.loads(idle.body)) == (401, {"error": "login first"})
 
 
-def test_resolve_unknown_track_404(rig):
-    _svc, net, _env, _catalog = rig
-    assert _resolve(net, _bearer(net), "trk9").status == 404
-
-
-def test_premium_gate(rig):
-    _svc, net, _env, _catalog = rig
-    free = _bearer(net, FREE)
-    assert _resolve(net, free, "trk1").status == 200
-    assert _resolve(net, free, "trk3").status == 403
-    premium = _bearer(net, PREMIUM)
-    assert _resolve(net, premium, "trk3").status == 200
-
-
 def test_resolve_offers_edges_and_license_url(rig):
     _svc, net, _env, _catalog = rig
     resolved = json.loads(_resolve(net, _bearer(net)).body)
@@ -222,16 +156,6 @@ def test_resolve_offers_edges_and_license_url(rig):
 def _first_uri(net, track="trk1", creds=PREMIUM):
     resolved = json.loads(_resolve(net, _bearer(net, creds), track).body)
     return resolved["uris"][0]
-
-
-def test_cdn_requires_grant_per_edge(rig):
-    _svc, net, _env, _catalog = rig
-    uri = _first_uri(net)
-    assert net.get(uri).status == 200
-    # the grant is bound to edge1's exact path; edge2 refuses it
-    assert net.get(uri.replace("/edge1/", "/edge2/")).status == 403
-    bare = uri.partition("?")[0]
-    assert net.get(bare).status == 403
 
 
 def test_cdn_range_semantics(rig):
@@ -252,10 +176,6 @@ def test_cdn_range_semantics(rig):
     past_end = net.get(uri, headers={"range": f"bytes={len(blob)}-{len(blob) + 100}"})
     assert past_end.status == 200 and past_end.body == b""
 
-    assert net.get(uri, headers={"range": "bytes=10-5"}).status == 400
-    assert net.get(uri, headers={"range": "bytes=-5"}).status == 400
-    assert net.get(uri, headers={"range": "chunk=1-2"}).status == 400
-
 
 def test_cdn_unranged_get_is_the_whole_range(rig):
     _svc, net, _env, _catalog = rig
@@ -265,35 +185,6 @@ def test_cdn_unranged_get_is_the_whole_range(rig):
     assert whole.status == ranged.status == 200
     assert whole.headers == ranged.headers
     assert whole.body == ranged.body
-
-
-def test_cdn_empty_range_header_is_unparseable(rig):
-    _svc, net, _env, _catalog = rig
-    resp = net.get(_first_uri(net), headers={"range": ""})
-    assert resp.status == 400
-    assert json.loads(resp.body) == {"error": "unparseable range"}
-    assert "content-range" not in resp.headers
-
-
-@pytest.mark.parametrize("path_tail,range_header,status", [
-    # the newline path goes under the grant for the bare path
-    pytest.param("\n", "bytes=0-3", 404, id="path-newline"),
-    pytest.param("", "bytes=0-3\n", 400, id="range-newline"),
-    pytest.param("", "bytes=\u0660-\u0663", 400, id="arabic-indic-digits"),
-    pytest.param("", "bytes=\u00b2-3", 400, id="superscript-digit"),  # isdigit() says yes
-    pytest.param("", "bytes=0-1-2", 400, id="two-dashes"),
-    pytest.param("", "bytes=+0-3", 400, id="signed"),
-    pytest.param("", "bytes=0_0-3", 400, id="underscore"),
-    pytest.param("", f"bytes={'1' * 5000}-{'2' * 5000}", 400, id="past-int-digit-limit"),
-])
-def test_cdn_refuses_lax_paths_and_ranges(rig, path_tail, range_header, status):
-    _svc, net, _env, _catalog = rig
-    host, path, query = split_url(_first_uri(net))
-    # dispatched directly: urlsplit would strip the newline from a URL
-    req = HttpRequest("GET", path + path_tail, query, {"range": range_header})
-    resp = net.dispatch(host, req)
-    assert resp.status == status
-    assert "content-range" not in resp.headers
 
 
 def _oracle_blob(svc, catalog, track, header):
@@ -488,41 +379,11 @@ def test_license_exchange_and_segment_decrypt(rig):
     assert piece == media[100:164]
 
 
-def test_license_rejects_unsealed_or_foreign_requests(rig):
-    svc, net, env, _catalog = rig
-    assert net.post(bench.LICENSE_URL, body=b"").status == 403
-    assert net.post(bench.LICENSE_URL, body=b"\x00" * 64).status == 403
-    # sealed under the wrong device key
-    foreign = bench.Cdm(b"\x13" * 16, env)
-    blob = net.get(_first_uri(net)).body
-    init = bench.extract_init_data(blob)
-    assert net.post(bench.LICENSE_URL, body=foreign.request_license(init)).status == 403
-
-
-def test_license_request_that_opens_to_the_wrong_length_is_malformed(rig):
-    # sealed under the device key, so it opens, but is not 32 bytes of init data
-    svc, net, env, _catalog = rig
-    request = bench._seal(svc.device_key, bytes(16), env.rng.randbytes(16))
-    resp = net.post(bench.LICENSE_URL, body=request)
-    assert (resp.status, json.loads(resp.body)) == (403, {"error": "request malformed"})
-
-
 def test_cdm_refuses_a_license_that_opens_to_the_wrong_length(rig):
     svc, _net, env, _catalog = rig
     license_blob = bench._seal(svc.device_key, bytes(32), env.rng.randbytes(16))
     with pytest.raises(bench.LicenseError, match="payload malformed"):
         svc.make_cdm().install(license_blob)
-
-
-def test_license_rejects_unknown_key_id_and_nonce_mismatch(rig):
-    svc, net, _env, _catalog = rig
-    blob = net.get(_first_uri(net)).body
-    init = bench.extract_init_data(blob)
-    cdm = svc.make_cdm()
-    wrong_key = bytes(16) + init[16:]
-    assert net.post(bench.LICENSE_URL, body=cdm.request_license(wrong_key)).status == 403
-    wrong_nonce = init[:16] + bytes(16)
-    assert net.post(bench.LICENSE_URL, body=cdm.request_license(wrong_nonce)).status == 403
 
 
 def test_license_response_tamper_detected_by_cdm(rig):

@@ -409,38 +409,3 @@ def test_cdn_file_assets_and_exact_grants(node):
     # that grant covers exactly one rate
     assert _get(cdn, "/file/f1/64.aud", query).status == 403
 
-
-def test_cdn_refuses_without_grant(node):
-    cdn, _clock, _asset = node
-    assert _get(cdn, "/hls/a1/master.m3u8").status == 403
-    assert _get(cdn, "/file/f1/320.aud").status == 403
-
-
-def test_cdn_refuses_expired_grant(node):
-    cdn, clock, _asset = node
-    query = cdn.hls_grant("a1", expires_at=2000)
-    assert _get(cdn, "/hls/a1/master.m3u8", query).status == 200
-    clock.set_to(2000)
-    assert _get(cdn, "/hls/a1/master.m3u8", query).status == 403
-
-
-def test_cdn_grant_does_not_leak_across_assets(node):
-    cdn, _clock, asset = node
-    cdn.add_hls_asset("a2", asset)
-    query = cdn.hls_grant("a1", expires_at=2000)
-    assert _get(cdn, "/hls/a2/master.m3u8", query).status == 403
-
-
-def test_cdn_404_before_grant_evaluation_order(node):
-    # unknown object is 404 even with a valid grant; missing grant on a
-    # real object is 403
-    cdn, _clock, _asset = node
-    query = cdn.hls_grant("a1", expires_at=2000)
-    assert _get(cdn, "/hls/a1/999/index.m3u8", query).status == 404
-    assert _get(cdn, "/nothing", query).status == 404
-
-
-def test_cdn_get_only(node):
-    cdn, _clock, _asset = node
-    resp = cdn.handler(HttpRequest(method="POST", path="/hls/a1/master.m3u8"))
-    assert resp.status == 400

@@ -41,11 +41,6 @@ def test_parse_song_page_errors():
         gaana.parse_song_page('<span class="sourcelist" data-type="playSong">{"x": 1')
 
 
-def test_unknown_slug_404(rig):
-    _svc, net, _env, _catalog = rig
-    assert net.get(f"https://{gaana.HOST_WWW}/song/ghost-song").status == 404
-
-
 def test_page_paths_decrypt_to_authorized_uris(rig):
     svc, net, _env, catalog = rig
     block = _block(net, svc, "trk1")

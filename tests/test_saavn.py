@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmtestbed import cdn
-from drmtestbed.catalog import ServiceCatalog, demo_catalog
+from drmtestbed.catalog import demo_catalog
 from drmtestbed.clients import ProtocolFailure, rip_saavn
 from drmtestbed.config import TestbedConfig
 from drmtestbed.crypto_kit import (
@@ -21,7 +21,6 @@ from drmtestbed.crypto_kit import (
     b64,
     b64_decode,
 )
-from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
 from drmtestbed.services import saavn
 from drmtestbed.transport import DeterministicEnv, Network
 from drmtestbed.webassets import MINIFIED_BANNER, PageError
@@ -86,11 +85,6 @@ def test_parse_song_page_errors():
         saavn.parse_song_page(f"window.__INITIAL_DATA__ = {json.dumps({'song': song})};</script>")
 
 
-def test_unknown_song_page_404(rig):
-    _svc, net, _env, _catalog = rig
-    assert net.get(f"https://{saavn.HOST_WWW}/song/ghost/trk9").status == 404
-
-
 def test_static_asset_names_the_api(rig):
     _svc, net, _env, _catalog = rig
     resp = net.get(f"https://{saavn.HOST_WWW}{saavn.ASSET_PATH}")
@@ -121,36 +115,6 @@ def test_api_serves_every_ladder_rate(rig, rate):
     resp = _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url, bit_rate=rate)
     media = net.get(json.loads(resp.body)["auth_url"])
     assert media.body == catalog.assets["trk1"].variant(int(rate))
-
-
-def test_api_rejects_wrong_call_and_bit_rate(rig):
-    svc, net, _env, _catalog = rig
-    song = _page_token(net, svc, "trk1")
-    assert _api(net, call="song.other", url=song.encrypted_media_url,
-                bit_rate="320").status == 400
-    assert _api(net, url=song.encrypted_media_url, bit_rate="320").status == 400
-    assert _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url,
-                bit_rate="192").status == 400
-    assert _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url).status == 400
-
-
-def test_api_rejects_tampered_token(rig):
-    svc, net, _env, _catalog = rig
-    song = _page_token(net, svc, "trk1")
-    raw = bytearray(b64_decode(song.encrypted_media_url))
-    raw[0] ^= 0x01
-    resp = _api(net, call=saavn.AUTH_CALL, url=b64(bytes(raw)), bit_rate="320")
-    assert resp.status == 403
-    assert _api(net, call=saavn.AUTH_CALL, url="!!notb64!!", bit_rate="320").status == 403
-    assert _api(net, call=saavn.AUTH_CALL, url="", bit_rate="320").status == 403
-
-
-def test_api_rejects_token_for_unknown_asset(rig):
-    _svc, net, _env, _catalog = rig
-    ghost = b64(aes_cbc_encrypt(SEAL_KEY, SEAL_IV, b"trk99"))
-    resp = _api(net, call=saavn.AUTH_CALL, url=ghost, bit_rate="320")
-    assert resp.status == 403
-    assert json.loads(resp.body) == {"error": "token rejected"}
 
 
 # ------------------------------------------------------- the seal as a table
@@ -243,19 +207,6 @@ def test_auth_answers_are_rendered_once_and_copied_out(rig, monkeypatch):
     # another rate is another answer
     other = _api(net, call=saavn.AUTH_CALL, url=token, bit_rate="64")
     assert other.body != first.body and len(issued) == 2
-
-
-def test_api_variant_not_stocked_404():
-    env = DeterministicEnv(seed=1, clock_start=1_700_000_000)
-    catalog = ServiceCatalog(
-        assets={"solo": MediaAsset("solo", "Solo", {128: AUDIO_MAGIC + b"only"})}
-    )
-    svc = saavn.SaavnService(catalog, env, TestbedConfig())
-    net = Network()
-    svc.mount(net)
-    song = _page_token(net, svc, "solo")
-    resp = _api(net, call=saavn.AUTH_CALL, url=song.encrypted_media_url, bit_rate="320")
-    assert resp.status == 404
 
 
 def test_grants_never_expire(rig):

@@ -400,6 +400,11 @@ def wrap_route(net, host, edit) -> None:
     net._routes[host] = lambda request: edit(request, answer)
 
 
+def assert_refused(resp: HttpResponse, want: tuple[int, str]) -> None:
+    """resp is the refusal want names, whole: status, headers, cookies, body."""
+    assert resp == error_response(*want)
+
+
 def _echo_network():
     net = Network()
 

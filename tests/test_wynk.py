@@ -20,7 +20,7 @@ from drmtestbed.clients import (
     rip_wynk_v2,
     wynk_v2_handshake,
 )
-from drmtestbed.crypto_kit import b64, b64_decode, hmac_sha1, passphrase_seal, totp
+from drmtestbed.crypto_kit import b64, b64_decode, passphrase_seal
 from drmtestbed.services import wynk
 from drmtestbed.testbed import Testbed
 from drmtestbed.transport import (
@@ -33,6 +33,7 @@ from drmtestbed.transport import (
 )
 from drmtestbed.webassets import MINIFIED_BANNER
 from test_golden import PINNED_TAP_SHA256
+from test_transport import assert_refused
 
 WYNK_SK = TestbedConfig().wynk_sk
 
@@ -258,20 +259,6 @@ def test_v1_login_issues_uid_and_token(rig):
     assert len(payload["token"]) == 40
 
 
-@pytest.mark.parametrize("body", [
-    b"",
-    b"not json",
-    b"{}",
-    b'{"deviceId": "d"}',
-    b'{"deviceId": "", "userAgent": "ua"}',
-    b'{"deviceId": "d", "userAgent": ""}',
-])
-def test_v1_login_requires_device_and_agent(rig, body):
-    _svc, net, _env, _catalog = rig
-    resp = net.post(f"https://{wynk.HOST_ACCOUNT}{wynk.V1_LOGIN_PATH}", body=body)
-    assert resp.status == 400
-
-
 def _v1_register(net, env):
     resp = net.post(
         f"https://{wynk.HOST_ACCOUNT}{wynk.V1_LOGIN_PATH}",
@@ -280,17 +267,35 @@ def _v1_register(net, env):
     return json.loads(resp.body)
 
 
-def _v1_stream_response(net, sid, uid, token):
+SID = "bsycdn1_trk1"
+V1_PATH = f"{wynk.V1_STREAM_PREFIX}{SID}{wynk.V1_STREAM_SUFFIX}"
+V2 = {"path": wynk.V2_STREAM_PATH, "sid": SID}
+
+
+def _sealed(kt, code):
+    """An x-bsy-t header: code sealed under kt, as the v2 client seals it."""
+    return b64(passphrase_seal(kt, code.encode("ascii"), b"\x01" * 8))
+
+
+def _stream_call(net, env, login, *, method="POST", path=V1_PATH, sid=None,
+                 uid=None, token=None, utkn=None, dt=None, otp=False, t=None):
+    """A stream call signed as `login` (or as the uid and token given);
+    `sid` adds v2's id query, `dt` the device token header, `otp` the
+    login's one-time code sealed with its kt, and `t` that header as given."""
     query = dict(wynk.STREAM_QUERY)
+    if sid is not None:
+        query["id"] = sid
     qs = "&".join(f"{k}={v}" for k, v in query.items())
-    path = f"{wynk.V1_STREAM_PREFIX}{sid}{wynk.V1_STREAM_SUFFIX}"
-    body = "{}"
-    msg = wynk.stream_message("POST", path, qs, body)
-    digest = hmac_sha1(token.encode("ascii"), msg.encode("utf-8"))
-    return net.post(
-        f"https://{wynk.HOST_PLAYBACK}{path}?{qs}",
-        body=body.encode(),
-        headers={"x-bsy-utkn": f"{uid}:{b64(digest)}"},
+    msg = wynk.stream_message(method, path, qs, "{}")
+    headers = {"x-bsy-utkn": utkn or wynk.utkn(uid or login["uid"], token or login["token"], msg)}
+    if dt is not None:
+        headers["x-bsy-uuid"] = dt
+    if otp:
+        t = _sealed(login["kt"], wynk.otp(login["dt"], WYNK_SK, env.clock.now()))
+    if t is not None:
+        headers["x-bsy-t"] = t
+    return net.request(
+        method, f"https://{wynk.HOST_PLAYBACK}{path}?{qs}", body=b"{}", headers=headers
     )
 
 
@@ -298,34 +303,17 @@ def test_v1_session_expires_after_ttl(rig):
     svc, net, env, _catalog = rig
     reg = _v1_register(net, env)
     env.clock.advance(svc.session_ttl)
-    resp = _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])
-    assert resp.status == 401
+    assert _stream_call(net, env, reg).status == 401
 
 
 def test_v1_expired_login_answers_as_an_unknown_uid(rig):
     svc, net, env, _catalog = rig
     reg = _v1_register(net, env)
     env.clock.advance(svc.session_ttl)
-    expired = _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])
-    unknown = _v1_stream_response(net, "bsycdn1_trk1", "0" * 12, reg["token"])
+    expired = _stream_call(net, env, reg)
+    unknown = _stream_call(net, env, reg, uid="0" * 12)
     assert (expired.status, expired.body) == (unknown.status, unknown.body)
     assert json.loads(expired.body) == {"error": "unknown uid"}
-
-
-def test_v1_signature_binds_the_query_string(rig):
-    _svc, net, env, _catalog = rig
-    reg = _v1_register(net, env)
-    path = f"{wynk.V1_STREAM_PREFIX}bsycdn1_trk1{wynk.V1_STREAM_SUFFIX}"
-    qs = "&".join(f"{k}={v}" for k, v in wynk.STREAM_QUERY)
-    msg = wynk.stream_message("POST", path, qs, "{}")
-    digest = hmac_sha1(reg["token"].encode(), msg.encode())
-    # replay the signature over a different query: sq=b instead of sq=a
-    resp = net.post(
-        f"https://{wynk.HOST_PLAYBACK}{path}?ets=true&hlscapable=1&sq=b&lang=en",
-        body=b"{}",
-        headers={"x-bsy-utkn": f"{reg['uid']}:{b64(digest)}"},
-    )
-    assert resp.status == 403
 
 
 def test_v1_full_rip_matches_catalog(rig):
@@ -369,18 +357,10 @@ def _login(net, env, bs, *, ptot=None):
     )
 
 
-def test_priming_state_needs_both_marks(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env, marks=("1",))
+def _solve(net, env, bk):
+    """The digits of a fresh check on bk, which a login encodes as its cip."""
     check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    resp = _login(net, env, bs)
-    assert (resp.status, json.loads(resp.body)) == (
-        403, {"error": "handshake not primed"}
-    )
-    bk2 = _prime(net, env)
-    check = json.loads(_check(net, env, bk2).body)
-    assert _login(net, env, "".join(check[f] for f in wynk.CHECK_FIELDS)).status == 200
+    return "".join(check[f] for f in wynk.CHECK_FIELDS)
 
 
 def test_invalid_mix_names_are_404_and_create_no_state(rig):
@@ -405,30 +385,11 @@ def test_mix_name_with_a_trailing_newline_is_404(rig):
     assert bk in svc._by_bk
 
 
-def test_check_requires_known_bk(rig):
+def test_stamps_at_the_skew_edge_are_fresh(rig):
     _svc, net, env, _catalog = rig
-    resp = _check(net, env, wynk.gen_bk(env.clock.now(), env.rng))  # never primed
-    assert resp.status == 403
-
-
-def test_check_requires_fresh_tk(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    assert _check(net, env, bk, tk=env.clock.now() - wynk.CLOCK_SKEW - 1).status == 401
-    assert _check(net, env, bk, tk=env.clock.now() + wynk.CLOCK_SKEW + 1).status == 401
-    assert _check(net, env, bk, tk=env.clock.now() - wynk.CLOCK_SKEW).status == 200
-
-
-def test_check_rejects_non_ascii_digits_in_tk(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    half = len(bk) // 2
-    resp = net.post(
-        f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
-        body=json.dumps({"pid": bk[half:]}).encode(),
-        headers={"tk": "\u00b2", "bk": bk[:half]},
-    )
-    assert resp.status == 401
+    bk, now = _prime(net, env), env.clock.now()
+    assert _check(net, env, bk, tk=now - wynk.CLOCK_SKEW).status == 200
+    assert _login(net, env, _solve(net, env, bk), ptot=now + wynk.CLOCK_SKEW).status == 200
 
 
 def test_stamps_past_int_digit_limit_are_stale(rig):
@@ -441,30 +402,12 @@ def test_stamps_past_int_digit_limit_are_stale(rig):
     resp = _check(net, env, bk, tk=huge)
     assert (resp.status, json.loads(resp.body)) == (401, {"error": "stale tk"})
     assert env.rng.getstate() == state
-    check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    bs = _solve(net, env, bk)
     state = env.rng.getstate()
     resp = _login(net, env, bs, ptot=huge)
     assert (resp.status, json.loads(resp.body)) == (401, {"error": "stale ptot"})
     assert env.rng.getstate() == state
     assert _login(net, env, bs).status == 200
-
-
-def test_check_requires_pid(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    resp = net.post(
-        f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
-        body=b"{}",
-        headers={"tk": str(env.clock.now()), "bk": bk[:len(bk) // 2]},
-    )
-    assert resp.status == 400
-    resp = net.post(
-        f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
-        body=json.dumps({"pid": 123}).encode(),
-        headers={"tk": str(env.clock.now()), "bk": bk[:len(bk) // 2]},
-    )
-    assert resp.status == 400
 
 
 def test_check_reissues_fresh_numbers(rig):
@@ -475,46 +418,6 @@ def test_check_reissues_fresh_numbers(rig):
     assert set(first) == set(wynk.CHECK_FIELDS)
     assert all(len(v) == 4 and v.isdigit() for v in first.values())
     assert first != second  # 8 fields of 4 digits colliding is not a thing
-
-
-def test_login_needs_matching_cip(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    wrong = ("0" if bs[0] != "0" else "1") + bs[1:]
-    assert _login(net, env, wrong).status == 403
-    assert _login(net, env, bs).status == 200
-
-
-def test_login_requires_both_priming_marks(rig):
-    svc, net, env, _catalog = rig
-    bk = _prime(net, env, marks=("1",))
-    check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    assert _login(net, env, bs).status == 403
-
-
-def test_login_requires_fresh_ptot(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    assert _login(net, env, bs, ptot=env.clock.now() - wynk.CLOCK_SKEW - 1).status == 401
-    assert _login(net, env, bs).status == 200
-
-
-def test_login_rejects_non_ascii_digits_in_ptot(rig):
-    _svc, net, env, _catalog = rig
-    bk = _prime(net, env)
-    check = json.loads(_check(net, env, bk).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
-    resp = net.post(
-        f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
-        body=b"{}",
-        headers={"x-bsy-ptot": "\u00b2", "x-bsy-cip": wynk.encode_cip(bs)},
-    )
-    assert resp.status == 401
 
 
 def test_recheck_retires_the_old_cip(rig):
@@ -531,8 +434,7 @@ def test_login_finds_its_handshake_without_recomputing_cips(rig, monkeypatch):
     puzzles = []
     for _ in range(300):
         bk = _prime(net, env)
-        check = json.loads(_check(net, env, bk).body)
-        puzzles.append((bk, "".join(check[f] for f in wynk.CHECK_FIELDS)))
+        puzzles.append((bk, _solve(net, env, bk)))
     bk, bs = puzzles[149]
     cip = wynk.encode_cip(bs)
 
@@ -562,20 +464,12 @@ def test_second_login_on_one_cip_gets_its_own_login(rig):
     # two logins on one puzzle: the second issues fresh material and the
     # first login's uid, token and device token keep working
     _svc, net, env, _catalog = rig
-    check = json.loads(_check(net, env, _prime(net, env)).body)
-    bs = "".join(check[f] for f in wynk.CHECK_FIELDS)
+    bs = _solve(net, env, _prime(net, env))
     first = json.loads(_login(net, env, bs).body)
     second = json.loads(_login(net, env, bs).body)
     assert first["uid"] != second["uid"] and first["dt"] != second["dt"]
     for session in (first, second):
-        assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
-
-
-def test_login_without_check_fails(rig):
-    _svc, net, env, _catalog = rig
-    _prime(net, env)
-    # no check call: nothing to match the puzzle against
-    assert _login(net, env, "00000000" * 4).status == 403
+        assert _stream_call(net, env, session, **V2, dt=session["dt"], otp=True).status == 200
 
 
 def test_handshake_returns_session_material(rig):
@@ -591,65 +485,22 @@ def test_handshake_returns_session_material(rig):
 # ---------------------------------------------------------------- v2 stream
 
 
-def _v2_stream_response(net, env, session, sid, *, otp_at=None, otp=None,
-                        kt=None, uuid=None):
-    query = dict(wynk.STREAM_QUERY)
-    query["id"] = sid
-    qs = "&".join(f"{k}={v}" for k, v in query.items())
-    body = "{}"
-    msg = wynk.stream_message("POST", wynk.V2_STREAM_PATH, qs, body)
-    digest = hmac_sha1(session["token"].encode("ascii"), msg.encode("utf-8"))
-    code = otp if otp is not None else totp(
-        (session["dt"] + WYNK_SK).encode("utf-8"),
-        wynk.TOTP_PARAMS,
-        env.clock.now() if otp_at is None else otp_at,
-    )
-    sealed = passphrase_seal(kt or session["kt"], code.encode("ascii"), b"\x01" * 8)
-    return net.post(
-        f"https://{wynk.HOST_PLAYBACK}{wynk.V2_STREAM_PATH}?{qs}",
-        body=body.encode(),
-        headers={
-            "x-bsy-utkn": f"{session['uid']}:{b64(digest)}",
-            "x-bsy-uuid": uuid if uuid is not None else session["dt"],
-            "x-bsy-t": b64(sealed),
-        },
-    )
-
-
 def test_v2_accepts_previous_totp_step_only(rig):
     _svc, net, env, _catalog = rig
     session = wynk_v2_handshake(net, env)
-    window = wynk.TOTP_PARAMS.window_seconds
-    assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.clock.now() - window).status == 200
-    assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.clock.now() - 2 * window).status == 401
-    assert _v2_stream_response(net, env, session, "bsycdn1_trk1",
-                               otp_at=env.clock.now() + 2 * window).status == 401
+    window, now = wynk.TOTP_PARAMS.window_seconds, env.clock.now()
+    for at, status in ((now - window, 200), (now - 2 * window, 401), (now + 2 * window, 401)):
+        code = wynk.otp(session["dt"], WYNK_SK, at)
+        t = _sealed(session["kt"], code)
+        assert _stream_call(net, env, session, **V2, dt=session["dt"], t=t).status == status
 
 
-def test_v2_rejects_wrong_seal_key(rig):
+def test_v2_rejects_unsealed_garbage_or_wrongly_sealed_otp_header(rig):
     _svc, net, env, _catalog = rig
     session = wynk_v2_handshake(net, env)
-    resp = _v2_stream_response(net, env, session, "bsycdn1_trk1", kt="f" * 32)
-    assert resp.status == 401
-
-
-def test_v2_rejects_unsealed_or_garbage_otp_header(rig):
-    _svc, net, env, _catalog = rig
-    session = wynk_v2_handshake(net, env)
-    query = dict(wynk.STREAM_QUERY)
-    query["id"] = "bsycdn1_trk1"
-    qs = "&".join(f"{k}={v}" for k, v in query.items())
-    msg = wynk.stream_message("POST", wynk.V2_STREAM_PATH, qs, "{}")
-    utkn = f"{session['uid']}:{b64(hmac_sha1(session['token'].encode(), msg.encode()))}"
-    for bad_t in ("", "!!!!", b64(b"not an envelope")):
-        resp = net.post(
-            f"https://{wynk.HOST_PLAYBACK}{wynk.V2_STREAM_PATH}?{qs}",
-            body=b"{}",
-            headers={"x-bsy-utkn": utkn, "x-bsy-uuid": session["dt"], "x-bsy-t": bad_t},
-        )
-        assert resp.status == 401
+    code = wynk.otp(session["dt"], WYNK_SK, env.clock.now())
+    for bad_t in ("", "!!!!", b64(b"not an envelope"), _sealed("f" * 32, code)):
+        assert _stream_call(net, env, session, **V2, dt=session["dt"], t=bad_t).status == 401
 
 
 def test_v2_session_expires(rig):
@@ -658,8 +509,8 @@ def test_v2_session_expires(rig):
     svc, net, env, _catalog = rig
     session = wynk_v2_handshake(net, env)
     env.clock.advance(svc.session_ttl)
-    expired = _v2_stream_response(net, env, session, "bsycdn1_trk1")
-    unknown = _v2_stream_response(net, env, session, "bsycdn1_trk1", uuid="0" * 32)
+    expired = _stream_call(net, env, session, **V2, dt=session["dt"], otp=True)
+    unknown = _stream_call(net, env, session, **V2, dt="0" * 32, otp=True)
     assert (expired.status, expired.body) == (unknown.status, unknown.body)
     assert json.loads(expired.body) == {"error": "unknown device token"}
 
@@ -674,8 +525,9 @@ def test_v2_stream_on_a_clock_below_one_otp_window(clock):
     net = Network()
     svc.mount(net)
     session = wynk_v2_handshake(net, env)
-    assert _v2_stream_response(net, env, session, "bsycdn1_trk1").status == 200
-    assert _v2_stream_response(net, env, session, "bsycdn1_trk1", otp="000000").status == 401
+    assert _stream_call(net, env, session, **V2, dt=session["dt"], otp=True).status == 200
+    t = _sealed(session["kt"], "000000")
+    assert _stream_call(net, env, session, **V2, dt=session["dt"], t=t).status == 401
     media = b"".join(rip_wynk_v2(net, env, svc.song_url("trk1"), sk=svc.sk))
     assert media == catalog.assets["trk1"].variant(320)
     result, client_error = Testbed(TestbedConfig(clock=clock)).rip("wynk-v2", "trk1")
@@ -712,10 +564,9 @@ def test_wynk_stores_hold_only_the_live_window():
     env.clock.advance(svc.session_ttl)
     assert reg["uid"] in svc._by_uid and session["dt"] in svc._by_dt
     for evicted, expired in (
-        (_v1_stream_response(net, "bsycdn1_trk1", first_v1["uid"], first_v1["token"]),
-         _v1_stream_response(net, "bsycdn1_trk1", reg["uid"], reg["token"])),
-        (_v2_stream_response(net, env, first_v2, "bsycdn1_trk1"),
-         _v2_stream_response(net, env, session, "bsycdn1_trk1")),
+        (_stream_call(net, env, first_v1), _stream_call(net, env, reg)),
+        (_stream_call(net, env, first_v2, **V2, dt=first_v2["dt"], otp=True),
+         _stream_call(net, env, session, **V2, dt=session["dt"], otp=True)),
     ):
         assert (evicted.status, evicted.body) == (expired.status, expired.body)
         assert evicted.status in (401, 403)
@@ -737,84 +588,59 @@ def test_v2_rip_fails_cleanly_when_asset_missing(rig):
 
 # ------------------------------------------------------ one stream handler
 
-SID = "bsycdn1_trk1"
-V1_PATH = f"{wynk.V1_STREAM_PREFIX}{SID}{wynk.V1_STREAM_SUFFIX}"
-V2 = {"path": wynk.V2_STREAM_PATH, "sid": SID}
 GRANTED = (200, {"url", "cookies"})  # a grant's keys; the test then fetches with it
-
-
-def _stream_call(net, env, login, *, method="POST", path=V1_PATH, sid=None,
-                 uid=None, token=None, utkn=None, dt=None, otp=False):
-    """A stream call signed as `login` (or as the uid and token given);
-    `sid` adds v2's id query, `dt` the device token header and `otp` the
-    login's one-time code sealed with its kt."""
-    query = dict(wynk.STREAM_QUERY)
-    if sid is not None:
-        query["id"] = sid
-    qs = "&".join(f"{k}={v}" for k, v in query.items())
-    msg = wynk.stream_message(method, path, qs, "{}")
-    headers = {"x-bsy-utkn": utkn or wynk.utkn(uid or login["uid"], token or login["token"], msg)}
-    if dt is not None:
-        headers["x-bsy-uuid"] = dt
-    if otp:
-        code = wynk.otp(login["dt"], WYNK_SK, env.clock.now())
-        headers["x-bsy-t"] = b64(passphrase_seal(login["kt"], code.encode("ascii"), b"\x01" * 8))
-    return net.request(
-        method, f"https://{wynk.HOST_PLAYBACK}{path}?{qs}", body=b"{}", headers=headers
-    )
-
-
-def _refused(status, error):
-    return (status, {"error": error})
-
 
 # one row per answer of the playback host, each call made as the v1 login
 # or the v2 login of one bed
 STREAM_ANSWERS = [
     ("get-on-the-v1-path", lambda call, v1, v2: call(v1, method="GET"),
-     _refused(404, "no such endpoint")),
+     (404, "no such endpoint")),
     ("get-on-the-v2-path",
      lambda call, v1, v2: call(v2, method="GET", **V2, dt=v2["dt"], otp=True),
-     _refused(404, "no such endpoint")),
+     (404, "no such endpoint")),
     ("v1-prefix-without-the-suffix",
      lambda call, v1, v2: call(v1, path=wynk.V1_STREAM_PREFIX + SID),
-     _refused(404, "no such endpoint")),
+     (404, "no such endpoint")),
     ("v1-suffix-without-the-prefix",
      lambda call, v1, v2: call(v1, path=f"/streaming/{SID}{wynk.V1_STREAM_SUFFIX}"),
-     _refused(404, "no such endpoint")),
+     (404, "no such endpoint")),
     ("utkn-with-no-colon", lambda call, v1, v2: call(v1, utkn="no-colon-here"),
-     _refused(403, "utkn malformed")),
+     (403, "utkn malformed")),
     ("unknown-uid", lambda call, v1, v2: call(v1, uid="0" * 12),
-     _refused(401, "unknown uid")),
+     (401, "unknown uid")),
     ("v1-utkn-mismatch", lambda call, v1, v2: call(v1, token="f" * 40),
-     _refused(403, "utkn mismatch")),
+     (403, "utkn mismatch")),
+    ("v1-utkn-over-another-query",
+     lambda call, v1, v2: call(v1, utkn=wynk.utkn(v1["uid"], v1["token"], wynk.stream_message(
+         "POST", V1_PATH, "ets=true&hlscapable=1&sq=b&lang=en", "{}"))),
+     (403, "utkn mismatch")),
     ("utkn-digest-not-ascii", lambda call, v1, v2: call(v1, utkn=f"{v1['uid']}:\u00e9"),
-     _refused(403, "utkn mismatch")),
+     (403, "utkn mismatch")),
     ("unknown-sid-on-the-v1-path",
      lambda call, v1, v2: call(
          v1, path=f"{wynk.V1_STREAM_PREFIX}bsycdn1_missing{wynk.V1_STREAM_SUFFIX}"),
-     _refused(404, "unknown content id")),
+     (404, "unknown content id")),
     ("v1-login-on-the-v1-path", lambda call, v1, v2: call(v1), GRANTED),
     # the v1 endpoint never asks for the code, whichever login signs
     ("v2-login-on-the-v1-path-with-no-code", lambda call, v1, v2: call(v2), GRANTED),
     ("v1-login-on-the-v2-path", lambda call, v1, v2: call(v1, **V2),
-     _refused(403, "unknown device token")),
+     (403, "unknown device token")),
     ("unknown-device-token",
      lambda call, v1, v2: call(v2, **V2, dt="0" * 32, otp=True),
-     _refused(403, "unknown device token")),
+     (403, "unknown device token")),
     ("v2-utkn-mismatch",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True, token="f" * 40),
-     _refused(403, "utkn mismatch")),
+     (403, "utkn mismatch")),
     ("v2-utkn-under-another-uid",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True, uid="0" * 12),
-     _refused(403, "utkn mismatch")),
+     (403, "utkn mismatch")),
     ("v2-login-on-the-v2-path-with-no-code",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"]),
-     _refused(401, "stale or unreadable otp")),
+     (401, "stale or unreadable otp")),
     ("unknown-sid-on-the-v2-path",
      lambda call, v1, v2: call(v2, path=wynk.V2_STREAM_PATH, sid="bsycdn1_missing",
                                dt=v2["dt"], otp=True),
-     _refused(404, "unknown content id")),
+     (404, "unknown content id")),
     ("v2-login-on-the-v2-path",
      lambda call, v1, v2: call(v2, **V2, dt=v2["dt"], otp=True), GRANTED),
 ]
@@ -827,9 +653,11 @@ def test_every_answer_of_the_stream_handler(rig, make, want):
     _svc, net, env, _catalog = rig
     v1, v2 = _v1_register(net, env), wynk_v2_handshake(net, env)
     resp = make(lambda login, **kw: _stream_call(net, env, login, **kw), v1, v2)
-    body = json.loads(resp.body)
-    assert (resp.status, set(body) if resp.status == 200 else body) == want
-    if resp.status == 200:
+    if want is not GRANTED:
+        assert_refused(resp, want)
+    else:
+        body = json.loads(resp.body)
+        assert (resp.status, set(body)) == GRANTED
         assert net.get(body["url"], extra_query=body["cookies"]).status == 200
 
 
