@@ -11,40 +11,20 @@ import json
 import string
 import time
 from itertools import permutations
-from random import Random
 
-from aes_reference import cbc_encrypt, ctr_xor
 from test_auditor import EXPECTED
-from test_crypto_kit import oracle_hmac_sha1, oracle_totp
+from test_hungama import _mdnurl, _player_data, _token_of
+from test_wynk import SID, V2, _check, _login, _prime, _sealed, _stream_call
 
 from drmtestbed.auditor import AUDIT_SERVICES
-from drmtestbed.cli import main
 from drmtestbed.clients import wynk_v2_handshake
 from drmtestbed.config import TestbedConfig
-from drmtestbed.crypto_kit import (
-    DecodeError,
-    TotpParams,
-    aes_cbc_encrypt,
-    aes_ctr,
-    b64,
-    b64_decode,
-    hmac_sha1,
-    passphrase_seal,
-    totp,
-)
-from drmtestbed.hls import (
-    AUDIO_MAGIC,
-    BITRATE_LADDER,
-    parse_index,
-    parse_master,
-    render_index,
-    render_master,
-    segment,
-)
+from drmtestbed.crypto_kit import DecodeError, b64_decode
+from drmtestbed.hls import AUDIO_MAGIC
 from drmtestbed.ripper import tap_rip
 from drmtestbed.services import wynk
-from drmtestbed.testbed import RIP_SERVICES, Testbed
-from drmtestbed.transport import export_tap, split_url
+from drmtestbed.testbed import Testbed
+from drmtestbed.transport import query_string, split_url
 
 INSECURE = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
 
@@ -77,6 +57,16 @@ def _mutations(text: str, skip=None):
             if skip is not None and skip(cand):
                 continue
             yield cand
+
+
+def _benchmark_plays(bed):
+    """Every exchange of the benchmark client playing each catalog track."""
+    records = []
+    for track in bed.catalog.track_ids():
+        played, client_error = bed.tapped_run("benchmark", track)
+        assert client_error == "", client_error
+        records += played
+    return records
 
 
 # ------------------------------------------------------------ criterion 1
@@ -113,13 +103,7 @@ def test_rip_differential_insecure_vs_benchmark(bed):
             if client_error == "" and result.succeeded and result.matched_catalog:
                 matched += 1
 
-    tap = bed.net.attach_tap()
-    try:
-        for track in bed.catalog.track_ids():
-            bed.run_client("benchmark", track)
-    finally:
-        bed.net.detach_tap(tap)
-    records = tap.records()
+    records = _benchmark_plays(bed)
     bench_defeated = all(
         not tap_rip(records, bed.catalog, "benchmark", track).succeeded
         for track in bed.catalog.track_ids()
@@ -141,60 +125,22 @@ def test_rip_differential_insecure_vs_benchmark(bed):
     )
 
 
-# ------------------------------------------------------------ criterion 3
-
-
-def test_audit_matrix_golden(capsys):
-    code = main(["audit", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    got = {
-        entry["service"]: tuple(entry["practices"].values())
-        for entry in doc["audits"]
-    }
-    cells_ok = sum(
-        got.get(name, ()) == row for name, row in GOLDEN_AUDIT.items()
-    )
-    _verdict(
-        3,
-        "audit emits the golden 7x5 practices matrix cell for cell",
-        code == 0 and len(got) == 5 and cells_ok == 5,
-        f"{cells_ok}/5 service columns exact",
-    )
-
-
 # ------------------------------------------------------------ criterion 4
 
 
 def _step_spit_out(net, env, art):
-    bk = wynk.gen_bk(env.clock.now(), env.rng)
-    device_id = wynk.gen_device_id(env.rng)
-    for half, mark in ((device_id[:36], "1"), (device_id[36:], "2")):
-        name = wynk.mix_it(half.replace("-", ""), bk)
-        net.get(f"https://{wynk.HOST_ASSETS}/webassets/{name}_{mark}.jpg")
-    art["bk"] = bk
+    art["bk"] = _prime(net, env)
 
 
 def _step_check(net, env, art):
-    bk = art.get("bk", wynk.gen_bk(env.clock.now(), env.rng))
-    half = len(bk) // 2
-    resp = net.post(
-        f"https://{wynk.HOST_CHECK}{wynk.CHECK_PATH}",
-        body=json.dumps({"pid": bk[half:]}).encode(),
-        headers={"tk": str(env.clock.now()), "bk": bk[:half]},
-    )
+    resp = _check(net, env, art.get("bk") or wynk.gen_bk(env.clock.now(), env.rng))
     if resp.status == 200:
         values = json.loads(resp.body)
         art["bs"] = "".join(values[f] for f in wynk.CHECK_FIELDS)
 
 
 def _step_login(net, env, art):
-    bs = art.get("bs", "0" * 32)
-    resp = net.post(
-        f"https://{wynk.HOST_LOGIN}{wynk.V2_LOGIN_PATH}",
-        body=b"{}",
-        headers={"x-bsy-ptot": str(env.clock.now()), "x-bsy-cip": wynk.encode_cip(bs)},
-    )
-    art["issued"] = resp.status == 200
+    art["issued"] = _login(net, env, art.get("bs", "0" * 32)).status == 200
 
 
 _STEPS = {"spit_out": _step_spit_out, "check": _step_check, "login": _step_login}
@@ -216,25 +162,9 @@ def test_handshake_order_and_otp_window():
     window = wynk.TOTP_PARAMS.window_seconds
 
     def otp_status(at):
-        query = dict(wynk.STREAM_QUERY)
-        query["id"] = "bsycdn1_trk1"
-        qs = "&".join(f"{k}={v}" for k, v in query.items())
-        msg = wynk.stream_message("POST", wynk.V2_STREAM_PATH, qs, "{}")
-        digest = hmac_sha1(session["token"].encode("ascii"), msg.encode("utf-8"))
-        code = totp(
-            (session["dt"] + tb.config.wynk_sk).encode("utf-8"),
-            wynk.TOTP_PARAMS,
-            at,
-        )
-        sealed = passphrase_seal(session["kt"], code.encode("ascii"), b"\x01" * 8)
-        return tb.net.post(
-            f"https://{wynk.HOST_PLAYBACK}{wynk.V2_STREAM_PATH}?{qs}",
-            body=b"{}",
-            headers={
-                "x-bsy-utkn": f"{session['uid']}:{b64(digest)}",
-                "x-bsy-uuid": session["dt"],
-                "x-bsy-t": b64(sealed),
-            },
+        code = wynk.otp(session["dt"], tb.config.wynk_sk, at)
+        return _stream_call(
+            tb.net, tb.env, session, **V2, dt=session["dt"], t=_sealed(session["kt"], code)
         ).status
 
     now = tb.env.clock.now()
@@ -271,28 +201,14 @@ def _fuzz(send, credential: str, skip=None) -> tuple[int, int, int]:
 def test_credential_mutation_fuzz(bed):
     # stream signature header on the playback API
     session = wynk_v2_handshake(bed.net, bed.env)
-    query = dict(wynk.STREAM_QUERY)
-    query["id"] = "bsycdn1_trk1"
-    qs = "&".join(f"{k}={v}" for k, v in query.items())
+    qs = query_string(dict(wynk.STREAM_QUERY, id=SID))
     msg = wynk.stream_message("POST", wynk.V2_STREAM_PATH, qs, "{}")
-    digest = hmac_sha1(session["token"].encode("ascii"), msg.encode("utf-8"))
-    utkn = f"{session['uid']}:{b64(digest)}"
-    code = totp(
-        (session["dt"] + bed.config.wynk_sk).encode("utf-8"),
-        wynk.TOTP_PARAMS,
-        bed.env.clock.now(),
-    )
-    t_header = b64(passphrase_seal(session["kt"], code.encode("ascii"), b"\x01" * 8))
+    utkn = wynk.utkn(session["uid"], session["token"], msg)
+    digest = b64_decode(utkn.partition(":")[2])
 
     def send_utkn(cand):
-        return bed.net.post(
-            f"https://{wynk.HOST_PLAYBACK}{wynk.V2_STREAM_PATH}?{qs}",
-            body=b"{}",
-            headers={
-                "x-bsy-utkn": cand,
-                "x-bsy-uuid": session["dt"],
-                "x-bsy-t": t_header,
-            },
+        return _stream_call(
+            bed.net, bed.env, session, **V2, utkn=cand, dt=session["dt"], otp=True
         ).status
 
     def same_utkn(cand):
@@ -308,15 +224,8 @@ def test_credential_mutation_fuzz(bed):
     assert send_utkn(utkn) == 200  # the genuine header must work
 
     # signed grant on the media CDN, taken from a live authorization
-    data = json.loads(
-        bed.net.get("https://www.hungama.com/audio-player-data/track/trk1").body
-    )
-    token = data["file"].partition("token=")[2]
-    media_url = json.loads(
-        bed.net.post(
-            "https://www.hungama.com/mdnurl/song/trk1", extra_query={"token": token}
-        ).body
-    )["media_url"]
+    token = _token_of(_player_data(bed.net, "trk1"))
+    media_url = json.loads(_mdnurl(bed.net, "trk1", token).body)["media_url"]
     host, path, grant_query = split_url(media_url)
     signature = grant_query["Signature"]
     sig_bytes = b64_decode(signature)
@@ -335,9 +244,7 @@ def test_credential_mutation_fuzz(bed):
     assert send_signature(signature) == 200
 
     def send_token(cand):
-        return bed.net.post(
-            "https://www.hungama.com/mdnurl/song/trk1", extra_query={"token": cand}
-        ).status
+        return _mdnurl(bed.net, "trk1", cand).status
 
     assert send_token(token) == 200
 
@@ -357,94 +264,11 @@ def test_credential_mutation_fuzz(bed):
     _verdict(5, "every single-byte credential mutation is refused", ok, detail)
 
 
-# ------------------------------------------------------------ criterion 6
-
-
-def test_crypto_matches_independent_implementations():
-    rng = Random(0xACCE)
-    n = 128
-    hmac_ok = all(
-        hmac_sha1(key, msg) == oracle_hmac_sha1(key, msg)
-        for key, msg in (
-            (rng.randbytes(rng.randint(1, 64)), rng.randbytes(rng.randint(0, 200)))
-            for _ in range(n)
-        )
-    )
-    totp_ok = True
-    for _ in range(n):
-        secret = rng.randbytes(rng.randint(1, 32))
-        window = rng.choice((30, 300, 600))
-        digits = rng.randint(6, 8)
-        at = rng.randint(0, 4_000_000_000)
-        params = TotpParams(window_seconds=window, digits=digits)
-        totp_ok = totp_ok and totp(secret, params, at) == oracle_totp(
-            secret, window, digits, at
-        )
-    cbc_ok = True
-    for _ in range(n):
-        key = rng.randbytes(rng.choice((16, 32)))
-        iv = rng.randbytes(16)
-        pt = rng.randbytes(rng.randint(0, 100))
-        cbc_ok = cbc_ok and aes_cbc_encrypt(key, iv, pt) == cbc_encrypt(key, iv, pt)
-    ctr_ok = True
-    for _ in range(n):
-        key, nonce = rng.randbytes(16), rng.randbytes(16)
-        data = rng.randbytes(rng.randint(0, 200))
-        offset = rng.randint(0, 1000)
-        ctr_ok = ctr_ok and aes_ctr(key, nonce, data, byte_offset=offset) == ctr_xor(
-            key, nonce, data, offset
-        )
-    cip_ok = (
-        wynk.encode_cip("1234") == "112234"
-        and wynk.encode_cip("99") == "199"
-        and wynk.encode_cip("0000") == "100200"
-    )
-    _verdict(
-        6,
-        "primitives agree with second implementations and traced vectors",
-        hmac_ok and totp_ok and cbc_ok and ctr_ok and cip_ok,
-        f"{n} random vectors each for hmac/totp/cbc/ctr, 3 cip vectors",
-    )
-
-
-# ------------------------------------------------------------ criterion 7
-
-
-def test_manifest_and_segmentation_round_trip():
-    rng = Random(0x415)
-    rounds, ok = 500, True
-    for _ in range(rounds):
-        media = rng.randbytes(rng.randint(1, 4000))
-        chunk = rng.randint(1, len(media) + 100)
-        chunks, index = segment(media, chunk, uri_prefix="v/")
-        ok = ok and b"".join(chunks) == media
-        ok = ok and parse_index(render_index(index)) == tuple(index)
-        entries = [
-            (r * 1000, f"https://cdn.example/{r}/index.m3u8")
-            for r in sorted(rng.sample(BITRATE_LADDER, rng.randint(1, 5)))
-        ]
-        ok = ok and parse_master(render_master(entries)) == tuple(entries)
-        if not ok:
-            break
-    _verdict(
-        7,
-        "segmentation and playlist rendering invert exactly",
-        ok,
-        f"{rounds} random (media, chunk size) pairs",
-    )
-
-
 # ------------------------------------------------------------ criterion 8
 
 
 def test_key_confinement_in_benchmark_transcript(bed):
-    tap = bed.net.attach_tap()
-    try:
-        for track in bed.catalog.track_ids():
-            bed.run_client("benchmark", track)
-    finally:
-        bed.net.detach_tap(tap)
-    records = tap.records()
+    records = _benchmark_plays(bed)
     bodies = [rec.request.body for rec in records] + [
         rec.response.body for rec in records
     ]
@@ -462,37 +286,4 @@ def test_key_confinement_in_benchmark_transcript(bed):
         "content and device keys never cross the wire in the clear",
         hits == 0 and windows > 50_000 and len(keys) == 4,
         f"{windows} sliding windows over {len(bodies)} bodies, {hits} hits",
-    )
-
-
-# ------------------------------------------------------------ criterion 9
-
-
-def test_deterministic_tap_exports(tmp_path):
-    def transcripts(run_dir):
-        tb = Testbed(TestbedConfig())
-        run_dir.mkdir()
-        for service in RIP_SERVICES:
-            tap = tb.net.attach_tap()
-            try:
-                for track in tb.catalog.track_ids():
-                    tb.run_client(service, track)
-            finally:
-                tb.net.detach_tap(tap)
-            (run_dir / f"{service}.tap").write_text(
-                export_tap(tap.records()), encoding="utf-8"
-            )
-
-    transcripts(tmp_path / "run1")
-    transcripts(tmp_path / "run2")
-    same = []
-    for service in RIP_SERVICES:
-        first = (tmp_path / "run1" / f"{service}.tap").read_bytes()
-        second = (tmp_path / "run2" / f"{service}.tap").read_bytes()
-        same.append(first == second and len(first) > 0)
-    _verdict(
-        9,
-        "same seed and clock give byte-identical tap exports per service",
-        all(same),
-        f"{sum(same)}/{len(RIP_SERVICES)} services identical across runs",
     )

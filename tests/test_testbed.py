@@ -17,6 +17,7 @@ from drmtestbed.catalog import ServiceCatalog, demo_catalog, save_catalog
 from drmtestbed.clients import ProtocolFailure
 from drmtestbed.config import KEY_FIELDS, TTL_FIELDS, ConfigError, TestbedConfig
 from drmtestbed.hls import AUDIO_MAGIC, MediaAsset
+from drmtestbed.ripper import tap_rip
 from drmtestbed.services import gaana, hungama, saavn, wynk
 from drmtestbed.testbed import RIP_SERVICES, SPECS, Testbed
 from drmtestbed.transport import DeterministicEnv, HttpRequest, copy_request
@@ -153,12 +154,9 @@ class TestServiceSpecs:
     def test_auth_path_finds_a_replayable_exchange(self, bed, spec):
         # A pattern that matches nothing scores cookie_auth_timeout False,
         # the golden value for three services, so only this test notices.
-        tap = bed.net.attach_tap()
-        try:
-            bed.run_client(spec.name, "trk1")
-        finally:
-            bed.net.detach_tap(tap)
-        hits = [r for r in tap.records() if spec.auth_path.fullmatch(r.request.path)]
+        records, client_error = bed.tapped_run(spec.name, "trk1")
+        assert client_error == ""
+        hits = [r for r in records if spec.auth_path.fullmatch(r.request.path)]
         assert hits, f"no exchange matches {spec.auth_path.pattern!r}"
         req = hits[-1].request
         assert bed.net.dispatch(req.headers["host"], copy_request(req)).status == 200
@@ -206,13 +204,10 @@ def test_config_chunk_bytes_reaches_every_hls_tree(service):
     # built from, not by a size of its own
     bed = Testbed(TestbedConfig(chunk_bytes=4096))
     top = bed.catalog.assets["trk1"].variant(320)
-    tap = bed.net.attach_tap()
-    try:
-        result, client_error = bed.rip(service, "trk1")
-    finally:
-        bed.net.detach_tap(tap)
-    assert client_error == "" and result.matched_catalog
-    segments = [r for r in tap.records() if r.request.path.endswith(".ts")]
+    records, client_error = bed.tapped_run(service, "trk1")
+    assert client_error == ""
+    assert tap_rip(records, bed.catalog, service, "trk1").matched_catalog
+    segments = [r for r in records if r.request.path.endswith(".ts")]
     assert len(segments) == math.ceil(len(top) / 4096) == 23
 
 

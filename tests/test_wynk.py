@@ -712,10 +712,7 @@ def test_stream_call_with_a_respelled_utkn_is_403(service):
 @pytest.mark.parametrize("service", sorted(PINNED_TAP_SHA256))
 def test_export_tap_bytes_are_pinned(service):
     tb = Testbed(TestbedConfig())
-    tap = tb.net.attach_tap()
-    try:
-        tb.run_client(service, tb.open_tracks()[0])
-    finally:
-        tb.net.detach_tap(tap)
-    data = export_tap(tap.records()).encode("utf-8")
+    records, client_error = tb.tapped_run(service, tb.open_tracks()[0])
+    assert client_error == ""
+    data = export_tap(records).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == PINNED_TAP_SHA256[service]
