@@ -11,20 +11,40 @@ import json
 import string
 import time
 from itertools import permutations
+from random import Random
 
+from aes_reference import cbc_encrypt, ctr_xor
 from test_auditor import EXPECTED
+from test_crypto_kit import oracle_hmac_sha1, oracle_totp
 from test_hungama import _mdnurl, _player_data, _token_of
 from test_wynk import SID, V2, _check, _login, _prime, _sealed, _stream_call
 
 from drmtestbed.auditor import AUDIT_SERVICES
+from drmtestbed.cli import main
 from drmtestbed.clients import wynk_v2_handshake
 from drmtestbed.config import TestbedConfig
-from drmtestbed.crypto_kit import DecodeError, b64_decode
-from drmtestbed.hls import AUDIO_MAGIC
+from drmtestbed.crypto_kit import (
+    DecodeError,
+    TotpParams,
+    aes_cbc_encrypt,
+    aes_ctr,
+    b64_decode,
+    hmac_sha1,
+    totp,
+)
+from drmtestbed.hls import (
+    AUDIO_MAGIC,
+    BITRATE_LADDER,
+    parse_index,
+    parse_master,
+    render_index,
+    render_master,
+    segment,
+)
 from drmtestbed.ripper import tap_rip
 from drmtestbed.services import wynk
-from drmtestbed.testbed import Testbed
-from drmtestbed.transport import query_string, split_url
+from drmtestbed.testbed import RIP_SERVICES, Testbed
+from drmtestbed.transport import export_tap, query_string, split_url
 
 INSECURE = ("wynk-v1", "wynk-v2", "jiosaavn", "gaana", "hungama")
 
@@ -122,6 +142,27 @@ def test_rip_differential_insecure_vs_benchmark(bed):
         matched == 15 and bench_defeated and bool(no_magic),
         f"{matched}/15 insecure rips matched, "
         f"{len(media_bodies)} benchmark media bodies without plaintext magic",
+    )
+
+
+# ------------------------------------------------------------ criterion 3
+
+
+def test_audit_matrix_golden(capsys):
+    code = main(["audit", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    got = {
+        entry["service"]: tuple(entry["practices"].values())
+        for entry in doc["audits"]
+    }
+    cells_ok = sum(
+        got.get(name, ()) == row for name, row in GOLDEN_AUDIT.items()
+    )
+    _verdict(
+        3,
+        "audit emits the golden 7x5 practices matrix cell for cell",
+        code == 0 and len(got) == 5 and cells_ok == 5,
+        f"{cells_ok}/5 service columns exact",
     )
 
 
@@ -264,6 +305,83 @@ def test_credential_mutation_fuzz(bed):
     _verdict(5, "every single-byte credential mutation is refused", ok, detail)
 
 
+# ------------------------------------------------------------ criterion 6
+
+
+def test_crypto_matches_independent_implementations():
+    rng = Random(0xACCE)
+    n = 128
+    hmac_ok = all(
+        hmac_sha1(key, msg) == oracle_hmac_sha1(key, msg)
+        for key, msg in (
+            (rng.randbytes(rng.randint(1, 64)), rng.randbytes(rng.randint(0, 200)))
+            for _ in range(n)
+        )
+    )
+    totp_ok = True
+    for _ in range(n):
+        secret = rng.randbytes(rng.randint(1, 32))
+        window = rng.choice((30, 300, 600))
+        digits = rng.randint(6, 8)
+        at = rng.randint(0, 4_000_000_000)
+        params = TotpParams(window_seconds=window, digits=digits)
+        totp_ok = totp_ok and totp(secret, params, at) == oracle_totp(
+            secret, window, digits, at
+        )
+    cbc_ok = True
+    for _ in range(n):
+        key = rng.randbytes(rng.choice((16, 32)))
+        iv = rng.randbytes(16)
+        pt = rng.randbytes(rng.randint(0, 100))
+        cbc_ok = cbc_ok and aes_cbc_encrypt(key, iv, pt) == cbc_encrypt(key, iv, pt)
+    ctr_ok = True
+    for _ in range(n):
+        key, nonce = rng.randbytes(16), rng.randbytes(16)
+        data = rng.randbytes(rng.randint(0, 200))
+        offset = rng.randint(0, 1000)
+        ctr_ok = ctr_ok and aes_ctr(key, nonce, data, byte_offset=offset) == ctr_xor(
+            key, nonce, data, offset
+        )
+    cip_ok = (
+        wynk.encode_cip("1234") == "112234"
+        and wynk.encode_cip("99") == "199"
+        and wynk.encode_cip("0000") == "100200"
+    )
+    _verdict(
+        6,
+        "primitives agree with second implementations and traced vectors",
+        hmac_ok and totp_ok and cbc_ok and ctr_ok and cip_ok,
+        f"{n} random vectors each for hmac/totp/cbc/ctr, 3 cip vectors",
+    )
+
+
+# ------------------------------------------------------------ criterion 7
+
+
+def test_manifest_and_segmentation_round_trip():
+    rng = Random(0x415)
+    rounds, ok = 500, True
+    for _ in range(rounds):
+        media = rng.randbytes(rng.randint(1, 4000))
+        chunk = rng.randint(1, len(media) + 100)
+        chunks, index = segment(media, chunk, uri_prefix="v/")
+        ok = ok and b"".join(chunks) == media
+        ok = ok and parse_index(render_index(index)) == tuple(index)
+        entries = [
+            (r * 1000, f"https://cdn.example/{r}/index.m3u8")
+            for r in sorted(rng.sample(BITRATE_LADDER, rng.randint(1, 5)))
+        ]
+        ok = ok and parse_master(render_master(entries)) == tuple(entries)
+        if not ok:
+            break
+    _verdict(
+        7,
+        "segmentation and playlist rendering invert exactly",
+        ok,
+        f"{rounds} random (media, chunk size) pairs",
+    )
+
+
 # ------------------------------------------------------------ criterion 8
 
 
@@ -286,4 +404,32 @@ def test_key_confinement_in_benchmark_transcript(bed):
         "content and device keys never cross the wire in the clear",
         hits == 0 and windows > 50_000 and len(keys) == 4,
         f"{windows} sliding windows over {len(bodies)} bodies, {hits} hits",
+    )
+
+
+# ------------------------------------------------------------ criterion 9
+
+
+def test_deterministic_tap_exports():
+    def transcripts():
+        tb = Testbed(TestbedConfig())
+        exports = []
+        for service in RIP_SERVICES:
+            records = []
+            for track in tb.catalog.track_ids():
+                played, client_error = tb.tapped_run(service, track)
+                assert client_error == "", client_error
+                records += played
+            exports.append(export_tap(records).encode("utf-8"))
+        return exports
+
+    same = [
+        first == second and len(first) > 0
+        for first, second in zip(transcripts(), transcripts())
+    ]
+    _verdict(
+        9,
+        "same seed and clock give byte-identical tap exports per service",
+        all(same),
+        f"{sum(same)}/{len(RIP_SERVICES)} services identical across runs",
     )

@@ -64,6 +64,13 @@ class TestRip:
 
 
 class TestAudit:
+    def test_default_audit_covers_the_table(self, capsys):
+        assert main(["audit"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for name in ("spotify-benchmark", "wynk-v2", "jiosaavn", "gaana", "hungama"):
+            assert name in out
+        assert "(no rips)" in out
+
     def test_single_service_json(self, capsys):
         assert main(["audit", "--service", "benchmark", "--format", "json"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
@@ -113,6 +120,18 @@ class TestAudit:
 
 
 class TestDemo:
+    def test_demo_runs_everything(self, capsys):
+        assert main(["demo"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("trk1") >= 6  # one rip row per service
+        assert "== practices audit ==" in out
+
+    def test_demo_is_deterministic(self, capsys):
+        assert main(["demo", "--seed", "3", "--clock", "1600000000"]) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(["demo", "--seed", "3", "--clock", "1600000000"]) == EXIT_OK
+        assert capsys.readouterr().out == first
+
     def test_seed_changes_the_catalog_bytes(self, capsys):
         assert main(["demo", "--seed", "3"]) == EXIT_OK
         first = capsys.readouterr().out
